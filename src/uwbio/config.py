@@ -56,7 +56,10 @@ class PEBaselineConfig:
 
 @dataclass(frozen=True)
 class RandomInit:
-    """Follower pose randomization: uniform in a disc, random heading."""
+    """Follower pose randomization: positions uniform in the square
+    [-radius, radius]^2, redrawn until at least min_sep from the leader and
+    every follower placed before; heading uniform in [-pi, pi).  A run
+    raises ConfigError when a follower cannot be placed."""
 
     radius: float = 4.0
     min_sep: float = 1.0

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .control import (ControlGains, StageTracker, stage1_command, stage2_command,
                       tracking_error_estimated, tracking_error_truth, TrackingError)
 from .cooploc import (LeaderPoseEstimate, MissingNeighborEstimate, assign_layers,
@@ -36,6 +36,9 @@ from .world import RobotTruth, VelocityCommand, step
 
 # Golden-angle phase spread keeps per-robot excitation signals decorrelated.
 _PHASE = 2.399963229728653
+
+# Rejection draws per robot before random_init gives up on min_sep.
+_PLACEMENT_DRAWS = 1000
 
 
 class MissingLogs(FileNotFoundError):
@@ -129,12 +132,18 @@ def _initial_truths(config: ScenarioConfig, seed: int) -> list[RobotTruth]:
     truths = [RobotTruth.spawn(r.id, r.x, r.y, r.z, r.yaw) for r in config.robots]
     if config.random_init is not None:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
+        radius, min_sep = config.random_init.radius, config.random_init.min_sep
         placed = [np.zeros(2)]
         for r in config.robots[1:]:
-            for _ in range(1000):
-                pos = rng.uniform(-config.random_init.radius, config.random_init.radius, 2)
-                if all(np.linalg.norm(pos - q) >= config.random_init.min_sep for q in placed):
+            for _ in range(_PLACEMENT_DRAWS):
+                pos = rng.uniform(-radius, radius, 2)
+                if all(np.linalg.norm(pos - q) >= min_sep for q in placed):
                     break
+            else:
+                raise ConfigError(
+                    f"random_init could not place robot {r.id} at least min_sep={min_sep} "
+                    f"from the robots before it within radius={radius} "
+                    f"({_PLACEMENT_DRAWS} draws)")
             placed.append(pos)
             yaw = float(rng.uniform(-math.pi, math.pi))
             truths[r.id] = RobotTruth.spawn(r.id, float(pos[0]), float(pos[1]), 0.0, yaw)
@@ -516,6 +525,9 @@ def run_to_dir(config: ScenarioConfig, outdir: str | Path, seed: int | None = No
 
 SWEEP_AXES = ("noise", "outlier_prob", "swarm_size")
 
+# The fields the swarm_size axis takes from chain_swarm instead of the base.
+_LAYOUT_FIELDS = ("name", "robots", "edges", "formation", "gains", "seed")
+
 
 @dataclass
 class SweepResult:
@@ -538,8 +550,9 @@ def _apply_axis(base: ScenarioConfig, axis: str, value, seed: int) -> ScenarioCo
         return replace(base, noise=replace(base.noise, outlier_prob=float(value)))
     if axis == "swarm_size":
         from .scenarios import chain_swarm
-        return chain_swarm(int(value), seed=seed, noise=base.noise,
-                           duration_s=base.duration_s, dt=base.dt)
+        # The chain supplies the layout; every other setting stays the base's.
+        layout = chain_swarm(int(value), seed=seed)
+        return replace(base, **{f: getattr(layout, f) for f in _LAYOUT_FIELDS})
     raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
 
 

@@ -25,7 +25,7 @@ this end to end, so any sign or term error here cannot survive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -107,43 +107,65 @@ class DataRecord:
     of the regressor is identically zero, so the eigenvalue summary is
     taken over the remaining 6 active dimensions; otherwise full rank could
     never be reached.
+
+    The samples live in preallocated (hist_cap, 7) and (hist_cap,) buffers,
+    sized by the largest policy hist_cap seen, one row per retained sample
+    in history order: an accepted sample is written into the next free row,
+    and an eviction shifts the rows after the evicted one up by one and
+    writes the new sample last.  `phis` and `ys` are views of the filled
+    rows, valid until the next `add`.
     """
 
     def __init__(self, planar: bool = False):
         self.history: list[RegressorSample] = []
         self.S = np.zeros((THETA_DIM, THETA_DIM))
-        self.phis = np.zeros((0, THETA_DIM))
-        self.ys = np.zeros(0)
+        self._phi_buf = np.zeros((0, THETA_DIM))
+        self._y_buf = np.zeros(0)
+        self.phis = self._phi_buf
+        self.ys = self._y_buf
         self.lambda_min = 0.0
         self.lambda_max = 0.0
         if planar:
             self.active = np.array([0, 1, 3, 4, 5, 6])
         else:
             self.active = np.arange(THETA_DIM)
+        self._active_block = np.ix_(self.active, self.active)
 
     def __len__(self) -> int:
         return len(self.history)
 
     def _eigs(self, S: np.ndarray) -> tuple[float, float]:
-        w = np.linalg.eigvalsh(S[np.ix_(self.active, self.active)])
+        w = np.linalg.eigvalsh(S[self._active_block])
         return max(float(w[0]), 0.0), max(float(w[-1]), 0.0)
 
-    def _restack(self) -> None:
-        if self.history:
-            self.phis = np.stack([s.phi for s in self.history])
-            self.ys = np.array([s.y for s in self.history])
-        else:
-            self.phis = np.zeros((0, THETA_DIM))
-            self.ys = np.zeros(0)
+    def _reserve(self, cap: int) -> None:
+        """Grow the sample buffers to `cap` rows, keeping the filled ones."""
+        n = len(self.history)
+        phi_buf = np.zeros((cap, THETA_DIM))
+        y_buf = np.zeros(cap)
+        phi_buf[:n] = self._phi_buf[:n]
+        y_buf[:n] = self._y_buf[:n]
+        self._phi_buf, self._y_buf = phi_buf, y_buf
+        self.phis, self.ys = phi_buf[:n], y_buf[:n]
+
+    def _write_last(self, sample: RegressorSample) -> None:
+        """Store the sample in the row of the last history entry, then
+        refresh the views and the eigenvalue summary."""
+        n = len(self.history)
+        self._phi_buf[n - 1] = sample.phi
+        self._y_buf[n - 1] = sample.y
+        self.phis = self._phi_buf[:n]
+        self.ys = self._y_buf[:n]
         self.lambda_min, self.lambda_max = self._eigs(self.S)
 
     def add(self, sample: RegressorSample, policy: RecordPolicy = RecordPolicy()) -> bool:
         """Record a sample, enforcing the retention policy.  Returns True if kept."""
-        outer = np.outer(sample.phi, sample.phi)
+        if len(self._phi_buf) < policy.hist_cap:
+            self._reserve(policy.hist_cap)
         if len(self.history) < policy.hist_cap:
             self.history.append(sample)
-            self.S += outer
-            self._restack()
+            self.S += np.outer(sample.phi, sample.phi)
+            self._write_last(sample)
             return True
 
         # Volume criterion on the active block.  gain_add = phi' P phi is the
@@ -151,7 +173,7 @@ class DataRecord:
         # retained sample under the grown matrix prices its removal.
         act = self.active
         phi_a = sample.phi[act]
-        S_grown = self.S[np.ix_(act, act)] + np.outer(phi_a, phi_a)
+        S_grown = self.S[self._active_block] + np.outer(phi_a, phi_a)
         P = np.linalg.inv(S_grown + policy.eps * np.eye(len(act)))
         hist_a = self.phis[:, act]
         leverages = np.einsum("ij,jk,ik->i", hist_a, P, hist_a)
@@ -165,8 +187,12 @@ class DataRecord:
             return False
         evicted = self.history.pop(idx)
         self.history.append(sample)
-        self.S += outer - np.outer(evicted.phi, evicted.phi)
-        self._restack()
+        self.S += np.outer(sample.phi, sample.phi) - np.outer(evicted.phi, evicted.phi)
+        # Same row order as the history list: close the gap, append last.
+        n = len(self.history)
+        self._phi_buf[idx:n - 1] = self._phi_buf[idx + 1:n]
+        self._y_buf[idx:n - 1] = self._y_buf[idx + 1:n]
+        self._write_last(sample)
         return True
 
     def rebuilt_S(self) -> np.ndarray:
@@ -272,10 +298,3 @@ def observability_probe(profile: MotionProfile, ticks: int = 100,
     pos_rank = int(np.sum(pos_eig > 1e-9 * max(pos_eig[-1], 1.0)))
     return RankDiagnosis(zero_rows, rank, pos_rank,
                          max(float(eig[0]), 0.0), max(float(eig[-1]), 0.0))
-
-
-def samples_as_array(samples: Sequence[RegressorSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack samples into (Phi matrix, y vector) for batch solves."""
-    phis = np.stack([s.phi for s in samples])
-    ys = np.array([s.y for s in samples])
-    return phis, ys

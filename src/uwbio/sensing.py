@@ -123,11 +123,9 @@ class OdomStream:
         self.planar = planar
         self.cum_pos = np.zeros(3)
         self.cum_yaw = 0.0
-        self.last_delta = np.zeros(3)
 
     def update(self, prev: RobotTruth, nxt: RobotTruth) -> None:
         delta, dyaw = measure_odom(prev, nxt, self.noise, self.rng, self.planar)
-        self.last_delta = delta
         self.cum_pos = self.cum_pos + delta
         self.cum_yaw += dyaw.radians
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from uwbio.cli import main as cli_main
-from uwbio.config import RandomInit
+from uwbio.config import ConfigError, RandomInit
 from uwbio.control import ExcitationTimeout
-from uwbio.harness import MissingLogs, report, run, run_to_dir, sweep, write_run
+from uwbio.harness import MissingLogs, _apply_axis, report, run, run_to_dir, sweep, write_run
 from uwbio.scenarios import chain_swarm, four_robot_formation, two_robot_benchmark
 from uwbio.sensing import NoiseModel
 
@@ -64,6 +64,12 @@ class TestRun:
         assert np.allclose(a.theta_true[(1, 0)], b.theta_true[(1, 0)], atol=0)
         c = run(cfg, seed=6)
         assert not np.allclose(a.theta_true[(1, 0)], c.theta_true[(1, 0)])
+
+    def test_random_init_unplaceable_raises(self):
+        # No point of the 1 m square around the leader lies 1 m away from it.
+        cfg = replace(chain_swarm(5), random_init=RandomInit(radius=0.5, min_sep=1.0))
+        with pytest.raises(ConfigError, match=r"robot \d+ .*min_sep=1\.0.*radius=0\.5"):
+            run(cfg)
 
 
 class TestModes:
@@ -191,6 +197,16 @@ class TestSweep:
         result = sweep(base, "swarm_size", [2, 3], seeds=1)
         assert not result.failures
         assert len(result.rows) == 2
+
+    def test_swarm_size_axis_keeps_base_settings(self):
+        base = replace(chain_swarm(3, seed=1, duration_s=20.0), outlier_screening=False,
+                       hist_cap=32, rate_variant="proof", judge_capacity=10)
+        cfg = _apply_axis(base, "swarm_size", 5, seed=4)
+        assert (cfg.n_robots, cfg.name, cfg.seed) == (5, "chain_5", 4)
+        assert cfg.edges == chain_swarm(5, seed=4).edges
+        assert (cfg.outlier_screening, cfg.hist_cap, cfg.rate_variant,
+                cfg.judge_capacity) == (False, 32, "proof", 10)
+        assert (cfg.noise, cfg.duration_s, cfg.dt) == (base.noise, base.duration_s, base.dt)
 
     def test_failures_recorded_not_raised(self):
         base = replace(two_robot_benchmark(duration_s=20.0), stage1_timeout_s=2.0)

@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .geometry import (Angle, DegenerateRotation, PlanarRotation, Rotation3Z,
-                       cross2, norm_project, rotate_h, wrap_angle)
+                       cross2, norm_project, wrap_angle)
 from .world import Pose4, RobotTruth, VelocityCommand, relative_truth, step
 from .sensing import MeasurementTriplet, NoiseModel, OdomBroadcast
 from .regression import (DataRecord, EmptyRecord, MotionProfile, RankDiagnosis,

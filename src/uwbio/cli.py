@@ -12,7 +12,7 @@ import os
 import sys
 
 from .config import load_config
-from .harness import report, run_to_dir, sweep
+from .harness import SWEEP_AXES, report, run_to_dir, sweep
 from . import scenarios
 
 SCENARIOS = {
@@ -42,8 +42,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run a (value x seed) grid along one axis")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--axis", required=True,
-                         choices=["noise", "outlier_prob", "swarm_size"])
+    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values, e.g. 0.01,0.05,0.1")
     p_sweep.add_argument("--seeds", type=int, default=20, help="seeds per value")

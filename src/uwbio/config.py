@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .control import ControlGains, FormationSpec
 from .cooploc import assign_layers
+from .outliers import JudgeQueue
 from .sensing import NoiseModel
 from .world import VelocityCommand
 
@@ -128,13 +129,17 @@ class ScenarioConfig:
             raise ConfigError(f"unknown rate_variant {self.rate_variant!r}")
         if self.physics_substeps < 1:
             raise ConfigError("physics_substeps must be >= 1")
+        if self.stage1_timeout_s is not None and self.stage1_timeout_s <= 0:
+            raise ConfigError("stage1_timeout_s must be positive when given")
         for rid in self.formation:
             if rid not in ids:
                 raise ConfigError(f"formation offset for unknown robot {rid}")
         # Raises on unreachable robots or malformed edges.
         assign_layers(self.edges, len(self.robots))
         # Raises on non-finite offsets or a nonzero leader offset.
-        FormationSpec({rid: np.asarray(off, dtype=float) for rid, off in self.formation.items()})
+        self.formation_spec()
+        # Raises on a capacity below 1 or a threshold outside (0, 1).
+        JudgeQueue(self.judge_capacity, self.judge_threshold)
 
     @property
     def n_robots(self) -> int:
@@ -147,9 +152,6 @@ class ScenarioConfig:
     def formation_spec(self) -> FormationSpec:
         return FormationSpec({rid: np.asarray(off, dtype=float)
                               for rid, off in self.formation.items()})
-
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        return replace(self, seed=int(seed))
 
     # -- serialization ----------------------------------------------------
 
@@ -219,6 +221,30 @@ def _reject_unknown(d: dict, context: str) -> None:
         raise ConfigError(f"unknown {context} keys: {sorted(d)}")
 
 
+def _exact(value, kind: type, key: str):
+    """`value` if it is of type `kind` (bool or int; an integral float
+    counts as an int), else a ConfigError: never a silent coercion."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _floats(cls, raw: dict, context: str, **fixed):
+    """Dataclass `cls` from a JSON object: each float field from its key, or
+    its default when the key is absent; other keys are errors."""
+    d = dict(raw)
+    names = [f.name for f in fields(cls) if f.type in (float, "float")]
+    missing = [f.name for f in fields(cls)
+               if f.name in names and f.name not in d and f.default is MISSING]
+    if missing:
+        raise ConfigError(f"missing required {context} keys: {missing}")
+    values = {name: float(d.pop(name)) for name in names if name in d}
+    _reject_unknown(d, context)
+    return cls(**values, **fixed)
+
+
 def config_from_dict(raw: dict) -> ScenarioConfig:
     d = dict(raw)
     version = _pop(d, "schema_version")
@@ -228,27 +254,15 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     robots = []
     for rd in _pop(d, "robots"):
         rd = dict(rd)
-        robots.append(RobotConfig(
-            id=int(_pop(rd, "id")),
-            x=float(_pop(rd, "x", 0.0)), y=float(_pop(rd, "y", 0.0)),
-            z=float(_pop(rd, "z", 0.0)), yaw=float(_pop(rd, "yaw", 0.0)),
-            r=float(_pop(rd, "r", 0.0)), c_v=float(_pop(rd, "c_v", 0.0)),
-            c_w=float(_pop(rd, "c_w", 0.0))))
-        _reject_unknown(rd, "robot")
+        robot_id = _exact(_pop(rd, "id"), int, "robot id")
+        robots.append(_floats(RobotConfig, rd, "robot", id=robot_id))
 
     gd = dict(_pop(d, "gains"))
     gains = ControlGains(float(_pop(gd, "k1")), float(_pop(gd, "k2")),
                          float(_pop(gd, "k3")), float(_pop(gd, "k4")))
     _reject_unknown(gd, "gains")
 
-    nd = dict(_pop(d, "noise", {}))
-    noise = NoiseModel(
-        sigma_range=float(_pop(nd, "sigma_range", 0.0)),
-        sigma_odom_pos=float(_pop(nd, "sigma_odom_pos", 0.0)),
-        sigma_odom_yaw=float(_pop(nd, "sigma_odom_yaw", 0.0)),
-        outlier_prob=float(_pop(nd, "outlier_prob", 0.0)),
-        sigma_outlier=float(_pop(nd, "sigma_outlier", 3.0)))
-    _reject_unknown(nd, "noise")
+    noise = _floats(NoiseModel, _pop(d, "noise", {}), "noise")
 
     fd = dict(_pop(d, "formation", {}))
     formation = {int(k): tuple(float(x) for x in v) for k, v in fd.items()}
@@ -256,58 +270,42 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     cruise_raw = _pop(d, "leader_cruise", None)
     cruise = None
     if cruise_raw is not None:
-        cd = dict(cruise_raw)
-        cruise = VelocityCommand(float(_pop(cd, "v_h")), float(_pop(cd, "v_z", 0.0)),
-                                 float(_pop(cd, "w")))
-        _reject_unknown(cd, "leader_cruise")
+        # v_z may be left out; VelocityCommand itself has no default for it.
+        cruise = _floats(VelocityCommand, {"v_z": 0.0, **cruise_raw}, "leader_cruise")
 
     flags = dict(_pop(d, "flags", {}))
-    outlier_screening = bool(_pop(flags, "outlier_screening", True))
-    truth_feedback = bool(_pop(flags, "truth_feedback", False))
-    pe_baseline = bool(_pop(flags, "pe_baseline", False))
-    leader_odom_broadcast = bool(_pop(flags, "leader_odom_broadcast", False))
+    outlier_screening, truth_feedback, pe_baseline, leader_odom_broadcast = (
+        _exact(_pop(flags, key, default), bool, key)
+        for key, default in (("outlier_screening", True), ("truth_feedback", False),
+                             ("pe_baseline", False), ("leader_odom_broadcast", False)))
     _reject_unknown(flags, "flags")
 
-    ped = dict(_pop(d, "pe_excitation", {}))
-    pe_exc = PEBaselineConfig(amplitude=float(_pop(ped, "amplitude", 0.2)),
-                              frequency=float(_pop(ped, "frequency", 1.0)))
-    _reject_unknown(ped, "pe_excitation")
+    pe_exc = _floats(PEBaselineConfig, _pop(d, "pe_excitation", {}), "pe_excitation")
 
     jd = dict(_pop(d, "judge", {}))
-    judge_capacity = int(_pop(jd, "capacity", 20))
+    judge_capacity = _exact(_pop(jd, "capacity", 20), int, "judge capacity")
     judge_threshold = float(_pop(jd, "threshold", 0.5))
     _reject_unknown(jd, "judge")
 
     rid = _pop(d, "random_init", None)
-    random_init = None
-    if rid is not None:
-        rd = dict(rid)
-        random_init = RandomInit(radius=float(_pop(rd, "radius", 4.0)),
-                                 min_sep=float(_pop(rd, "min_sep", 1.0)))
-        _reject_unknown(rd, "random_init")
-
+    random_init = None if rid is None else _floats(RandomInit, rid, "random_init")
     sat_raw = _pop(d, "saturation", None)
-    saturation = None
-    if sat_raw is not None:
-        sd = dict(sat_raw)
-        saturation = Saturation(v_h_max=float(_pop(sd, "v_h_max")),
-                                v_z_max=float(_pop(sd, "v_z_max")),
-                                w_max=float(_pop(sd, "w_max")))
-        _reject_unknown(sd, "saturation")
+    saturation = None if sat_raw is None else _floats(Saturation, sat_raw, "saturation")
 
     cfg = ScenarioConfig(
         name=str(_pop(d, "name")),
         dt=float(_pop(d, "dt")),
         duration_s=float(_pop(d, "duration_s")),
         robots=tuple(robots),
-        edges=tuple((int(i), int(j)) for i, j in _pop(d, "edges")),
+        edges=tuple((_exact(i, int, "edge"), _exact(j, int, "edge"))
+                    for i, j in _pop(d, "edges")),
         gains=gains,
         formation=formation,
         noise=noise,
-        seed=int(_pop(d, "seed", 0)),
-        mode_2d=bool(_pop(d, "mode_2d", False)),
+        seed=_exact(_pop(d, "seed", 0), int, "seed"),
+        mode_2d=_exact(_pop(d, "mode_2d", False), bool, "mode_2d"),
         excitation_threshold=float(_pop(d, "excitation_threshold", 0.1)),
-        hist_cap=int(_pop(d, "hist_cap", 64)),
+        hist_cap=_exact(_pop(d, "hist_cap", 64), int, "hist_cap"),
         stage1_timeout_s=(lambda v: None if v is None else float(v))(_pop(d, "stage1_timeout_s", None)),
         leader_cruise=cruise,
         outlier_screening=outlier_screening,
@@ -318,11 +316,11 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         pe_excitation=pe_exc,
         judge_capacity=judge_capacity,
         judge_threshold=judge_threshold,
-        broadcast_horizon=int(_pop(d, "broadcast_horizon", 0)),
-        physics_substeps=int(_pop(d, "physics_substeps", 1)),
+        broadcast_horizon=_exact(_pop(d, "broadcast_horizon", 0), int, "broadcast_horizon"),
+        physics_substeps=_exact(_pop(d, "physics_substeps", 1), int, "physics_substeps"),
         random_init=random_init,
         saturation=saturation,
-        sample_dump=bool(_pop(d, "sample_dump", False)),
+        sample_dump=_exact(_pop(d, "sample_dump", False), bool, "sample_dump"),
     )
     _reject_unknown(d, "config")
     return cfg

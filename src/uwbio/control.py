@@ -68,9 +68,6 @@ class TrackingError:
     e_c: float
     e_s: float
 
-    def position_norm(self) -> float:
-        return float(np.linalg.norm(self.e_p))
-
     def yaw_error(self) -> float:
         """Relative yaw angle recovered from the trig error pair."""
         return math.atan2(self.e_s, 1.0 - self.e_c)
@@ -78,7 +75,8 @@ class TrackingError:
 
 def tracking_error_truth(robot: RobotTruth, leader: RobotTruth,
                          offset: np.ndarray) -> TrackingError:
-    """Ground-truth formation error (test and metrics path only)."""
+    """Ground-truth formation error: truth scoring, and the controller input
+    of the truth_feedback ablation."""
     psi_00 = leader.initial_world_yaw()
     psi_i = robot.world_pose.yaw.radians
     p_i0 = Rotation3Z.from_angle(psi_00).apply_inverse(

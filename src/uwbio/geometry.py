@@ -81,9 +81,6 @@ class PlanarRotation:
         return np.array([self.c * v[0] + self.s * v[1],
                          -self.s * v[0] + self.c * v[1]])
 
-    def transpose(self) -> "PlanarRotation":
-        return PlanarRotation(self.c, -self.s)
-
     def compose(self, other: "PlanarRotation") -> "PlanarRotation":
         # Renormalize so long composition chains keep c^2 + s^2 = 1.
         return norm_project(self.c * other.c - self.s * other.s,
@@ -109,11 +106,6 @@ def norm_project(c_raw: float, s_raw: float) -> PlanarRotation:
 def cross2(a, b) -> float:
     """Planar scalar cross product a_x*b_y - a_y*b_x (antisymmetric)."""
     return float(a[0]) * float(b[1]) - float(a[1]) * float(b[0])
-
-
-def rotate_h(rot: PlanarRotation, v) -> np.ndarray:
-    """Apply a planar rotation to a horizontal 2-vector."""
-    return rot.apply(v)
 
 
 @dataclass(frozen=True)
@@ -150,9 +142,6 @@ class Rotation3Z:
         v = np.asarray(v, dtype=float)
         h = self.planar.apply_inverse(v[:2])
         return np.array([h[0], h[1], v[2]])
-
-    def transpose(self) -> "Rotation3Z":
-        return Rotation3Z(self.planar.transpose())
 
     def compose(self, other: "Rotation3Z") -> "Rotation3Z":
         return Rotation3Z(self.planar.compose(other.planar))

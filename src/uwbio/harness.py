@@ -1,11 +1,14 @@
-"""Deterministic batch simulation loop wiring all modules together.
+"""Deterministic batch simulation: a tick loop, then truth scoring.
 
 Per measurement instant the loop runs: sense -> outlier screen -> build
 and record the regressor sample -> concurrent-learning update -> layered
 cooperative update -> stage check; then a command is issued for the next
-interval and the physics steps.  Everything is driven by per-stream RNGs
-derived from (seed, stream tag), so a (config, seed) pair determines every
-logged byte.
+interval and the physics steps.  The loop logs estimator, controller and
+physics state plus the true poses, and reads truth only for sensing,
+physics, `truth_feedback` and the unbroadcast leader odometry; afterwards
+`_score_truth` derives every truth error from the logs.  Per-stream RNGs
+derived from (seed, stream tag) make a (config, seed) pair determine
+every logged byte.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -55,27 +58,23 @@ class _Endpoint:
 
 @dataclass
 class RunResult:
-    """All logs and terminal state of one simulation run."""
+    """All logs and terminal state of one simulation run.  Follower rows
+    are NaN until a leader estimate exists; `_score_truth` fills the fields
+    after `last_sample`."""
 
     config: ScenarioConfig
     seed: int
     dt: float
     n_ticks: int                          # command intervals; logs have n_ticks + 1 rows
     graph: object
-    theta_true: dict
-    q0_true: dict
-    q0_rot_true: dict
+    truth: np.ndarray                     # (rows, robots, 8): RobotTruth.as_row per tick
     theta_log: dict
-    theta_err: dict
     lam_min: dict
     lam_max: dict
     updated: dict
-    q0_err: dict
-    q0_rot_err: dict
+    q0_hat: dict                          # follower -> (rows, 3) initial leader estimate
     q0_fresh: dict
-    q_rt_err: dict
-    trig_rt_err: dict
-    track_truth: dict
+    rt_hat: dict                          # follower -> (rows, 5) real-time q_hat, c_hat, s_hat
     track_est: dict
     commands: dict
     stage2_flag: np.ndarray
@@ -87,6 +86,13 @@ class RunResult:
     final_lpe: dict
     final_truths: list
     last_sample: dict
+    theta_true: dict = field(default_factory=dict)
+    theta_err: dict = field(default_factory=dict)
+    q0_true: dict = field(default_factory=dict)
+    q0_err: dict = field(default_factory=dict)
+    q_rt_err: dict = field(default_factory=dict)
+    trig_rt_err: dict = field(default_factory=dict)
+    track_truth: dict = field(default_factory=dict)
     metrics: RunMetrics | None = None
 
     def summary_row(self) -> dict:
@@ -100,6 +106,9 @@ class RunResult:
             vals = [v for v in vals if v is not None]
             return fn(vals) if vals else None
 
+        def mean(vals):
+            return sum(vals) / len(vals)
+
         det = m.detection
         return {
             "scenario": self.config.name,
@@ -108,20 +117,17 @@ class RunResult:
             "n_ticks": self.n_ticks,
             "dt": self.dt,
             "transition_tick": self.transition_tick,
-            "theta_conv_mean_s": agg(conv, lambda v: sum(v) / len(v)),
+            "theta_conv_mean_s": agg(conv, mean),
             "theta_conv_max_s": agg(conv, max),
             "theta_conv_missing": sum(1 for v in conv if v is None),
-            "final_theta_err_mean": agg(list(m.final_theta_err.values()),
-                                        lambda v: sum(v) / len(v)),
+            "final_theta_err_mean": agg(list(m.final_theta_err.values()), mean),
             "final_theta_err_max": agg(list(m.final_theta_err.values()), max),
             "q0_conv_max_s": agg(qconv, max),
             "q0_conv_missing": sum(1 for v in qconv if v is None),
             "final_track_pos_max": agg(list(m.final_tracking_pos.values()), max),
             "final_track_yaw_max": agg(list(m.final_tracking_yaw.values()), max),
-            "smooth_total_mean": agg(list(m.smoothness_total.values()),
-                                     lambda v: sum(v) / len(v)),
-            "smooth_stage2_mean": agg(list(m.smoothness_stage2.values()),
-                                      lambda v: sum(v) / len(v)),
+            "smooth_total_mean": agg(list(m.smoothness_total.values()), mean),
+            "smooth_stage2_mean": agg(list(m.smoothness_stage2.values()), mean),
             "detect_success": None if det is None else det.success_rate,
             "detect_fp_rate": None if det is None else det.false_positive_rate,
             "n_injected": None if det is None else det.true_positives + det.false_negatives,
@@ -173,15 +179,6 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
         cruise = VelocityCommand(g0.r * g0.c_w, 0.0, g0.c_w)
 
     truths = _initial_truths(config, seed)
-    theta_true = {(i, j): ThetaTrue.from_truths(truths[i], truths[j]).vector
-                  for (i, j) in pairs}
-    q0_true, q0_rot_true = {}, {}
-    psi0 = {r: truths[r].initial_world_yaw() for r in robots}
-    for i in followers:
-        diff = truths[i].world_pose.position() - truths[0].world_pose.position()
-        q0_true[i] = Rotation3Z.from_angle(psi0[i]).apply_inverse(diff)
-        q0_rot_true[i] = psi0[0] - psi0[i]
-
     odom = {r: OdomStream(noise, seed, r, planar=planar) for r in robots}
     ranges = {(i, j): RangeStream(noise, seed, i, j) for (i, j) in pairs}
     records = {(i, j): DataRecord(planar=planar) for (i, j) in pairs}
@@ -198,17 +195,14 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
     stage = StageTracker(robots, config.excitation_threshold, timeout_ticks)
 
     rows = T + 1
+    truth = np.zeros((rows, len(robots), 8))
     theta_log = {p: np.full((rows, 7), np.nan) for p in pairs}
-    theta_err = {p: np.full(rows, np.nan) for p in pairs}
     lam_min = {p: np.zeros(rows) for p in pairs}
     lam_max = {p: np.zeros(rows) for p in pairs}
     updated = {p: np.zeros(rows, dtype=bool) for p in pairs}
-    q0_err = {r: np.full(rows, np.nan) for r in followers}
-    q0_rot_err = {r: np.full(rows, np.nan) for r in followers}
+    q0_hat = {r: np.full((rows, 3), np.nan) for r in followers}
     q0_fresh = {r: np.zeros(rows, dtype=bool) for r in followers}
-    q_rt_err = {r: np.full(rows, np.nan) for r in followers}
-    trig_rt_err = {r: np.full(rows, np.nan) for r in followers}
-    track_truth = {r: np.full((rows, 5), np.nan) for r in followers}
+    rt_hat = {r: np.full((rows, 5), np.nan) for r in followers}
     track_est = {r: np.full((rows, 5), np.nan) for r in followers}
     commands = {r: np.zeros((T, 3)) for r in robots}
     stage2_flag = np.zeros(T, dtype=bool)
@@ -224,6 +218,7 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
         return OdomBroadcast(0, k, pose.position(), pose.yaw)
 
     def sense_and_update(k: int) -> None:
+        truth[k] = [t.as_row() for t in truths]
         for (i, j) in pairs:
             d, injected = ranges[(i, j)].sample(truths[i], truths[j])
             z_i = odom[i].cum_pos.copy()
@@ -278,37 +273,27 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
         for p in pairs:
             est = estimators[p]
             theta_log[p][k] = est.theta_hat
-            theta_err[p][k] = np.linalg.norm(est.theta_hat - theta_true[p])
             lam_min[p][k] = est.data.lambda_min
             lam_max[p][k] = est.data.lambda_max
             if not np.all(np.isfinite(est.theta_hat)):
                 raise RuntimeError(f"non-finite estimate for pair {p} at tick {k}")
         for i in followers:
-            e = tracking_error_truth(truths[i], truths[0], spec.offset(i))
-            track_truth[i][k] = [e.e_p[0], e.e_p[1], e.e_p[2], e.e_c, e.e_s]
             current_ehat[i] = None
             est_i = lpe[i]
             if est_i is None:
                 continue
             q0_fresh[i][k] = est_i.fresh == k
-            q0_err[i][k] = np.linalg.norm(est_i.q0_hat - q0_true[i])
-            rot_t = q0_rot_true[i]
-            q0_rot_err[i][k] = math.hypot(est_i.Q0_hat.c - math.cos(rot_t),
-                                          est_i.Q0_hat.s - math.sin(rot_t))
+            q0_hat[i][k] = est_i.q0_hat
             q_hat, c_hat, s_hat = leader_realtime_estimate(
                 est_i, odom[i].cum_pos, Angle(odom[i].cum_yaw), z0, k,
                 config.broadcast_horizon)
+            rt_hat[i][k, :3] = q_hat
+            rt_hat[i][k, 3:] = c_hat, s_hat
             e_hat = tracking_error_estimated(q_hat, est_i.Q0_hat, c_hat, s_hat,
                                              Angle(odom[i].cum_yaw), spec.offset(i))
             current_ehat[i] = e_hat
             track_est[i][k] = [e_hat.e_p[0], e_hat.e_p[1], e_hat.e_p[2],
                                e_hat.e_c, e_hat.e_s]
-            psi_i0 = psi0[i]
-            q_true_t = Rotation3Z.from_angle(psi_i0).apply_inverse(
-                truths[i].world_pose.position() - truths[0].world_pose.position())
-            q_rt_err[i][k] = np.linalg.norm(q_hat - q_true_t)
-            th_t = truths[i].world_pose.yaw.radians - truths[0].world_pose.yaw.radians
-            trig_rt_err[i][k] = math.hypot(c_hat - math.cos(th_t), s_hat - math.sin(th_t))
 
     def follower_command(i: int, k: int, t: float, stage2: bool,
                          lead_cmd: VelocityCommand) -> VelocityCommand:
@@ -362,7 +347,6 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
             if planar:
                 cmd = VelocityCommand(cmd.v_h, 0.0, cmd.w)
             cmds[i] = saturate(i, k, cmd)
-        new_truths = []
         sub = config.physics_substeps
         for r in robots:
             commands[r][k] = cmds[r].as_vector()
@@ -372,18 +356,13 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
             if not np.all(np.isfinite(nt.world_pose.position())):
                 raise RuntimeError(f"non-finite state for robot {r} at tick {k + 1}")
             odom[r].update(truths[r], nt)
-            new_truths.append(nt)
-        truths[:] = new_truths
+            truths[r] = nt
         sense_and_update(k + 1)
 
     result = RunResult(
-        config=config, seed=seed, dt=dt, n_ticks=T, graph=graph,
-        theta_true=theta_true, q0_true=q0_true, q0_rot_true=q0_rot_true,
-        theta_log=theta_log, theta_err=theta_err,
-        lam_min=lam_min, lam_max=lam_max, updated=updated,
-        q0_err=q0_err, q0_rot_err=q0_rot_err, q0_fresh=q0_fresh,
-        q_rt_err=q_rt_err, trig_rt_err=trig_rt_err,
-        track_truth=track_truth, track_est=track_est,
+        config=config, seed=seed, dt=dt, n_ticks=T, graph=graph, truth=truth,
+        theta_log=theta_log, lam_min=lam_min, lam_max=lam_max, updated=updated,
+        q0_hat=q0_hat, q0_fresh=q0_fresh, rt_hat=rt_hat, track_est=track_est,
         commands=commands, stage2_flag=stage2_flag,
         transition_tick=stage.transition_tick,
         outlier_events=outlier_events, saturation_events=saturation_events,
@@ -391,8 +370,42 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
         final_estimators=dict(estimators), final_lpe=dict(lpe),
         final_truths=list(truths), last_sample=last_sample,
     )
+    _score_truth(result)
     result.metrics = _compute_metrics(result)
     return result
+
+
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Row norms, bit-equal to np.linalg.norm per row (its axis=1 form is not)."""
+    return np.sqrt(np.vecdot(d, d))
+
+
+def _score_truth(res: RunResult) -> None:
+    """Fill the ground-truth fields of `res` from its logged truth and
+    estimates.  Follower i's true leader-relative position at tick k is
+    R(psi_i0)' (p_i(k) - p_0(k)), q0_true its tick-0 row; the true relative
+    yaw is the world yaw difference."""
+    spec = res.config.formation_spec()
+    truth = res.truth
+    start = [RobotTruth.from_row(r, row) for r, row in enumerate(truth[0])]
+    for (i, j), log in res.theta_log.items():
+        res.theta_true[(i, j)] = ThetaTrue.from_truths(start[i], start[j]).vector
+        res.theta_err[(i, j)] = _row_norms(log - res.theta_true[(i, j)])
+    for i, rt in res.rt_hat.items():
+        rot = Rotation3Z.from_angle(start[i].initial_world_yaw())
+        q_true = np.array([rot.apply_inverse(d) for d in truth[:, i, :3] - truth[:, 0, :3]])
+        yaw = truth[:, i, 3] - truth[:, 0, 3]
+        res.q0_true[i] = q_true[0].copy()
+        res.q0_err[i] = _row_norms(res.q0_hat[i] - res.q0_true[i])
+        res.q_rt_err[i] = _row_norms(rt[:, :3] - q_true)
+        res.trig_rt_err[i] = np.array([math.hypot(c - math.cos(th), s - math.sin(th))
+                                       for c, s, th in zip(rt[:, 3], rt[:, 4], yaw)])
+        res.track_truth[i] = np.empty((len(truth), 5))
+    for k, row in enumerate(truth):
+        leader = RobotTruth.from_row(0, row[0])
+        for i, track in res.track_truth.items():
+            e = tracking_error_truth(RobotTruth.from_row(i, row[i]), leader, spec.offset(i))
+            track[k] = [e.e_p[0], e.e_p[1], e.e_p[2], e.e_c, e.e_s]
 
 
 def _compute_metrics(res: RunResult) -> RunMetrics:

@@ -70,21 +70,6 @@ def robot_rng(master_seed: int, i: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, 2, i]))
 
 
-def _draw_range(distance: float, noise: NoiseModel, rng: np.random.Generator) -> tuple[float, bool]:
-    # One uniform + one normal per call regardless of the branch, so streams
-    # stay aligned between runs that differ only in noise settings.
-    injected = bool(rng.uniform() < noise.outlier_prob)
-    sigma = noise.sigma_outlier if injected else noise.sigma_range
-    d = distance + rng.normal(0.0, sigma)
-    return max(d, 0.0), injected
-
-
-def measure_range(truth_i: RobotTruth, truth_j: RobotTruth,
-                  noise: NoiseModel, rng: np.random.Generator) -> float:
-    """One noisy range draw between two robots (world-frame distance)."""
-    return _draw_range(world_distance(truth_i, truth_j), noise, rng)[0]
-
-
 class RangeStream:
     """Per-pair range sensor that also reports which draws were injected outliers."""
 
@@ -93,7 +78,12 @@ class RangeStream:
         self.rng = pair_rng(master_seed, i, j)
 
     def sample(self, truth_i: RobotTruth, truth_j: RobotTruth) -> tuple[float, bool]:
-        return _draw_range(world_distance(truth_i, truth_j), self.noise, self.rng)
+        # One uniform + one normal per call regardless of the branch, so streams
+        # stay aligned between runs that differ only in noise settings.
+        injected = bool(self.rng.uniform() < self.noise.outlier_prob)
+        sigma = self.noise.sigma_outlier if injected else self.noise.sigma_range
+        d = world_distance(truth_i, truth_j) + self.rng.normal(0.0, sigma)
+        return max(d, 0.0), injected
 
 
 def measure_odom(prev: RobotTruth, nxt: RobotTruth, noise: NoiseModel,

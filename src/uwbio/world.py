@@ -70,6 +70,17 @@ class RobotTruth:
         """New robot at a world pose; odometry starts exactly at zero."""
         return cls(id, Pose4(x, y, z, Angle(yaw)), Pose4.zero())
 
+    @classmethod
+    def from_row(cls, id: int, row) -> "RobotTruth":
+        """Inverse of `as_row`."""
+        wx, wy, wz, wyaw, ox, oy, oz, oyaw = (float(v) for v in row)
+        return cls(id, Pose4(wx, wy, wz, Angle(wyaw)), Pose4(ox, oy, oz, Angle(oyaw)))
+
+    def as_row(self) -> tuple[float, ...]:
+        """World pose then odometry pose, each as x, y, z, yaw."""
+        w, o = self.world_pose, self.odom_pose
+        return (w.x, w.y, w.z, w.yaw.radians, o.x, o.y, o.z, o.yaw.radians)
+
     def initial_world_yaw(self) -> float:
         """World yaw of the odometry frame's x-axis."""
         return self.world_pose.yaw.radians - self.odom_pose.yaw.radians

@@ -102,6 +102,7 @@ def test_criterion_03_contraction_bound(two_robot_proof):
     _ok(3, f"Lyapunov bound held at {checked} updates (worst slack {worst_slack:.2e})")
 
 
+@pytest.mark.slow
 def test_criterion_04_convergence_time_trend(two_robot_clean):
     """Pinned two-robot convergence plus layer-ordered convergence on chains."""
     conv = two_robot_clean.metrics.theta_convergence_s[PAIR]
@@ -133,6 +134,7 @@ def test_criterion_04_convergence_time_trend(two_robot_clean):
            f" chain layer times {layer_times}")
 
 
+@pytest.mark.slow
 def test_criterion_05_noise_robustness_trend():
     """Mean final estimation error is monotone nondecreasing in sigma."""
     sigmas = [0.01, 0.05, 0.1, 0.5]
@@ -190,6 +192,7 @@ def test_criterion_07_closed_loop_formation(four_robot):
            f"(stage 2 from {res.transition_tick * res.dt:.1f} s)")
 
 
+@pytest.mark.slow
 def test_criterion_08_outlier_screening_benefit():
     """Seed-matched screening on/off comparison plus detection success."""
     probs = [0.05, 0.1, 0.2, 0.4]
@@ -218,6 +221,7 @@ def test_criterion_08_outlier_screening_benefit():
                      for p, v in summary.items()))
 
 
+@pytest.mark.slow
 def test_criterion_09_smoothness_comparison():
     """Always-excited baseline is strictly rougher than stage-2 tracking."""
     seeds = 20

@@ -104,3 +104,54 @@ class TestValidation:
         cfg = two_robot_benchmark()
         assert cfg.canonical_json() == cfg.canonical_json()
         json.loads(cfg.canonical_json())
+
+
+class TestStrictValues:
+    """Values of the wrong kind are rejected at load time, never coerced."""
+
+    @pytest.mark.parametrize("path", [("mode_2d",), ("sample_dump",),
+                                      ("flags", "outlier_screening")])
+    @pytest.mark.parametrize("value", ["false", "no", 0])
+    def test_non_bool_flag_rejected(self, path, value):
+        d = two_robot_benchmark().to_dict()
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ConfigError, match=path[-1]):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("path, value", [(("hist_cap",), 64.9),
+                                             (("physics_substeps",), 1.7),
+                                             (("judge", "capacity"), 5.5),
+                                             (("seed",), "3"),
+                                             (("hist_cap",), True)])
+    def test_non_integral_int_rejected(self, path, value):
+        d = two_robot_benchmark().to_dict()
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ConfigError, match="must be int"):
+            config_from_dict(d)
+
+    def test_integral_float_loads_as_int(self):
+        d = two_robot_benchmark().to_dict()
+        d["hist_cap"] = 32.0
+        cfg = config_from_dict(d)
+        assert cfg.hist_cap == 32 and isinstance(cfg.hist_cap, int)
+
+    @pytest.mark.parametrize("timeout", [-5.0, 0.0])
+    def test_nonpositive_stage1_timeout_rejected(self, timeout):
+        d = two_robot_benchmark().to_dict()
+        d["stage1_timeout_s"] = timeout
+        with pytest.raises(ConfigError, match="stage1_timeout_s"):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("judge", [{"capacity": 0, "threshold": 0.5},
+                                       {"capacity": 20, "threshold": 1.0}])
+    def test_bad_judge_rejected_at_load(self, judge):
+        d = two_robot_benchmark().to_dict()
+        d["judge"] = judge
+        with pytest.raises(ValueError):
+            config_from_dict(d)

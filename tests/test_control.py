@@ -141,6 +141,7 @@ class TestStageCommands:
 
 
 class TestTruthFeedbackConsistency:
+    @pytest.mark.slow
     def test_truth_feedback_never_tracks_worse(self):
         # Feeding the controller ground-truth errors isolates estimator-induced
         # tracking error: across seed-matched noisy runs the truth-fed loop

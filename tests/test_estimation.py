@@ -177,6 +177,7 @@ class TestRealtimeRelativePose:
         with pytest.raises(StaleBroadcast):
             realtime_relative_pose(est, Pose4.zero(), nb, t_k=7, horizon=1)
 
+    @pytest.mark.slow
     def test_bounded_noise_error_scales_linearly(self):
         # With bounded observation noise (range channel only; the regressor
         # itself stays exact) the settled estimation error grows roughly

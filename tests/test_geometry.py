@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uwbio.geometry import (Angle, DegenerateRotation, PlanarRotation, Rotation3Z,
-                            cross2, norm_project, rotate_h, wrap_angle)
+                            cross2, norm_project, wrap_angle)
 
 angles = st.floats(-50.0, 50.0, allow_nan=False)
 coords = st.floats(-100.0, 100.0, allow_nan=False)
@@ -63,12 +63,14 @@ class TestCross2:
 
 
 class TestRotateH:
+    """PlanarRotation.apply on horizontal 2-vectors."""
+
     def test_identity(self):
-        v = rotate_h(PlanarRotation.identity(), (1.0, 2.0))
+        v = PlanarRotation.identity().apply((1.0, 2.0))
         assert np.allclose(v, [1.0, 2.0], atol=0)
 
     def test_quarter_turn(self):
-        v = rotate_h(PlanarRotation.from_angle(math.pi / 2), (1.0, 0.0))
+        v = PlanarRotation.from_angle(math.pi / 2).apply((1.0, 0.0))
         assert np.allclose(v, [0.0, 1.0], atol=1e-15)
 
     def test_matrix_oracle(self):
@@ -76,19 +78,19 @@ class TestRotateH:
         v = np.array([0.4, -0.2])
         expected = np.array([[math.cos(0.3), -math.sin(0.3)],
                              [math.sin(0.3), math.cos(0.3)]]) @ v
-        assert np.allclose(rotate_h(r, v), expected, atol=1e-15)
+        assert np.allclose(r.apply(v), expected, atol=1e-15)
 
     @given(angles, coords, coords)
     def test_norm_preserved(self, ang, x, y):
         v = np.array([x, y])
-        out = rotate_h(PlanarRotation.from_angle(ang), v)
+        out = PlanarRotation.from_angle(ang).apply(v)
         assert abs(np.linalg.norm(out) - np.linalg.norm(v)) < 1e-12 * max(1, np.linalg.norm(v))
 
     @given(angles, coords, coords, coords, coords)
     def test_rotation_identity_pins_orientation(self, ang, ux, uy, px, py):
         # u' R(theta) p = cos(theta) (u.p) + sin(theta) cross2(p, u)
         u, p = np.array([ux, uy]), np.array([px, py])
-        lhs = u @ rotate_h(PlanarRotation.from_angle(ang), p)
+        lhs = u @ PlanarRotation.from_angle(ang).apply(p)
         rhs = math.cos(ang) * (u @ p) + math.sin(ang) * cross2(p, u)
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
 

@@ -8,7 +8,9 @@ from uwbio.config import ConfigError, RandomInit
 from uwbio.control import ExcitationTimeout
 from uwbio.harness import MissingLogs, _apply_axis, report, run, run_to_dir, sweep, write_run
 from uwbio.scenarios import chain_swarm, four_robot_formation, two_robot_benchmark
+from uwbio.regression import ThetaTrue
 from uwbio.sensing import NoiseModel
+from uwbio.world import RobotTruth, relative_truth
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +181,22 @@ class TestDeterminismAndLogs:
     def test_report_missing_dir_raises(self, tmp_path):
         with pytest.raises(MissingLogs):
             report(tmp_path / "nothing")
+
+    def test_truth_log_holds_every_tick(self):
+        """The truth log starts at the initial poses and ends at the final
+        truths; q0_true, relative_truth and ThetaTrue agree at tick 0."""
+        res = run(chain_swarm(4, seed=2, duration_s=3.0))
+        assert res.truth.shape == (res.n_ticks + 1, 4, 8)
+        start = [RobotTruth.from_row(r, row) for r, row in enumerate(res.truth[0])]
+        assert start == [RobotTruth.spawn(r.id, r.x, r.y, r.z, r.yaw) for r in res.config.robots]
+        assert [RobotTruth.from_row(r, row) for r, row in enumerate(res.truth[-1])] == \
+            res.final_truths
+        for i, q0 in res.q0_true.items():
+            assert q0.tobytes() == relative_truth(start[i], start[0])[0].tobytes()
+        for (i, j), theta in res.theta_true.items():
+            assert theta.tobytes() == ThetaTrue.from_truths(start[i], start[j]).vector.tobytes()
+            if j == 0:
+                assert theta[:3].tobytes() == res.q0_true[i].tobytes()
 
 
 class TestSweep:

@@ -7,6 +7,8 @@ must reproduce the plain loop versions below bit for bit on any input:
 the same verdicts and queue contents, the same stacked samples, S and
 eigenvalues.  The reference classes are copies of the implementations the
 array versions replaced, without their argument checks and docstrings.
+Truth scoring likewise takes the row norms of a whole log at once, where
+the tick loop once took them one row at a time.
 """
 
 from collections import deque
@@ -14,6 +16,7 @@ from collections import deque
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from uwbio.harness import _row_norms
 from uwbio.outliers import JudgeQueue, ScreenResult
 from uwbio.regression import THETA_DIM, DataRecord, RecordPolicy, RegressorSample
 from uwbio.sensing import MeasurementTriplet
@@ -163,3 +166,19 @@ def test_data_record_streams_evict():
         kept = [rec.add(s, policy) for s in sample_stream(1, 50, planar)]
         assert len(rec) == 7
         assert sum(kept[7:]) > 0
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 7]), st.lists(st.lists(finite, min_size=7, max_size=7), max_size=30),
+       st.lists(st.booleans(), max_size=30))
+def test_row_norms_equal_per_row_norm(width, rows, nan_rows):
+    """Truth scoring takes all row norms at once; every row, NaN rows (ticks
+    before an estimate exists) included, must equal np.linalg.norm of it."""
+    d = np.array(rows, dtype=float).reshape(-1, 7)[:, :width]
+    d[[i for i, nan in enumerate(nan_rows[:len(d)]) if nan]] = np.nan
+    got = _row_norms(d)
+    want = np.array([np.linalg.norm(row) for row in d])
+    assert got.tobytes() == want.tobytes()

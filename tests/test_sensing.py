@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uwbio.sensing import (MeasurementTriplet, NoiseModel, OdomStream, RangeStream,
-                           measure_odom, measure_range, pair_rng, robot_rng)
+                           measure_odom, robot_rng)
 from uwbio.world import RobotTruth, VelocityCommand, step
 
 
@@ -22,15 +22,15 @@ class TestRange:
     def test_zero_noise_exact(self):
         a = RobotTruth.spawn(0, 0, 0, 0, 0)
         b = RobotTruth.spawn(1, 1, 0, 0, 2.0)
-        d = measure_range(a, b, NoiseModel(), pair_rng(0, 0, 1))
+        d = RangeStream(NoiseModel(), 0, 0, 1).sample(a, b)[0]
         assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_gaussian_spread(self):
         a = RobotTruth.spawn(0, 0, 0, 0, 0)
         b = RobotTruth.spawn(1, 3, 4, 0, 0)
         noise = NoiseModel(sigma_range=0.05)
-        rng = pair_rng(42, 0, 1)
-        draws = np.array([measure_range(a, b, noise, rng) for _ in range(10_000)])
+        stream = RangeStream(noise, 42, 0, 1)
+        draws = np.array([stream.sample(a, b)[0] for _ in range(10_000)])
         assert 0.045 < draws.std() < 0.055
         assert draws.mean() == pytest.approx(5.0, abs=0.01)
 
@@ -39,16 +39,16 @@ class TestRange:
         a = RobotTruth.spawn(0, 0, 0, 0, 0)
         b = RobotTruth.spawn(1, 30, 40, 0, 0)
         noise = NoiseModel(sigma_range=0.01, outlier_prob=1.0, sigma_outlier=3.0)
-        rng = pair_rng(7, 0, 1)
-        draws = np.array([measure_range(a, b, noise, rng) for _ in range(10_000)])
+        stream = RangeStream(noise, 7, 0, 1)
+        draws = np.array([stream.sample(a, b)[0] for _ in range(10_000)])
         assert abs(draws.std() - 3.0) / 3.0 < 0.10
 
     def test_clamped_nonnegative(self):
         a = RobotTruth.spawn(0, 0, 0, 0, 0)
         b = RobotTruth.spawn(1, 0.01, 0, 0, 0)
         noise = NoiseModel(sigma_range=5.0)
-        rng = pair_rng(3, 0, 1)
-        draws = [measure_range(a, b, noise, rng) for _ in range(200)]
+        stream = RangeStream(noise, 3, 0, 1)
+        draws = [stream.sample(a, b)[0] for _ in range(200)]
         assert min(draws) >= 0.0
 
     def test_stream_determinism(self):

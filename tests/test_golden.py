@@ -1,4 +1,4 @@
-"""Golden logs: the outputs of four short runs must not change by a single byte.
+"""Golden logs: the outputs of five short runs must not change by a single byte.
 
 The behavioural contract of the simulator is byte-identical logs for a
 given (config, seed).  Criterion 11 checks that a run repeats itself; this
@@ -16,7 +16,11 @@ happen early and often; the formation run covers the planar record and
 the stage-2 controller; the saturated pair covers command clamping (346
 clamped commands), physics sub-steps, the proof learning rate and truth
 feedback; the excited chain covers the PE baseline, the broadcast leader
-odometry and a random initial placement.
+odometry and a random initial placement; the diamond gives robot 3 two
+pairs, (3, 1) and (3, 2), so its leader estimate averages two layer-2
+compositions, prunes the sideways edge (2, 1), and fills its records
+(hist_cap 12) at four different ticks, so records of different lengths
+update side by side.
 
 The digests were captured with Python 3.11 and NumPy 2.4 on x86-64 with
 OpenBLAS.  Another BLAS or CPU can round differently in the last bit;
@@ -60,6 +64,12 @@ def excited_chain():
     cfg = chain_swarm(3, seed=4, noise=NOISE, duration_s=20.0)
     return replace(cfg, pe_baseline=True, leader_odom_broadcast=True,
                    random_init=RandomInit(3.0, 0.8))
+
+
+def diamond():
+    cfg = chain_swarm(4, seed=2, noise=replace(NOISE, outlier_prob=0.05), duration_s=20.0)
+    return replace(cfg, edges=((1, 0), (2, 0), (2, 1), (3, 1), (3, 2)), hist_cap=12,
+                   judge_capacity=4)
 
 
 GOLDEN = {
@@ -115,6 +125,18 @@ GOLDEN = {
         "tracking.csv":
             "0bc8bdfc94975b3785317d385954539b4e85c327a9da83e5ba20556ed9c203a5",
     }),
+    "diamond": (diamond, {
+        "commands.csv":
+            "622c7cd2c0e87b387f401b03c3fd092a5f3964f9bc2d0e7bf4a8f0eea703c8c3",
+        "estimates.csv":
+            "201fa0ddcd7a01433e362f2492a852ba59b453db3b887e7437171d6f566657d2",
+        "outliers.csv":
+            "d90395876b8e57cf4d9e2d8341a47516ce7b562590a06c3ab2e12712bdb06b50",
+        "summary.csv":
+            "4ff3a3404c0062cc61dfc7a3d0b47205421e179457be88046f7a4912b4f39287",
+        "tracking.csv":
+            "80bc44e67df96061a88fa3df60848bd077401794f28935990fee191692de3a0f",
+    }),
 }
 
 # The RunResult fields that hold arrays, in hashing order.
@@ -134,6 +156,8 @@ ARRAY_GOLDEN = {
         "954aaae8e6bf8e64aa369cd21b8607f47b649183d6f5a42b493ef25b74f722e8",
     "excited_chain":
         "7d11c741b99d3f9274291a4a2c50a049a5ec79182791651c07f3452c88a9c3c4",
+    "diamond":
+        "3ae8cdffbebdc7dbf71a0def37cb08f3b492b31068c2ba1adaacd5c441b8c2b5",
 }
 
 

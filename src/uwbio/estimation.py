@@ -12,6 +12,10 @@ lambda_max(S))^2, the one the convergence proof actually uses, is
 selectable.  lambda_max(U_k) = phi_k'phi_k = 1 for unit-norm regressors.
 While the record is rank deficient lambda_min is 0 and the update is a
 no-op, so the estimate simply waits for sufficient excitation.
+
+The estimates of all pairs are rows of one (pairs, 7) array, and
+`cl_update_all` steps every pair that got a sample in a tick at once, one
+stacked product per record length; `cl_update` is its one-pair front end.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import Angle, Rotation3Z, norm_project
-from .regression import THETA_DIM, DataRecord, RegressorSample
+from .regression import THETA_DIM, DataRecord, RecordBank, RegressorSample, pair_index
 from .sensing import OdomBroadcast
 from .world import Pose4
 
@@ -55,33 +59,66 @@ class RelativePoseEstimate:
     R0_hat: Rotation3Z
 
 
-def learning_rate(data: DataRecord, lam_u: float = 1.0, variant: str = "stated") -> float:
+def _rate(lam_min: float, lam_max: float, lam_u: float, variant: str) -> float:
     if variant == "stated":
-        denom = lam_u + data.lambda_max ** 2
+        denom = lam_u + lam_max ** 2
     elif variant == "proof":
-        denom = (lam_u + data.lambda_max) ** 2
+        denom = (lam_u + lam_max) ** 2
     else:
         raise ValueError(f"unknown rate variant {variant!r}")
     if denom <= 0.0:
         return 0.0
-    return data.lambda_min / denom
+    return lam_min / denom
+
+
+def learning_rate(data: DataRecord, lam_u: float = 1.0, variant: str = "stated") -> float:
+    return _rate(data.lambda_min, data.lambda_max, lam_u, variant)
+
+
+def cl_update_all(theta: np.ndarray, bank: RecordBank, rows: list[int],
+                  phi: np.ndarray, y: np.ndarray, variant: str = "stated") -> list[bool]:
+    """One concurrent-learning step for pairs rows[m] (ascending, with
+    non-empty records) against their records plus the current samples
+    (phi[m], y[m]), written into theta[rows] in place.  Returns which pairs
+    moved: a pair whose learning rate is 0 keeps its estimate untouched.
+
+    The rates are scalar per pair; the products run stacked per record
+    length, so every product has the shape it has for one pair (a record
+    zero-padded to a longer length sums in another order and moves the
+    last bits).
+    """
+    lam_min, lam_max = bank.lambda_min.tolist(), bank.lambda_max.tolist()
+    eta = [_rate(lam_min[r], lam_max[r], lam_u, variant)
+           for r, lam_u in zip(rows, np.vecdot(phi, phi).tolist())]
+    groups: dict[int, list[int]] = {}
+    for m, (r, rate) in enumerate(zip(rows, eta)):
+        if rate != 0.0:
+            groups.setdefault(bank.n[r], []).append(m)
+    for length, sel in groups.items():
+        r = pair_index([rows[m] for m in sel], len(theta))
+        cur = pair_index(sel, len(rows))
+        th = theta[r]
+        phis = bank.phis[r, :length]
+        # Replay innovations over the raw recorded samples; with all
+        # residuals zero the step is exactly zero, not just zero up to
+        # rounding.
+        resid = np.matmul(phis, th[:, :, None])[:, :, 0] - bank.ys[r, :length]
+        grad = np.matmul(phis.transpose(0, 2, 1), resid[:, :, None])[:, :, 0]
+        grad += phi[cur] * (np.vecdot(phi[cur], th) - y[cur])[:, None]
+        theta[r] = th - np.array([eta[m] for m in sel])[:, None] * grad
+    return [rate != 0.0 for rate in eta]
 
 
 def cl_update(est: ThetaEstimate, current: RegressorSample) -> ThetaEstimate:
-    """One concurrent-learning step against the record plus the current sample."""
+    """One concurrent-learning step against the record plus the current
+    sample: a front end to `cl_update_all` with one pair."""
     data = est.data
     if len(data) == 0:
         raise ValueError("cl_update requires a non-empty record")
-    lam_u = float(current.phi @ current.phi)
-    eta = learning_rate(data, lam_u, est.rate_variant)
-    if eta == 0.0:
-        return est
-    # Replay innovations over the raw recorded samples; with all residuals
-    # zero the step is exactly zero, not just zero up to rounding.
-    resid = data.phis @ est.theta_hat - data.ys
-    grad = data.phis.T @ resid
-    grad += current.phi * (current.phi @ est.theta_hat - current.y)
-    return replace(est, theta_hat=est.theta_hat - eta * grad)
+    theta = np.array(est.theta_hat, dtype=float)[None]
+    moved = cl_update_all(theta, data._bank, [data._row], current.phi[None],
+                          np.array([current.y]), est.rate_variant)
+    return replace(est, theta_hat=theta[0]) if moved[0] else est
 
 
 def innovation(est: ThetaEstimate, sample: RegressorSample) -> float:

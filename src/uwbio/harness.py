@@ -3,12 +3,17 @@
 Per measurement instant the loop runs: sense -> outlier screen -> build
 and record the regressor sample -> concurrent-learning update -> layered
 cooperative update -> stage check; then a command is issued for the next
-interval and the physics steps.  The loop logs estimator, controller and
-physics state plus the true poses, and reads truth only for sensing,
-physics, `truth_feedback` and the unbroadcast leader odometry; afterwards
-`_score_truth` derives every truth error from the logs.  Per-stream RNGs
-derived from (seed, stream tag) make a (config, seed) pair determine
-every logged byte.
+interval and the physics steps.  The pairs are independent within a tick,
+so their estimator state lives on a leading pair axis in
+`graph.ordered_pairs()` order (a JudgeBank, a RecordBank, a (pairs, 7)
+estimate array and the last accepted measurement per pair), and each
+estimator stage runs once per tick over all pairs; cooperative
+composition, control, odometry and physics stay per robot.  The loop logs
+estimator, controller and physics state plus the true poses, and reads
+truth only for sensing, physics, `truth_feedback` and the unbroadcast
+leader odometry; afterwards `_score_truth` derives every truth error from
+the logs, all ticks at once.  Per-stream RNGs derived from (seed, stream
+tag) make a (config, seed) pair determine every logged byte.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -28,13 +34,16 @@ from .control import (ControlGains, StageTracker, stage1_command, stage2_command
                       tracking_error_estimated, tracking_error_truth, TrackingError)
 from .cooploc import (LeaderPoseEstimate, MissingNeighborEstimate, assign_layers,
                       leader_initial_estimate, leader_realtime_estimate)
-from .estimation import ThetaEstimate, cl_update, reconstruct_pose
-from .geometry import Angle, DegenerateRotation, Rotation3Z
+# The tick runs the stacked stages (build_samples, cl_update_all,
+# excitation_ratios); their one-pair front ends stay importable from here,
+# where per-layer tracing looks every harness function up by name.
+from .estimation import ThetaEstimate, cl_update, cl_update_all, reconstruct_pose
+from .geometry import Angle, DegenerateRotation
 from .metrics import RunMetrics, convergence_time, detection_stats, smoothness, tail_mean
-from .outliers import JudgeQueue
-from .regression import DataRecord, RecordPolicy, RegressorSample, ThetaTrue, \
-    build_sample, excitation_ratio
-from .sensing import MeasurementTriplet, OdomBroadcast, OdomStream, RangeStream
+from .outliers import JudgeBank
+from .regression import THETA_DIM, DataRecord, RecordBank, RecordPolicy, RegressorSample, \
+    ThetaTrue, build_sample, build_samples, excitation_ratio, excitation_ratios, pair_index
+from .sensing import OdomBroadcast, OdomStream, RangeStream
 from .world import RobotTruth, VelocityCommand, step
 
 # Golden-angle phase spread keeps per-robot excitation signals decorrelated.
@@ -46,14 +55,6 @@ _PLACEMENT_DRAWS = 1000
 
 class MissingLogs(FileNotFoundError):
     """Expected run outputs are not present in the directory."""
-
-
-@dataclass
-class _Endpoint:
-    tick: int
-    d: float
-    z_i: np.ndarray
-    z_j: np.ndarray
 
 
 @dataclass
@@ -179,15 +180,27 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
         cruise = VelocityCommand(g0.r * g0.c_w, 0.0, g0.c_w)
 
     truths = _initial_truths(config, seed)
-    odom = {r: OdomStream(noise, seed, r, planar=planar) for r in robots}
-    ranges = {(i, j): RangeStream(noise, seed, i, j) for (i, j) in pairs}
-    records = {(i, j): DataRecord(planar=planar) for (i, j) in pairs}
-    estimators = {(i, j): ThetaEstimate.fresh(records[(i, j)], config.rate_variant)
-                  for (i, j) in pairs}
-    judges = {(i, j): JudgeQueue(config.judge_capacity, config.judge_threshold)
-              for (i, j) in pairs}
-    last_endpoint: dict[tuple[int, int], _Endpoint | None] = {p: None for p in pairs}
+    odom = [OdomStream(noise, seed, r, planar=planar) for r in robots]
+    n_pairs = len(pairs)
+    all_pairs = list(range(n_pairs))
+    pair_i = [i for i, _ in pairs]
+    pair_j = [j for _, j in pairs]
+    pair_ij = np.array(pairs, dtype=np.intp).reshape(n_pairs, 2)
+    # Per-pair state on a leading pair axis, in `pairs` order.
+    ranges = [RangeStream(noise, seed, i, j) for (i, j) in pairs]
+    judges = JudgeBank(n_pairs, config.judge_capacity, config.judge_threshold)
+    bank = RecordBank(n_pairs, planar)
+    theta = np.zeros((n_pairs, THETA_DIM))
+    # Each pair's last accepted measurement: its tick, and [d^2, z_i, z_j].
+    end_tick = [-2] * n_pairs
+    end = np.zeros((n_pairs, 7))
     last_sample: dict[tuple[int, int], RegressorSample] = {}
+    # One-pair views of that state (they hold none of their own), for the
+    # pose reconstruction and the result.
+    estimators = {p: ThetaEstimate(theta[n], DataRecord(bank=bank, row=n), config.rate_variant)
+                  for n, p in enumerate(pairs)}
+    # Each robot's pairs, as the stage check reads their records.
+    out_pairs = {r: [pairs.index((r, j)) for j in graph.out_edges[r]] for r in robots}
     lpe: dict[int, LeaderPoseEstimate | None] = {r: None for r in followers}
 
     timeout_ticks = None if config.stage1_timeout_s is None else \
@@ -196,10 +209,10 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
 
     rows = T + 1
     truth = np.zeros((rows, len(robots), 8))
-    theta_log = {p: np.full((rows, 7), np.nan) for p in pairs}
-    lam_min = {p: np.zeros(rows) for p in pairs}
-    lam_max = {p: np.zeros(rows) for p in pairs}
-    updated = {p: np.zeros(rows, dtype=bool) for p in pairs}
+    theta_log = np.full((rows, n_pairs, THETA_DIM), np.nan)
+    lam_min = np.zeros((rows, n_pairs))
+    lam_max = np.zeros((rows, n_pairs))
+    updated = np.zeros((rows, n_pairs), dtype=bool)
     q0_hat = {r: np.full((rows, 3), np.nan) for r in followers}
     q0_fresh = {r: np.zeros(rows, dtype=bool) for r in followers}
     rt_hat = {r: np.full((rows, 5), np.nan) for r in followers}
@@ -218,38 +231,54 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
         return OdomBroadcast(0, k, pose.position(), pose.yaw)
 
     def sense_and_update(k: int) -> None:
+        # Each estimator stage runs once over all pairs; pairs are
+        # independent within a tick.
         truth[k] = [t.as_row() for t in truths]
-        for (i, j) in pairs:
-            d, injected = ranges[(i, j)].sample(truths[i], truths[j])
-            z_i = odom[i].cum_pos.copy()
-            z_j = odom[j].cum_pos.copy()
-            if config.outlier_screening:
-                res = judges[(i, j)].screen(MeasurementTriplet(d, z_i, z_j, k))
-                verdict, votes, qsize = res.is_outlier, res.votes, res.queue_size
-            else:
-                verdict, votes, qsize = False, 0, 0
-            outlier_events.append((k, i, j, d, votes, qsize, verdict, injected))
-            if verdict:
-                continue
-            le = last_endpoint[(i, j)]
-            if le is not None and le.tick == k - 1:
-                s = build_sample(le.d, d, (le.z_i, z_i - le.z_i), (le.z_j, z_j - le.z_j),
-                                 t_k=k - 1)
-                if s is not None:
-                    records[(i, j)].add(s, policy)
-                    estimators[(i, j)] = cl_update(estimators[(i, j)], s)
-                    last_sample[(i, j)] = s
-                    updated[(i, j)][k] = True
-                    if config.sample_dump:
-                        samples_dump.append((k - 1, i, j, *s.phi.tolist(), s.y))
-            last_endpoint[(i, j)] = _Endpoint(k, d, z_i, z_j)
+        ends = truth[k].take(pair_ij, axis=0)
+        diff = ends[:, 0, :3] - ends[:, 1, :3]
+        draws = [stream.draw(x) for stream, x in
+                 zip(ranges, np.sqrt(np.vecdot(diff, diff)).tolist())]
+        d = [x for x, _ in draws]
+        injected = [inj for _, inj in draws]
+        now = np.empty((n_pairs, 7))
+        # Python's float power, as the one-pair build_sample squares ranges.
+        now[:, 0] = [x ** 2 for x in d]
+        now[:, 1:] = np.array([o.cum_pos for o in odom]).take(pair_ij, axis=0).reshape(-1, 6)
+        if config.outlier_screening:
+            verdict, votes, qsize = judges.screen_all(np.array(d), now[:, 1:], k)
+            outlier_events.extend(zip(repeat(k), pair_i, pair_j, d, votes, qsize, verdict,
+                                      injected))
+            accepted = [p for p, out in enumerate(verdict) if not out]
+        else:
+            outlier_events.extend(zip(repeat(k), pair_i, pair_j, d, repeat(0), repeat(0),
+                                      repeat(False), injected))
+            accepted = all_pairs
+        chain = [p for p in accepted if end_tick[p] == k - 1]
+        ix = pair_index(chain, n_pairs)
+        phi, y, valid = build_samples(end[ix], now[ix] - end[ix])
+        got = [p for p, ok in zip(chain, valid.tolist()) if ok]
+        if got:
+            if len(got) < len(chain):
+                phi, y = phi[valid], y[valid]
+            samples = [RegressorSample(row, yn, k - 1) for row, yn in zip(phi, y.tolist())]
+            bank.add_all(got, samples, policy)
+            cl_update_all(theta, bank, got, phi, y, config.rate_variant)
+            updated[k, pair_index(got, n_pairs)] = True
+            for n, s in zip(got, samples):
+                last_sample[pairs[n]] = s
+                if config.sample_dump:
+                    samples_dump.append((k - 1, *pairs[n], *s.phi.tolist(), s.y))
+        ix = pair_index(accepted, n_pairs)
+        end[ix] = now[ix]
+        for p in accepted:
+            end_tick[p] = k
 
         # Cooperative update, shallow layers first so deeper nodes read
         # same-tick values from their parents.
         pairwise = {}
-        for p in pairs:
+        for p, est in estimators.items():
             try:
-                pairwise[p] = reconstruct_pose(estimators[p])
+                pairwise[p] = reconstruct_pose(est)
             except DegenerateRotation:
                 pass
         for layer in range(1, graph.max_layer + 1):
@@ -259,24 +288,17 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
                 except MissingNeighborEstimate:
                     pass  # keep previous (stale) estimate
 
-        ratios = {}
-        for r in robots:
-            rs = []
-            for j in graph.out_edges[r]:
-                rec = records[(r, j)]
-                rs.append(excitation_ratio(rec) if len(rec) > 0 else 0.0)
-            ratios[r] = rs
-        stage.update(k, ratios)
+        ratio = excitation_ratios(bank)
+        stage.update(k, {r: [ratio[n] for n in out_pairs[r]] for r in robots})
 
         # Logs at instant k.
+        theta_log[k] = theta
+        lam_min[k] = bank.lambda_min
+        lam_max[k] = bank.lambda_max
+        if np.count_nonzero(np.isfinite(theta)) < theta.size:
+            bad = pairs[int(np.argmin(np.isfinite(theta).all(axis=1)))]
+            raise RuntimeError(f"non-finite estimate for pair {bad} at tick {k}")
         z0 = leader_odometry(k)
-        for p in pairs:
-            est = estimators[p]
-            theta_log[p][k] = est.theta_hat
-            lam_min[p][k] = est.data.lambda_min
-            lam_max[p][k] = est.data.lambda_max
-            if not np.all(np.isfinite(est.theta_hat)):
-                raise RuntimeError(f"non-finite estimate for pair {p} at tick {k}")
         for i in followers:
             current_ehat[i] = None
             est_i = lpe[i]
@@ -349,25 +371,31 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
             cmds[i] = saturate(i, k, cmd)
         sub = config.physics_substeps
         for r in robots:
-            commands[r][k] = cmds[r].as_vector()
+            cmd = cmds[r]
+            commands[r][k] = cmd.v_h, cmd.v_z, cmd.w
             nt = truths[r]
             for _ in range(sub):
-                nt = step(nt, cmds[r], dt / sub)
-            if not np.all(np.isfinite(nt.world_pose.position())):
+                nt = step(nt, cmd, dt / sub)
+            wp = nt.world_pose
+            if not (math.isfinite(wp.x) and math.isfinite(wp.y) and math.isfinite(wp.z)):
                 raise RuntimeError(f"non-finite state for robot {r} at tick {k + 1}")
             odom[r].update(truths[r], nt)
             truths[r] = nt
         sense_and_update(k + 1)
 
+    def per_pair(log: np.ndarray) -> dict:
+        return {p: log[:, n] for n, p in enumerate(pairs)}
+
     result = RunResult(
         config=config, seed=seed, dt=dt, n_ticks=T, graph=graph, truth=truth,
-        theta_log=theta_log, lam_min=lam_min, lam_max=lam_max, updated=updated,
+        theta_log=per_pair(theta_log), lam_min=per_pair(lam_min), lam_max=per_pair(lam_max),
+        updated=per_pair(updated),
         q0_hat=q0_hat, q0_fresh=q0_fresh, rt_hat=rt_hat, track_est=track_est,
         commands=commands, stage2_flag=stage2_flag,
         transition_tick=stage.transition_tick,
         outlier_events=outlier_events, saturation_events=saturation_events,
         samples_dump=samples_dump,
-        final_estimators=dict(estimators), final_lpe=dict(lpe),
+        final_estimators=estimators, final_lpe=dict(lpe),
         final_truths=list(truths), last_sample=last_sample,
     )
     _score_truth(result)
@@ -380,32 +408,42 @@ def _row_norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(d, d))
 
 
+def _rotate_inverse(c, s, v: np.ndarray) -> np.ndarray:
+    """Rows of v rotated by the inverse yaw (c, s), in Rotation3Z.apply_inverse's
+    operand order; c and s are scalars or one per row."""
+    return np.stack([c * v[:, 0] + s * v[:, 1], -s * v[:, 0] + c * v[:, 1], v[:, 2]], axis=1)
+
+
 def _score_truth(res: RunResult) -> None:
     """Fill the ground-truth fields of `res` from its logged truth and
     estimates.  Follower i's true leader-relative position at tick k is
     R(psi_i0)' (p_i(k) - p_0(k)), q0_true its tick-0 row; the true relative
-    yaw is the world yaw difference."""
+    yaw is the world yaw difference.  Every tick is scored at once, in the
+    operand order of the scalar formulas (`tracking_error_truth` for
+    track_truth); np.cos and np.sin equal math.cos and math.sin here."""
     spec = res.config.formation_spec()
     truth = res.truth
+    lead = truth[:, 0]
     start = [RobotTruth.from_row(r, row) for r, row in enumerate(truth[0])]
     for (i, j), log in res.theta_log.items():
         res.theta_true[(i, j)] = ThetaTrue.from_truths(start[i], start[j]).vector
         res.theta_err[(i, j)] = _row_norms(log - res.theta_true[(i, j)])
+    psi_00 = lead[:, 3] - lead[:, 7]          # the leader's initial world yaw
     for i, rt in res.rt_hat.items():
-        rot = Rotation3Z.from_angle(start[i].initial_world_yaw())
-        q_true = np.array([rot.apply_inverse(d) for d in truth[:, i, :3] - truth[:, 0, :3]])
-        yaw = truth[:, i, 3] - truth[:, 0, 3]
+        d = truth[:, i, :3] - lead[:, :3]
+        psi_i0 = start[i].initial_world_yaw()
+        q_true = _rotate_inverse(math.cos(psi_i0), math.sin(psi_i0), d)
+        yaw = truth[:, i, 3] - lead[:, 3]
+        cos_yaw, sin_yaw = np.cos(yaw), np.sin(yaw)
         res.q0_true[i] = q_true[0].copy()
         res.q0_err[i] = _row_norms(res.q0_hat[i] - res.q0_true[i])
         res.q_rt_err[i] = _row_norms(rt[:, :3] - q_true)
-        res.trig_rt_err[i] = np.array([math.hypot(c - math.cos(th), s - math.sin(th))
-                                       for c, s, th in zip(rt[:, 3], rt[:, 4], yaw)])
-        res.track_truth[i] = np.empty((len(truth), 5))
-    for k, row in enumerate(truth):
-        leader = RobotTruth.from_row(0, row[0])
-        for i, track in res.track_truth.items():
-            e = tracking_error_truth(RobotTruth.from_row(i, row[i]), leader, spec.offset(i))
-            track[k] = [e.e_p[0], e.e_p[1], e.e_p[2], e.e_c, e.e_s]
+        res.trig_rt_err[i] = np.array([math.hypot(c - cy, s - sy) for c, s, cy, sy in
+                                       zip(rt[:, 3], rt[:, 4], cos_yaw, sin_yaw)])
+        p_i0 = _rotate_inverse(np.cos(psi_00), np.sin(psi_00), d)
+        ang = truth[:, i, 3] - psi_00
+        e_p = _rotate_inverse(np.cos(ang), np.sin(ang), p_i0 - spec.offset(i))
+        res.track_truth[i] = np.column_stack((e_p, 1.0 - cos_yaw, sin_yaw))
 
 
 def _compute_metrics(res: RunResult) -> RunMetrics:

@@ -7,10 +7,11 @@ bounded queue of previously accepted triplets; a majority of violations
 without touching the queue.  The queue keeps only the freshest accepted
 triplets so odometry drift cannot poison old comparisons.
 
-The queue is a fixed ring of `capacity` rows, one per accepted triplet
-laid out as [d, z_i (3), z_j (3), t_k]; at capacity the next triplet
-overwrites the oldest row.  All votes on a candidate come from one array
-expression over the filled rows.
+The queues of all pairs are stacked on a leading pair axis (`JudgeBank`):
+each is a fixed ring of `capacity` rows, one per accepted triplet laid out
+as [d, z_i (3), z_j (3), t_k]; at capacity the next triplet overwrites the
+oldest row.  All votes of all pairs in a tick come from one array
+expression over the rings.  `JudgeQueue` is the one-pair front end.
 """
 
 from __future__ import annotations
@@ -29,65 +30,105 @@ class ScreenResult:
     queue_size: int     # queue size at voting time
 
 
-class JudgeQueue:
-    """Bounded queue of accepted triplets used to vote on new candidates."""
+class JudgeBank:
+    """The judge queues of several pairs, stacked on a leading pair axis.
 
-    def __init__(self, capacity: int = 20, threshold: float = 0.5):
+    `ring[p]` holds pair p's accepted triplets, one row each laid out as
+    [d, z_i (3), z_j (3), t_k]; `count[p]` triplets were accepted so far,
+    and the next one goes to row count % capacity, so once the ring is
+    full it overwrites the oldest entry.  Rows not yet written hold NaN,
+    which never votes.
+    """
+
+    def __init__(self, pairs: int, capacity: int = 20, threshold: float = 0.5):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if not 0.0 < threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
         self.capacity = capacity
         self.threshold = threshold
-        self._ring = np.zeros((capacity, 8))
-        self._oldest = 0      # row of the oldest entry once the ring is full
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
+        self.ring = np.full((pairs, capacity, 8), np.nan)
+        self.count = [0] * pairs
 
     @property
-    def entries(self) -> tuple[MeasurementTriplet, ...]:
-        """The queued triplets, oldest first (a snapshot, not the storage)."""
-        rows = np.roll(self._ring[:self._size], -self._oldest, axis=0)
-        return tuple(MeasurementTriplet(float(r[0]), r[1:4].copy(), r[4:7].copy(),
-                                        int(r[7])) for r in rows)
+    def size(self) -> list[int]:
+        """Queued triplets per pair."""
+        return [min(c, self.capacity) for c in self.count]
 
-    def accept(self, triplet: MeasurementTriplet) -> None:
-        """Enqueue a triplet, evicting the oldest one at capacity."""
-        if self._size < self.capacity:
-            row = self._size
-            self._size += 1
-        else:
-            row = self._oldest
-            self._oldest = (row + 1) % self.capacity
-        entry = self._ring[row]
-        entry[0] = triplet.d
-        entry[1:4] = triplet.z_i
-        entry[4:7] = triplet.z_j
-        entry[7] = triplet.t_k
+    def accept_all(self, rows: list[int], cand: np.ndarray) -> None:
+        """Enqueue cand[r] (a ring row) into the queue of each pair r in
+        rows, evicting the oldest entry of a full queue."""
+        for r in rows:
+            self.ring[r, self.count[r] % self.capacity] = cand[r]
+            self.count[r] += 1
 
-    def screen(self, candidate: MeasurementTriplet) -> ScreenResult:
-        """Vote the candidate against the queue; accepted candidates are enqueued.
+    def screen_all(self, d: np.ndarray, z: np.ndarray,
+                   t_k: int) -> tuple[list[bool], list[int], list[int]]:
+        """Vote one candidate per pair, range d[p] with odometry
+        z[p] = [z_i, z_j], against that pair's queue and enqueue the
+        accepted ones; returns (is_outlier, votes, queue size at voting
+        time), one entry per pair.
 
         An entry votes "outlier" when the range difference meets or exceeds
         the summed odometry displacements since that entry.  The verdict is
         outlier iff votes / size is strictly above the threshold; an empty
         queue accepts unconditionally (cold start).
         """
-        size = self._size
-        votes = 0
-        if size:
-            filled = self._ring[:size]
-            disp = (np.concatenate((candidate.z_i, candidate.z_j)) - filled[:, 1:7]
-                    ).reshape(size, 2, 3)
-            # vecdot reduces each 3-vector with the same BLAS dot product
-            # np.linalg.norm uses, so every slack is bit-equal to the
-            # per-entry norm(z_i - z_i') + norm(z_j - z_j').
-            dist = np.sqrt(np.vecdot(disp, disp))
-            slack = dist[:, 0] + dist[:, 1]
-            votes = int(np.count_nonzero(np.abs(candidate.d - filled[:, 0]) >= slack))
-        is_outlier = size > 0 and votes / size > self.threshold
-        if not is_outlier:
-            self.accept(candidate)
-        return ScreenResult(is_outlier, votes, size)
+        pairs, cap = self.ring.shape[:2]
+        disp = (z[:, None, :] - self.ring[:, :, 1:7]).reshape(pairs, cap, 2, 3)
+        # vecdot reduces each 3-vector with the same BLAS dot product
+        # np.linalg.norm uses, so every slack is bit-equal to the
+        # per-entry norm(z_i - z_i') + norm(z_j - z_j').
+        dist = np.sqrt(np.vecdot(disp, disp))
+        against = np.abs(d[:, None] - self.ring[:, :, 0]) >= dist[..., 0] + dist[..., 1]
+        votes = against.sum(axis=1).tolist()
+        size = self.size
+        is_outlier = [n > 0 and v / n > self.threshold for v, n in zip(votes, size)]
+        ok = [p for p, out in enumerate(is_outlier) if not out]
+        if ok:
+            cand = np.empty((pairs, 8))
+            cand[:, 0] = d
+            cand[:, 1:7] = z
+            cand[:, 7] = t_k
+            self.accept_all(ok, cand)
+        return is_outlier, votes, size
+
+
+class JudgeQueue:
+    """Bounded queue of accepted triplets used to vote on new candidates:
+    a front end to a JudgeBank of one pair."""
+
+    def __init__(self, capacity: int = 20, threshold: float = 0.5):
+        self._bank = JudgeBank(1, capacity, threshold)
+
+    @property
+    def capacity(self) -> int:
+        return self._bank.capacity
+
+    @property
+    def threshold(self) -> float:
+        return self._bank.threshold
+
+    def __len__(self) -> int:
+        return self._bank.size[0]
+
+    @property
+    def entries(self) -> tuple[MeasurementTriplet, ...]:
+        """The queued triplets, oldest first (a snapshot, not the storage)."""
+        oldest = self._bank.count[0] % self.capacity
+        rows = np.roll(self._bank.ring[0, :len(self)], -oldest, axis=0)
+        return tuple(MeasurementTriplet(float(r[0]), r[1:4].copy(), r[4:7].copy(),
+                                        int(r[7])) for r in rows)
+
+    def accept(self, triplet: MeasurementTriplet) -> None:
+        """Enqueue a triplet, evicting the oldest one at capacity."""
+        entry = np.concatenate(([triplet.d], triplet.z_i, triplet.z_j, [triplet.t_k]))
+        self._bank.accept_all([0], entry[None])
+
+    def screen(self, candidate: MeasurementTriplet) -> ScreenResult:
+        """Vote the candidate against the queue; accepted candidates are
+        enqueued (see JudgeBank.screen_all)."""
+        z = np.concatenate((candidate.z_i, candidate.z_j))
+        out, votes, size = self._bank.screen_all(np.array([candidate.d]), z[None],
+                                                 candidate.t_k)
+        return ScreenResult(out[0], votes[0], size[0])

@@ -20,6 +20,12 @@ the interval start, each in the robot's own odometry frame.  The stored
 sample is the normalized pair (Phi, y) = (Psi, ybar)/|Psi|.  On noise-free
 data y = Theta' Phi holds to machine precision; the test suite enforces
 this end to end, so any sign or term error here cannot survive.
+
+Both the sample build and the record work on a leading pair axis:
+`build_samples` assembles the samples of all pairs of a tick at once, and a
+`RecordBank` holds the records of all pairs and takes one retention
+decision for them.  `build_sample`, `DataRecord` and `excitation_ratio`
+are their one-pair front ends.
 """
 
 from __future__ import annotations
@@ -51,6 +57,53 @@ class RegressorSample:
     t_k: int
 
 
+# The dot products build_samples takes, as pairs of index lists into its
+# rows [d_k^2, p_i, p_j, d_k1^2 - d_k^2, u_i, u_j] (14 wide): the
+# horizontal (2-long) u_ih.p_jh, p_ih.u_jh, u_ih.u_jh and the 3-long
+# u_i.u_i, u_j.u_j, u_i.p_i, u_j.p_j.
+_HORIZ = np.array([[[8, 9], [1, 2], [8, 9]], [[4, 5], [11, 12], [11, 12]]])
+_FULL = np.array([[[8, 9, 10], [11, 12, 13], [8, 9, 10], [11, 12, 13]],
+                  [[8, 9, 10], [11, 12, 13], [1, 2, 3], [4, 5, 6]]])
+
+
+def build_samples(prev: np.ndarray,
+                  step: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Assemble the samples of m pairs at once.
+
+    Row m of prev (m, 7) is [d_k^2, p_i, p_j]: the squared range and each
+    robot's cumulative position at t_k; row m of step (m, 7) is
+    [d_k1^2 - d_k^2, u_i, u_j]: its change and each robot's displacement
+    over [t_k, t_k+1], all in the robot's own odometry frame.  Returns
+    phi (m, 7), y (m,) and `valid` (m,), false where |Psi| < PSI_EPS
+    (degenerate interval, e.g. both robots stationary; that row is not a
+    sample).
+
+    Every dot product is one BLAS reduction over all pairs, as `@` and
+    np.linalg.norm take it on one pair's vectors; the few scalar terms
+    per pair are Python float arithmetic in the one-pair order, cheaper
+    than an array operation each for the pair counts of a swarm.
+    """
+    w = np.concatenate((prev, step), axis=1)
+    horiz, full = w.take(_HORIZ, axis=1), w.take(_FULL, axis=1)
+    psi, ybar = [], []
+    for row, (h0, h1, h2), (uiui, ujuj, uipi, ujpj) in zip(
+            w.tolist(), np.vecdot(horiz[:, 0], horiz[:, 1]).tolist(),
+            np.vecdot(full[:, 0], full[:, 1]).tolist()):
+        _, pix, piy, piz, pjx, pjy, pjz, ddsq, uix, uiy, uiz, ujx, ujy, ujz = row
+        a = h0 + h1 + h2
+        b = cross2((pjx, pjy), (uix, uiy)) + cross2((ujx, ujy), (pix, piy)) \
+            + cross2((ujx, ujy), (uix, uiy))
+        psi.append((uix, uiy, uiz - ujz, -ujx, -ujy, -a, -b))
+        ybar.append(0.5 * (ddsq - uiui - ujuj) - uipi - ujpj
+                    + uiz * pjz + piz * ujz + uiz * ujz)
+    psi = np.array(psi).reshape(-1, THETA_DIM)
+    norm = np.sqrt(np.vecdot(psi, psi))
+    # Rows below PSI_EPS are no sample; dividing them by PSI_EPS instead
+    # keeps them finite.
+    scale = np.maximum(norm, PSI_EPS)
+    return psi / scale[:, None], np.array(ybar) / scale, norm >= PSI_EPS
+
+
 def build_sample(d_k: float, d_k1: float,
                  odom_i: tuple[np.ndarray, np.ndarray],
                  odom_j: tuple[np.ndarray, np.ndarray],
@@ -60,23 +113,15 @@ def build_sample(d_k: float, d_k1: float,
     odom_i / odom_j are (cumulative position at t_k, displacement over
     [t_k, t_k+1]) in each robot's own odometry frame.  Returns None when
     |Psi| < PSI_EPS (degenerate interval, e.g. both robots stationary);
-    the caller skips the estimator update for that tick.
+    the caller skips the estimator update for that tick.  A front end to
+    `build_samples` with one pair.
     """
-    p_i, u_i = (np.asarray(v, dtype=float) for v in odom_i)
-    p_j, u_j = (np.asarray(v, dtype=float) for v in odom_j)
-
-    a = float(u_i[:2] @ p_j[:2] + p_i[:2] @ u_j[:2] + u_i[:2] @ u_j[:2])
-    b = cross2(p_j[:2], u_i[:2]) + cross2(u_j[:2], p_i[:2]) + cross2(u_j[:2], u_i[:2])
-
-    psi = np.array([u_i[0], u_i[1], u_i[2] - u_j[2], -u_j[0], -u_j[1], -a, -b])
-    ybar = (0.5 * (d_k1 ** 2 - d_k ** 2 - u_i @ u_i - u_j @ u_j)
-            - u_i @ p_i - u_j @ p_j
-            + u_i[2] * p_j[2] + p_i[2] * u_j[2] + u_i[2] * u_j[2])
-
-    norm = float(np.linalg.norm(psi))
-    if norm < PSI_EPS:
+    prev = np.concatenate(([d_k ** 2], odom_i[0], odom_j[0]), dtype=float)
+    step = np.concatenate(([d_k1 ** 2 - d_k ** 2], odom_i[1], odom_j[1]), dtype=float)
+    phi, y, valid = build_samples(prev[None], step[None])
+    if not valid[0]:
         return None
-    return RegressorSample(psi / norm, float(ybar / norm), t_k)
+    return RegressorSample(phi[0], float(y[0]), t_k)
 
 
 @dataclass(frozen=True)
@@ -97,103 +142,180 @@ class RecordPolicy:
     min_gain: float = 1e-9
 
 
-class DataRecord:
-    """Recorded samples with incrementally maintained information matrix.
+def pair_index(rows: list[int], pairs: int) -> list[int] | slice:
+    """Numpy index of ascending, distinct rows of a `pairs`-long pair
+    axis: a slice when every pair is in, which reads views, not copies."""
+    return slice(None) if len(rows) == pairs else rows
 
-    S = sum(phi phi') over the retained history drives the eigenvalue
-    bookkeeping; the stacked (phi, y) arrays are kept alongside so the
-    estimator can replay innovations over the raw samples (which keeps the
-    zero-innovation fixed point exact).  In planar (2D) scenarios the z row
-    of the regressor is identically zero, so the eigenvalue summary is
-    taken over the remaining 6 active dimensions; otherwise full rank could
-    never be reached.
 
-    The samples live in preallocated (hist_cap, 7) and (hist_cap,) buffers,
-    sized by the largest policy hist_cap seen, one row per retained sample
-    in history order: an accepted sample is written into the next free row,
-    and an eviction shifts the rows after the evicted one up by one and
-    writes the new sample last.  `phis` and `ys` are views of the filled
-    rows, valid until the next `add`.
+class RecordBank:
+    """The recorded-data matrices of several pairs, stacked on a leading
+    pair axis, with one retention decision for all of them.
+
+    Pair p keeps its retained samples, oldest first, in `history[p]` and
+    their (phi, y) in rows 0..n[p]-1 of `phis[p]` and `ys[p]`, next to its
+    incrementally maintained information matrix S[p] = sum(phi phi') and
+    the eigenvalue summary `lambda_min[p]`, `lambda_max[p]`.  The
+    zero-innovation fixed point of the estimator stays exact because it
+    replays innovations over these raw rows, not over S.  In planar (2D)
+    scenarios the z row of the regressor is identically zero, so the
+    eigenvalue summary and the retention decision use the remaining 6
+    active dimensions; otherwise full rank could never be reached.
+
+    `add_all` takes one candidate for each of several pairs.  A pair below
+    `hist_cap` appends it; the pairs at capacity decide together, with one
+    stacked inverse and leverage evaluation, whether the candidate replaces
+    their lowest-leverage sample (see RecordPolicy).  An eviction shifts
+    the rows after the evicted one up and writes the new sample last, the
+    row order of `history`.  The buffers grow to the largest hist_cap seen.
     """
 
-    def __init__(self, planar: bool = False):
-        self.history: list[RegressorSample] = []
-        self.S = np.zeros((THETA_DIM, THETA_DIM))
-        self._phi_buf = np.zeros((0, THETA_DIM))
-        self._y_buf = np.zeros(0)
-        self.phis = self._phi_buf
-        self.ys = self._y_buf
-        self.lambda_min = 0.0
-        self.lambda_max = 0.0
-        if planar:
-            self.active = np.array([0, 1, 3, 4, 5, 6])
-        else:
-            self.active = np.arange(THETA_DIM)
-        self._active_block = np.ix_(self.active, self.active)
-
-    def __len__(self) -> int:
-        return len(self.history)
-
-    def _eigs(self, S: np.ndarray) -> tuple[float, float]:
-        w = np.linalg.eigvalsh(S[self._active_block])
-        return max(float(w[0]), 0.0), max(float(w[-1]), 0.0)
+    def __init__(self, pairs: int, planar: bool = False):
+        self.history: list[list[RegressorSample]] = [[] for _ in range(pairs)]
+        self.phis = np.zeros((pairs, 0, THETA_DIM))
+        self.ys = np.zeros((pairs, 0))
+        self.S = np.zeros((pairs, THETA_DIM, THETA_DIM))
+        self.n = [0] * pairs
+        self.lambda_min = np.zeros(pairs)
+        self.lambda_max = np.zeros(pairs)
+        self.active = np.array([0, 1, 3, 4, 5, 6]) if planar else np.arange(THETA_DIM)
+        # Index of the active dimensions: a view where all are active.
+        self._act = self.active if planar else slice(None)
+        self._block = (slice(None), self.active[:, None], self.active) if planar else ()
+        self._eye = np.eye(len(self.active))
 
     def _reserve(self, cap: int) -> None:
         """Grow the sample buffers to `cap` rows, keeping the filled ones."""
-        n = len(self.history)
-        phi_buf = np.zeros((cap, THETA_DIM))
-        y_buf = np.zeros(cap)
-        phi_buf[:n] = self._phi_buf[:n]
-        y_buf[:n] = self._y_buf[:n]
-        self._phi_buf, self._y_buf = phi_buf, y_buf
-        self.phis, self.ys = phi_buf[:n], y_buf[:n]
+        grow = cap - self.phis.shape[1]
+        self.phis = np.pad(self.phis, ((0, 0), (0, grow), (0, 0)))
+        self.ys = np.pad(self.ys, ((0, 0), (0, grow)))
 
-    def _write_last(self, sample: RegressorSample) -> None:
-        """Store the sample in the row of the last history entry, then
-        refresh the views and the eigenvalue summary."""
-        n = len(self.history)
-        self._phi_buf[n - 1] = sample.phi
-        self._y_buf[n - 1] = sample.y
-        self.phis = self._phi_buf[:n]
-        self.ys = self._y_buf[:n]
-        self.lambda_min, self.lambda_max = self._eigs(self.S)
+    def add_all(self, rows: list[int], samples: list[RegressorSample],
+                policy: RecordPolicy = RecordPolicy()) -> list[bool]:
+        """Offer samples[m] to pair rows[m] (ascending pair rows); returns
+        which were kept."""
+        if self.phis.shape[1] < policy.hist_cap:
+            self._reserve(policy.hist_cap)
+        full = [m for m, r in enumerate(rows) if self.n[r] >= policy.hist_cap]
+        # Candidate -> the row it replaces, or None, for the full records.
+        swaps = dict(zip(full, self._retention([rows[m] for m in full],
+                                               [samples[m] for m in full], policy)))
+        kept = [swaps.get(m, m) is not None for m in range(len(rows))]
+        new = [m for m, keep in enumerate(kept) if keep]
+        if not new:
+            return kept
+        rows_k = [rows[m] for m in new]
+        phi = np.array([samples[m].phi for m in new], dtype=float)
+        delta = phi[:, :, None] * phi[:, None, :]
+        for j, (r, m) in enumerate(zip(rows_k, new)):
+            e, slot = swaps.get(m), self.n[r]
+            if e is None:
+                self.n[r] += 1
+            else:
+                delta[j] -= np.outer(self.phis[r, e], self.phis[r, e])
+                # Same row order as the history list: close the gap, append last.
+                del self.history[r][e]
+                slot -= 1
+                self.phis[r, e:slot] = self.phis[r, e + 1:slot + 1]
+                self.ys[r, e:slot] = self.ys[r, e + 1:slot + 1]
+            self.history[r].append(samples[m])
+            self.phis[r, slot] = phi[j]
+            self.ys[r, slot] = samples[m].y
+        ix = pair_index(rows_k, len(self.n))
+        self.S[ix] += delta
+        w = np.linalg.eigvalsh(self.S[ix][self._block])
+        for r, lo, hi in zip(rows_k, w[:, 0].tolist(), w[:, -1].tolist()):
+            self.lambda_min[r] = max(lo, 0.0)
+            self.lambda_max[r] = max(hi, 0.0)
+        return kept
+
+    def _retention(self, rows: list[int], samples: list[RegressorSample],
+                   policy: RecordPolicy) -> list[int | None]:
+        """Volume criterion on the active block for pairs at capacity: the
+        row each candidate replaces, or None.  gain_add = phi' P phi is the
+        determinant ratio of adding the candidate; the leverage of each
+        retained sample under the grown matrix prices its removal."""
+        if not rows:
+            return []
+        ix = pair_index(rows, len(self.n))
+        phi_a = np.array([s.phi for s in samples], dtype=float)[:, self._act]
+        S_grown = self.S[ix][self._block] + phi_a[:, :, None] * phi_a[:, None, :]
+        P = np.linalg.inv(S_grown + policy.eps * self._eye)
+        lengths = [self.n[r] for r in rows]
+        hist_a = self.phis[ix, :max(lengths)][:, :, self._act]
+        leverages = np.einsum("pij,pjk,pik->pi", hist_a, P, hist_a)
+        if min(lengths) < max(lengths):
+            # Records past hist_cap (a policy shrank between adds) differ in length.
+            for lev, n in zip(leverages, lengths):
+                lev[n:] = np.inf
+        cand = np.vecdot(np.matmul(phi_a[:, None, :], P)[:, 0], phi_a).tolist()
+        out = []
+        for lev, idx, cand_lev in zip(leverages, leverages.argmin(axis=1).tolist(), cand):
+            if lev[idx] >= cand_lev:
+                out.append(None)
+                continue
+            gain_add = cand_lev / max(1.0 - cand_lev, policy.eps)
+            swap_gain = (1.0 + gain_add) * (1.0 - lev[idx])
+            out.append(None if swap_gain <= 1.0 + policy.min_gain else idx)
+        return out
+
+
+class DataRecord:
+    """One pair's recorded samples: a view of one row of a RecordBank.
+
+    A record made with `DataRecord(planar)` owns a bank of one pair;
+    `DataRecord(bank=bank, row=p)` reads pair p of a shared bank.
+    `history` lists the retained samples oldest first, `phis`/`ys` are
+    views of their rows (valid until the next add), and `S`, `lambda_min`
+    and `lambda_max` are the bank's entries for the pair.
+    """
+
+    def __init__(self, planar: bool = False, bank: RecordBank | None = None, row: int = 0):
+        self._bank = RecordBank(1, planar) if bank is None else bank
+        self._row = row
+
+    def __len__(self) -> int:
+        return self._bank.n[self._row]
+
+    @property
+    def history(self) -> list[RegressorSample]:
+        return self._bank.history[self._row]
+
+    @property
+    def phis(self) -> np.ndarray:
+        return self._bank.phis[self._row, :len(self)]
+
+    @property
+    def ys(self) -> np.ndarray:
+        return self._bank.ys[self._row, :len(self)]
+
+    @property
+    def S(self) -> np.ndarray:
+        return self._bank.S[self._row]
+
+    @property
+    def active(self) -> np.ndarray:
+        return self._bank.active
+
+    @property
+    def lambda_min(self) -> float:
+        return float(self._bank.lambda_min[self._row])
+
+    @lambda_min.setter
+    def lambda_min(self, value: float) -> None:
+        self._bank.lambda_min[self._row] = value
+
+    @property
+    def lambda_max(self) -> float:
+        return float(self._bank.lambda_max[self._row])
+
+    @lambda_max.setter
+    def lambda_max(self, value: float) -> None:
+        self._bank.lambda_max[self._row] = value
 
     def add(self, sample: RegressorSample, policy: RecordPolicy = RecordPolicy()) -> bool:
         """Record a sample, enforcing the retention policy.  Returns True if kept."""
-        if len(self._phi_buf) < policy.hist_cap:
-            self._reserve(policy.hist_cap)
-        if len(self.history) < policy.hist_cap:
-            self.history.append(sample)
-            self.S += np.outer(sample.phi, sample.phi)
-            self._write_last(sample)
-            return True
-
-        # Volume criterion on the active block.  gain_add = phi' P phi is the
-        # determinant ratio of adding the candidate; the leverage of each
-        # retained sample under the grown matrix prices its removal.
-        act = self.active
-        phi_a = sample.phi[act]
-        S_grown = self.S[self._active_block] + np.outer(phi_a, phi_a)
-        P = np.linalg.inv(S_grown + policy.eps * np.eye(len(act)))
-        hist_a = self.phis[:, act]
-        leverages = np.einsum("ij,jk,ik->i", hist_a, P, hist_a)
-        cand_lev = float(phi_a @ P @ phi_a)
-        idx = int(np.argmin(leverages))
-        if leverages[idx] >= cand_lev:
-            return False
-        gain_add = cand_lev / max(1.0 - cand_lev, policy.eps)
-        swap_gain = (1.0 + gain_add) * (1.0 - leverages[idx])
-        if swap_gain <= 1.0 + policy.min_gain:
-            return False
-        evicted = self.history.pop(idx)
-        self.history.append(sample)
-        self.S += np.outer(sample.phi, sample.phi) - np.outer(evicted.phi, evicted.phi)
-        # Same row order as the history list: close the gap, append last.
-        n = len(self.history)
-        self._phi_buf[idx:n - 1] = self._phi_buf[idx + 1:n]
-        self._y_buf[idx:n - 1] = self._y_buf[idx + 1:n]
-        self._write_last(sample)
-        return True
+        return self._bank.add_all([self._row], [sample], policy)[0]
 
     def rebuilt_S(self) -> np.ndarray:
         """Information matrix recomputed from scratch (reconstruction check)."""
@@ -203,13 +325,18 @@ class DataRecord:
         return S
 
 
+def excitation_ratios(bank: RecordBank) -> list[float]:
+    """lambda_min / lambda_max of every pair's recorded information
+    matrix, in [0, 1]; 0 where lambda_max is 0 (an empty record)."""
+    return [0.0 if hi <= 0.0 else lo / hi
+            for lo, hi in zip(bank.lambda_min.tolist(), bank.lambda_max.tolist())]
+
+
 def excitation_ratio(data: DataRecord) -> float:
-    """lambda_min / lambda_max of the recorded information matrix, in [0, 1]."""
+    """lambda_min / lambda_max of one record, in [0, 1]."""
     if len(data) == 0:
         raise EmptyRecord("no recorded samples")
-    if data.lambda_max <= 0.0:
-        return 0.0
-    return data.lambda_min / data.lambda_max
+    return excitation_ratios(data._bank)[data._row]
 
 
 @dataclass(frozen=True)

@@ -78,11 +78,15 @@ class RangeStream:
         self.rng = pair_rng(master_seed, i, j)
 
     def sample(self, truth_i: RobotTruth, truth_j: RobotTruth) -> tuple[float, bool]:
+        return self.draw(world_distance(truth_i, truth_j))
+
+    def draw(self, distance: float) -> tuple[float, bool]:
+        """Noisy range for a true distance, and whether it is an injected outlier."""
         # One uniform + one normal per call regardless of the branch, so streams
         # stay aligned between runs that differ only in noise settings.
         injected = bool(self.rng.uniform() < self.noise.outlier_prob)
         sigma = self.noise.sigma_outlier if injected else self.noise.sigma_range
-        d = world_distance(truth_i, truth_j) + self.rng.normal(0.0, sigma)
+        d = distance + self.rng.normal(0.0, sigma)
         return max(d, 0.0), injected
 
 

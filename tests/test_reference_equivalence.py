@@ -1,25 +1,35 @@
-"""The array-backed screen and record against their loop versions.
+"""The stacked screen, record and estimator against their loop versions.
 
-`JudgeQueue` keeps its accepted triplets in a fixed ring and votes with one
-array expression; `DataRecord` keeps its samples in preallocated buffers
-and shifts rows on an eviction.  Neither changes the arithmetic, so both
-must reproduce the plain loop versions below bit for bit on any input:
-the same verdicts and queue contents, the same stacked samples, S and
-eigenvalues.  The reference classes are copies of the implementations the
+`JudgeBank` keeps every pair's accepted triplets in a fixed ring and votes
+for all pairs with one array expression; `RecordBank` keeps every pair's
+samples in preallocated buffers, shifts rows on an eviction and takes one
+retention decision for all full records; `cl_update_all` steps all pairs
+that got a sample at once.  None of them changes the arithmetic, so they
+must reproduce the plain one-pair loop versions below bit for bit on any
+input, for one pair through the front ends (`JudgeQueue`, `DataRecord`)
+and for several pairs at different fill states side by side: the same
+verdicts and queue contents, the same stacked samples, S, eigenvalues and
+estimates.  The reference classes are copies of the implementations the
 array versions replaced, without their argument checks and docstrings.
 Truth scoring likewise takes the row norms of a whole log at once, where
-the tick loop once took them one row at a time.
+the tick loop once took them one row at a time, and the tracking errors of
+all ticks at once, where it once called `tracking_error_truth` per tick.
 """
 
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from uwbio.harness import _row_norms
-from uwbio.outliers import JudgeQueue, ScreenResult
-from uwbio.regression import THETA_DIM, DataRecord, RecordPolicy, RegressorSample
-from uwbio.sensing import MeasurementTriplet
+from uwbio.control import tracking_error_truth
+from uwbio.estimation import _rate, cl_update_all
+from uwbio.harness import _row_norms, run
+from uwbio.outliers import JudgeBank, JudgeQueue, ScreenResult
+from uwbio.regression import THETA_DIM, DataRecord, RecordBank, RecordPolicy, RegressorSample
+from uwbio.scenarios import chain_swarm, four_robot_formation
+from uwbio.sensing import MeasurementTriplet, NoiseModel
+from uwbio.world import RobotTruth
 
 
 class ReferenceJudgeQueue:
@@ -98,6 +108,23 @@ class ReferenceDataRecord:
         self.S += outer - np.outer(evicted.phi, evicted.phi)
         self._restack()
         return True
+
+
+def reference_cl_update(theta: np.ndarray, data: ReferenceDataRecord,
+                        current: RegressorSample, variant: str) -> np.ndarray:
+    """One concurrent-learning step of one pair, as a loop over pairs took it."""
+    lam_u = float(current.phi @ current.phi)
+    if variant == "stated":
+        denom = lam_u + data.lambda_max ** 2
+    else:
+        denom = (lam_u + data.lambda_max) ** 2
+    eta = 0.0 if denom <= 0.0 else data.lambda_min / denom
+    if eta == 0.0:
+        return theta
+    resid = data.phis @ theta - data.ys
+    grad = data.phis.T @ resid
+    grad += current.phi * (current.phi @ theta - current.y)
+    return theta - eta * grad
 
 
 def bits(a) -> bytes:
@@ -182,3 +209,118 @@ def test_row_norms_equal_per_row_norm(width, rows, nan_rows):
     got = _row_norms(d)
     want = np.array([np.linalg.norm(row) for row in d])
     assert got.tobytes() == want.tobytes()
+
+
+def padded_cl_update_all(theta, bank, rows, phi, y, variant="stated"):
+    """cl_update_all with every record zero-padded to the longest one and
+    one stacked product for all pairs, instead of one per record length."""
+    lam_min, lam_max = bank.lambda_min.tolist(), bank.lambda_max.tolist()
+    eta = [_rate(lam_min[r], lam_max[r], lam_u, variant)
+           for r, lam_u in zip(rows, np.vecdot(phi, phi).tolist())]
+    sel = [m for m, rate in enumerate(eta) if rate != 0.0]
+    if sel:
+        r = [rows[m] for m in sel]
+        length = max(bank.n[p] for p in r)
+        phis, th = bank.phis[r, :length], theta[r]
+        resid = np.matmul(phis, th[:, :, None])[:, :, 0] - bank.ys[r, :length]
+        grad = np.matmul(phis.transpose(0, 2, 1), resid[:, :, None])[:, :, 0]
+        grad += phi[sel] * (np.vecdot(phi[sel], th) - y[sel])[:, None]
+        theta[r] = th - np.array([eta[m] for m in sel])[:, None] * grad
+    return [rate != 0.0 for rate in eta]
+
+
+def queued(judges: JudgeBank, p: int) -> list:
+    """Pair p's queued triplets, oldest first, as (d, z_i, z_j, t_k) bits."""
+    ring = np.roll(judges.ring[p, :judges.size[p]], -(judges.count[p] % judges.capacity),
+                   axis=0)
+    return [(r[0], bits(r[1:4]), bits(r[4:7]), int(r[7])) for r in ring]
+
+
+def check_pairs_against_reference(seed: int, n_pairs: int, planar: bool, hist_cap: int,
+                                  variant: str, steps: int, cl_step=cl_update_all) -> None:
+    """Drive a JudgeBank, a RecordBank and a stacked estimate for n_pairs
+    pairs, each pair prefilled to its own length (some below hist_cap, some
+    full and evicting) and then offered samples in random subsets, and
+    check every step bit for bit against one loop reference per pair."""
+    rng = np.random.default_rng(seed)
+    policy = RecordPolicy(hist_cap=hist_cap)
+    bank = RecordBank(n_pairs, planar)
+    refs = [ReferenceDataRecord(planar) for _ in range(n_pairs)]
+    theta = rng.normal(size=(n_pairs, THETA_DIM))
+    ref_theta = [row.copy() for row in theta]
+    streams = [iter(sample_stream(int(rng.integers(2**32)), 4 * hist_cap + steps, planar))
+               for _ in range(n_pairs)]
+    for p in range(n_pairs):
+        for _ in range(int(rng.integers(0, 2 * hist_cap))):
+            s = next(streams[p])
+            assert bank.add_all([p], [s], policy) == [refs[p].add(s, policy)]
+    judges = JudgeBank(n_pairs, int(rng.integers(1, 7)), float(rng.uniform(0.05, 0.95)))
+    ref_judges = [ReferenceJudgeQueue(judges.capacity, judges.threshold) for _ in range(n_pairs)]
+    triplets = [triplet_stream(int(rng.integers(2**32)), steps, bool(rng.integers(2)))
+                for _ in range(n_pairs)]
+    for k in range(steps):
+        cands = [triplets[p][k] for p in range(n_pairs)]
+        got = judges.screen_all(np.array([c.d for c in cands]),
+                                np.array([np.concatenate((c.z_i, c.z_j)) for c in cands]), k)
+        want = [ref_judges[p].screen(c) for p, c in enumerate(cands)]
+        assert [ScreenResult(*r) for r in zip(*got)] == want
+
+        rows = sorted(int(p) for p in
+                      rng.choice(n_pairs, int(rng.integers(1, n_pairs + 1)), replace=False))
+        samples = [next(streams[p]) for p in rows]
+        kept = bank.add_all(rows, samples, policy)
+        assert kept == [refs[p].add(s, policy) for p, s in zip(rows, samples)]
+        cl_step(theta, bank, rows, np.array([s.phi for s in samples]),
+                np.array([s.y for s in samples]), variant)
+        for p, s in zip(rows, samples):
+            ref_theta[p] = reference_cl_update(ref_theta[p], refs[p], s, variant)
+        for p in range(n_pairs):
+            rec = DataRecord(bank=bank, row=p)
+            assert bits(rec.phis) == bits(refs[p].phis)
+            assert bits(rec.ys) == bits(refs[p].ys)
+            assert bits(rec.S) == bits(refs[p].S)
+            assert (rec.lambda_min, rec.lambda_max) == (refs[p].lambda_min, refs[p].lambda_max)
+            assert bits(theta[p]) == bits(ref_theta[p])
+    for p in range(n_pairs):
+        assert queued(judges, p) == [(e.d, bits(e.z_i), bits(e.z_j), e.t_k)
+                                     for e in ref_judges[p].entries]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_pairs=st.integers(1, 5), planar=st.booleans(),
+       hist_cap=st.integers(7, 16), variant=st.sampled_from(["stated", "proof"]))
+def test_stacked_pairs_match_reference(seed, n_pairs, planar, hist_cap, variant):
+    check_pairs_against_reference(seed, n_pairs, planar, hist_cap, variant, steps=40)
+
+
+def test_zero_padded_cl_fails_the_reference():
+    """Stacking records of different lengths by zero-padding them to the
+    longest sums some of them in another order (OpenBLAS, 7, 11, 15 rows
+    against a longer record), which the check above sees."""
+    failures = 0
+    for seed in range(20):
+        check_pairs_against_reference(seed, 5, False, 16, "stated", 40)
+        try:
+            check_pairs_against_reference(seed, 5, False, 16, "stated", 40,
+                                          cl_step=padded_cl_update_all)
+        except AssertionError:
+            failures += 1
+    assert failures > 0
+
+
+@pytest.mark.parametrize("config", [
+    chain_swarm(3, seed=1, noise=NoiseModel(0.05, 0.002, 0.001), duration_s=10.0),
+    four_robot_formation(noise=NoiseModel(0.05, 0.002, 0.001), seed=2, duration_s=10.0),
+], ids=["chain3d", "formation_planar"])
+def test_track_truth_equals_tracking_error_truth(config):
+    """Truth scoring computes the tracking error of every tick at once; each
+    row must equal tracking_error_truth on that tick's logged true poses."""
+    res = run(config)
+    spec = config.formation_spec()
+    for i, track in res.track_truth.items():
+        want = []
+        for row in res.truth:
+            e = tracking_error_truth(RobotTruth.from_row(i, row[i]),
+                                     RobotTruth.from_row(0, row[0]), spec.offset(i))
+            want.append([e.e_p[0], e.e_p[1], e.e_p[2], e.e_c, e.e_s])
+        assert track.tobytes() == np.array(want).tobytes()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -114,10 +115,10 @@ class ScenarioConfig:
     sample_dump: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ConfigError(f"duration_s must be positive and finite, got {self.duration_s!r}")
         ids = [r.id for r in self.robots]
         if ids != list(range(len(self.robots))) or not ids:
             raise ConfigError("robot ids must be contiguous 0..N with the leader first")
@@ -136,8 +137,10 @@ class ScenarioConfig:
                 raise ConfigError(f"formation offset for unknown robot {rid}")
         # Raises on unreachable robots or malformed edges.
         assign_layers(self.edges, len(self.robots))
-        # Raises on non-finite offsets or a nonzero leader offset.
-        self.formation_spec()
+        try:
+            self.formation_spec()
+        except ValueError as exc:   # a non-finite or short offset, or a leader offset
+            raise ConfigError(str(exc)) from exc
         # Raises on a capacity below 1 or a threshold outside (0, 1).
         JudgeQueue(self.judge_capacity, self.judge_threshold)
 
@@ -222,13 +225,37 @@ def _reject_unknown(d: dict, context: str) -> None:
 
 
 def _exact(value, kind: type, key: str):
-    """`value` if it is of type `kind` (bool or int; an integral float
-    counts as an int), else a ConfigError: never a silent coercion."""
+    """`value` if it is of type `kind` (bool, int or str; an integral
+    float counts as an int), else a ConfigError: never a silent coercion."""
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     if type(value) is not kind:
         raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
     return value
+
+
+def _float(value, key: str) -> float:
+    """`value` as a float if it is an int or a float (never a bool or a
+    string), else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _formation(raw: dict) -> dict[int, tuple[float, ...]]:
+    """Robot id -> offset; the JSON keys are robot ids as strings."""
+    formation = {}
+    for key, offset in raw.items():
+        try:
+            rid = int(_exact(key, str, "formation key"))
+        except ValueError:
+            raise ConfigError(f"formation key {key!r} is not a robot id") from None
+        if not isinstance(offset, list) or len(offset) != 3:
+            raise ConfigError(f"formation offset for robot {key!r} must be a list of "
+                              f"3 numbers, got {offset!r}")
+        formation[rid] = tuple(_float(x, f"formation offset for robot {key!r}")
+                               for x in offset)
+    return formation
 
 
 def _floats(cls, raw: dict, context: str, **fixed):
@@ -240,7 +267,7 @@ def _floats(cls, raw: dict, context: str, **fixed):
                if f.name in names and f.name not in d and f.default is MISSING]
     if missing:
         raise ConfigError(f"missing required {context} keys: {missing}")
-    values = {name: float(d.pop(name)) for name in names if name in d}
+    values = {name: _float(d.pop(name), f"{context} {name}") for name in names if name in d}
     _reject_unknown(d, context)
     return cls(**values, **fixed)
 
@@ -258,14 +285,12 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         robots.append(_floats(RobotConfig, rd, "robot", id=robot_id))
 
     gd = dict(_pop(d, "gains"))
-    gains = ControlGains(float(_pop(gd, "k1")), float(_pop(gd, "k2")),
-                         float(_pop(gd, "k3")), float(_pop(gd, "k4")))
+    gains = ControlGains(*(_float(_pop(gd, k), f"gains {k}") for k in ("k1", "k2", "k3", "k4")))
     _reject_unknown(gd, "gains")
 
     noise = _floats(NoiseModel, _pop(d, "noise", {}), "noise")
 
-    fd = dict(_pop(d, "formation", {}))
-    formation = {int(k): tuple(float(x) for x in v) for k, v in fd.items()}
+    formation = _formation(_pop(d, "formation", {}))
 
     cruise_raw = _pop(d, "leader_cruise", None)
     cruise = None
@@ -284,18 +309,19 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
 
     jd = dict(_pop(d, "judge", {}))
     judge_capacity = _exact(_pop(jd, "capacity", 20), int, "judge capacity")
-    judge_threshold = float(_pop(jd, "threshold", 0.5))
+    judge_threshold = _float(_pop(jd, "threshold", 0.5), "judge threshold")
     _reject_unknown(jd, "judge")
 
     rid = _pop(d, "random_init", None)
     random_init = None if rid is None else _floats(RandomInit, rid, "random_init")
     sat_raw = _pop(d, "saturation", None)
     saturation = None if sat_raw is None else _floats(Saturation, sat_raw, "saturation")
+    timeout = _pop(d, "stage1_timeout_s", None)
 
     cfg = ScenarioConfig(
-        name=str(_pop(d, "name")),
-        dt=float(_pop(d, "dt")),
-        duration_s=float(_pop(d, "duration_s")),
+        name=_exact(_pop(d, "name"), str, "name"),
+        dt=_float(_pop(d, "dt"), "dt"),
+        duration_s=_float(_pop(d, "duration_s"), "duration_s"),
         robots=tuple(robots),
         edges=tuple((_exact(i, int, "edge"), _exact(j, int, "edge"))
                     for i, j in _pop(d, "edges")),
@@ -304,9 +330,10 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         noise=noise,
         seed=_exact(_pop(d, "seed", 0), int, "seed"),
         mode_2d=_exact(_pop(d, "mode_2d", False), bool, "mode_2d"),
-        excitation_threshold=float(_pop(d, "excitation_threshold", 0.1)),
+        excitation_threshold=_float(_pop(d, "excitation_threshold", 0.1),
+                                    "excitation_threshold"),
         hist_cap=_exact(_pop(d, "hist_cap", 64), int, "hist_cap"),
-        stage1_timeout_s=(lambda v: None if v is None else float(v))(_pop(d, "stage1_timeout_s", None)),
+        stage1_timeout_s=None if timeout is None else _float(timeout, "stage1_timeout_s"),
         leader_cruise=cruise,
         outlier_screening=outlier_screening,
         truth_feedback=truth_feedback,

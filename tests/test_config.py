@@ -148,6 +148,45 @@ class TestStrictValues:
         with pytest.raises(ConfigError, match="stage1_timeout_s"):
             config_from_dict(d)
 
+    @pytest.mark.parametrize("path, value", [(("dt",), "0.05"),
+                                             (("noise", "sigma_range"), True),
+                                             (("gains", "k1"), "1"),
+                                             (("judge", "threshold"), "0.5")])
+    def test_non_number_float_rejected(self, path, value):
+        d = two_robot_benchmark().to_dict()
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ConfigError, match=f"{path[-1]} must be a number"):
+            config_from_dict(d)
+
+    def test_non_str_name_rejected(self):
+        d = two_robot_benchmark().to_dict()
+        d["name"] = 7
+        with pytest.raises(ConfigError, match="name must be str"):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("key", ["dt", "duration_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, key, value):
+        d = two_robot_benchmark().to_dict()
+        d[key] = value
+        with pytest.raises(ConfigError, match=f"{key} must be positive and finite"):
+            config_from_dict(d)
+
+    def test_non_integer_formation_key_rejected(self):
+        d = four_robot_formation().to_dict()
+        d["formation"]["1.0"] = d["formation"].pop("1")
+        with pytest.raises(ConfigError, match="formation key '1.0'"):
+            config_from_dict(d)
+
+    def test_short_formation_offset_rejected(self):
+        d = four_robot_formation().to_dict()
+        d["formation"]["2"] = [0.0, 1.0]
+        with pytest.raises(ConfigError, match="offset for robot '2'"):
+            config_from_dict(d)
+
     @pytest.mark.parametrize("judge", [{"capacity": 0, "threshold": 0.5},
                                        {"capacity": 20, "threshold": 1.0}])
     def test_bad_judge_rejected_at_load(self, judge):

@@ -237,11 +237,13 @@ def queued(judges: JudgeBank, p: int) -> list:
 
 
 def check_pairs_against_reference(seed: int, n_pairs: int, planar: bool, hist_cap: int,
-                                  variant: str, steps: int, cl_step=cl_update_all) -> None:
+                                  variant: str, steps: int,
+                                  cl_step=cl_update_all) -> tuple[list[int], int]:
     """Drive a JudgeBank, a RecordBank and a stacked estimate for n_pairs
     pairs, each pair prefilled to its own length (some below hist_cap, some
     full and evicting) and then offered samples in random subsets, and
-    check every step bit for bit against one loop reference per pair."""
+    check every step bit for bit against one loop reference per pair.
+    Returns the prefilled lengths and the number of evictions."""
     rng = np.random.default_rng(seed)
     policy = RecordPolicy(hist_cap=hist_cap)
     bank = RecordBank(n_pairs, planar)
@@ -254,6 +256,7 @@ def check_pairs_against_reference(seed: int, n_pairs: int, planar: bool, hist_ca
         for _ in range(int(rng.integers(0, 2 * hist_cap))):
             s = next(streams[p])
             assert bank.add_all([p], [s], policy) == [refs[p].add(s, policy)]
+    prefilled, evictions = list(bank.n), 0
     judges = JudgeBank(n_pairs, int(rng.integers(1, 7)), float(rng.uniform(0.05, 0.95)))
     ref_judges = [ReferenceJudgeQueue(judges.capacity, judges.threshold) for _ in range(n_pairs)]
     triplets = [triplet_stream(int(rng.integers(2**32)), steps, bool(rng.integers(2)))
@@ -268,7 +271,9 @@ def check_pairs_against_reference(seed: int, n_pairs: int, planar: bool, hist_ca
         rows = sorted(int(p) for p in
                       rng.choice(n_pairs, int(rng.integers(1, n_pairs + 1)), replace=False))
         samples = [next(streams[p]) for p in rows]
+        full = [bank.n[p] == hist_cap for p in rows]
         kept = bank.add_all(rows, samples, policy)
+        evictions += sum(k and f for k, f in zip(kept, full))
         assert kept == [refs[p].add(s, policy) for p, s in zip(rows, samples)]
         cl_step(theta, bank, rows, np.array([s.phi for s in samples]),
                 np.array([s.y for s in samples]), variant)
@@ -284,6 +289,7 @@ def check_pairs_against_reference(seed: int, n_pairs: int, planar: bool, hist_ca
     for p in range(n_pairs):
         assert queued(judges, p) == [(e.d, bits(e.z_i), bits(e.z_j), e.t_k)
                                      for e in ref_judges[p].entries]
+    return prefilled, evictions
 
 
 @settings(max_examples=60, deadline=None)
@@ -291,6 +297,15 @@ def check_pairs_against_reference(seed: int, n_pairs: int, planar: bool, hist_ca
        hist_cap=st.integers(7, 16), variant=st.sampled_from(["stated", "proof"]))
 def test_stacked_pairs_match_reference(seed, n_pairs, planar, hist_cap, variant):
     check_pairs_against_reference(seed, n_pairs, planar, hist_cap, variant, steps=40)
+
+
+def test_stacked_pairs_reach_every_fill_state():
+    # A five-pair run holds records below capacity and full ones side by
+    # side, and the full ones evict, in both modes.
+    for planar in (False, True):
+        prefilled, evictions = check_pairs_against_reference(3, 5, planar, 8, "stated", 40)
+        assert min(prefilled) < 8 <= max(prefilled)
+        assert evictions > 0
 
 
 def test_zero_padded_cl_fails_the_reference():

@@ -79,8 +79,9 @@ def cl_update_all(theta: np.ndarray, bank: RecordBank, rows: list[int],
                   phi: np.ndarray, y: np.ndarray, variant: str = "stated") -> list[bool]:
     """One concurrent-learning step for pairs rows[m] (ascending, with
     non-empty records) against their records plus the current samples
-    (phi[m], y[m]), written into theta[rows] in place.  Returns which pairs
-    moved: a pair whose learning rate is 0 keeps its estimate untouched.
+    (phi[m], y[m]), written into theta[rows] in place; theta (pairs, 7) is
+    on the bank's pair axis.  Returns which pairs moved: a pair whose
+    learning rate is 0 keeps its estimate untouched.
 
     The rates are scalar per pair; the products run stacked per record
     length, so every product has the shape it has for one pair (a record
@@ -115,10 +116,15 @@ def cl_update(est: ThetaEstimate, current: RegressorSample) -> ThetaEstimate:
     data = est.data
     if len(data) == 0:
         raise ValueError("cl_update requires a non-empty record")
-    theta = np.array(est.theta_hat, dtype=float)[None]
-    moved = cl_update_all(theta, data._bank, [data._row], current.phi[None],
+    # The record may be one row of a bank of several pairs (a run's final
+    # estimators are); the estimate goes into the same row of a bank-sized
+    # theta.
+    bank, row = data._bank, data._row
+    theta = np.zeros((len(bank.n), THETA_DIM))
+    theta[row] = est.theta_hat
+    moved = cl_update_all(theta, bank, [row], current.phi[None],
                           np.array([current.y]), est.rate_variant)
-    return replace(est, theta_hat=theta[0]) if moved[0] else est
+    return replace(est, theta_hat=theta[row]) if moved[0] else est
 
 
 def innovation(est: ThetaEstimate, sample: RegressorSample) -> float:

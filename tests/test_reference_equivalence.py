@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uwbio.control import tracking_error_truth
-from uwbio.estimation import _rate, cl_update_all
+from uwbio.estimation import _rate, cl_update, cl_update_all
 from uwbio.harness import _row_norms, run
 from uwbio.outliers import JudgeBank, JudgeQueue, ScreenResult
 from uwbio.regression import THETA_DIM, DataRecord, RecordBank, RecordPolicy, RegressorSample
@@ -306,6 +306,25 @@ def test_stacked_pairs_reach_every_fill_state():
         prefilled, evictions = check_pairs_against_reference(3, 5, planar, 8, "stated", 40)
         assert min(prefilled) < 8 <= max(prefilled)
         assert evictions > 0
+
+
+def test_cl_update_on_a_run_record_matches_reference():
+    """A run's final estimators are views of one row of its stacked state;
+    the one-pair front end steps that pair alone, bit for bit as the loop
+    reference, and leaves the run's estimate untouched."""
+    res = run(chain_swarm(3, seed=1, noise=NoiseModel(0.05, 0.002, 0.001), duration_s=20.0))
+    assert len(res.final_estimators) > 1
+    for pair, est in res.final_estimators.items():
+        rec = est.data
+        ref = ReferenceDataRecord()
+        ref.phis, ref.ys = rec.phis.copy(), rec.ys.copy()
+        ref.lambda_min, ref.lambda_max = rec.lambda_min, rec.lambda_max
+        before = est.theta_hat.copy()
+        s = res.last_sample[pair]
+        out = cl_update(est, s)
+        assert out is not est
+        assert bits(out.theta_hat) == bits(reference_cl_update(before, ref, s, est.rate_variant))
+        assert bits(est.theta_hat) == bits(before)
 
 
 def test_zero_padded_cl_fails_the_reference():

@@ -7,8 +7,8 @@ from .geometry import (Angle, DegenerateRotation, PlanarRotation, Rotation3Z,
 from .world import Pose4, RobotTruth, VelocityCommand, relative_truth, step
 from .sensing import MeasurementTriplet, NoiseModel, OdomBroadcast
 from .regression import (DataRecord, EmptyRecord, MotionProfile, RankDiagnosis,
-                         RecordPolicy, RegressorSample, ThetaTrue, build_sample,
-                         excitation_ratio, observability_probe)
+                         RegressorSample, ThetaTrue, build_sample, excitation_ratio,
+                         observability_probe)
 from .estimation import (RelativePoseEstimate, StaleBroadcast, ThetaEstimate,
                          cl_update, realtime_relative_pose, reconstruct_pose)
 from .cooploc import (LeaderPoseEstimate, MissingNeighborEstimate, TopologyGraph,

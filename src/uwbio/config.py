@@ -18,6 +18,7 @@ import numpy as np
 from .control import ControlGains, FormationSpec
 from .cooploc import assign_layers
 from .outliers import JudgeQueue
+from .regression import HIST_CAP
 from .sensing import NoiseModel
 from .world import VelocityCommand
 
@@ -91,13 +92,13 @@ class ScenarioConfig:
     duration_s: float
     robots: tuple[RobotConfig, ...]
     edges: tuple[tuple[int, int], ...]
-    gains: ControlGains                      # k1..k4 shared by all robots
+    gains: ControlGains
     formation: dict[int, tuple[float, float, float]] = field(default_factory=dict)
     noise: NoiseModel = NoiseModel()
     seed: int = 0
     mode_2d: bool = False
     excitation_threshold: float = 0.1
-    hist_cap: int = 64
+    hist_cap: int = HIST_CAP
     stage1_timeout_s: float | None = None
     leader_cruise: VelocityCommand | None = None   # None: keep flying the stage-one circle
     outlier_screening: bool = True
@@ -119,6 +120,9 @@ class ScenarioConfig:
             raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ConfigError(f"duration_s must be positive and finite, got {self.duration_s!r}")
+        bad = _non_finite(self.to_dict())
+        if bad:
+            raise ConfigError(f"{bad[0]} must be finite")
         ids = [r.id for r in self.robots]
         if ids != list(range(len(self.robots))) or not ids:
             raise ConfigError("robot ids must be contiguous 0..N with the leader first")
@@ -132,17 +136,23 @@ class ScenarioConfig:
             raise ConfigError("physics_substeps must be >= 1")
         if self.stage1_timeout_s is not None and self.stage1_timeout_s <= 0:
             raise ConfigError("stage1_timeout_s must be positive when given")
+        if self.broadcast_horizon < 0:
+            raise ConfigError("broadcast_horizon must be >= 0")
         for rid in self.formation:
             if rid not in ids:
                 raise ConfigError(f"formation offset for unknown robot {rid}")
-        # Raises on unreachable robots or malformed edges.
-        assign_layers(self.edges, len(self.robots))
+        try:
+            assign_layers(self.edges, len(self.robots))
+        except ValueError as exc:   # an unreachable robot or a malformed edge
+            raise ConfigError(f"edges: {exc}") from exc
         try:
             self.formation_spec()
         except ValueError as exc:   # a non-finite or short offset, or a leader offset
             raise ConfigError(str(exc)) from exc
-        # Raises on a capacity below 1 or a threshold outside (0, 1).
-        JudgeQueue(self.judge_capacity, self.judge_threshold)
+        try:
+            JudgeQueue(self.judge_capacity, self.judge_threshold)
+        except ValueError as exc:   # a capacity below 1 or a threshold outside (0, 1)
+            raise ConfigError(f"judge {exc}") from exc
 
     @property
     def n_robots(self) -> int:
@@ -159,47 +169,12 @@ class ScenarioConfig:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "dt": self.dt,
-            "duration_s": self.duration_s,
-            "mode_2d": self.mode_2d,
-            "seed": self.seed,
-            "robots": [{"id": r.id, "x": r.x, "y": r.y, "z": r.z, "yaw": r.yaw,
-                        "r": r.r, "c_v": r.c_v, "c_w": r.c_w} for r in self.robots],
-            "edges": [list(e) for e in self.edges],
-            "gains": {"k1": self.gains.k1, "k2": self.gains.k2,
-                      "k3": self.gains.k3, "k4": self.gains.k4},
-            "formation": {str(rid): list(off) for rid, off in self.formation.items()},
-            "noise": {"sigma_range": self.noise.sigma_range,
-                      "sigma_odom_pos": self.noise.sigma_odom_pos,
-                      "sigma_odom_yaw": self.noise.sigma_odom_yaw,
-                      "outlier_prob": self.noise.outlier_prob,
-                      "sigma_outlier": self.noise.sigma_outlier},
-            "excitation_threshold": self.excitation_threshold,
-            "hist_cap": self.hist_cap,
-            "stage1_timeout_s": self.stage1_timeout_s,
-            "leader_cruise": None if self.leader_cruise is None else
-                {"v_h": self.leader_cruise.v_h, "v_z": self.leader_cruise.v_z,
-                 "w": self.leader_cruise.w},
-            "flags": {"outlier_screening": self.outlier_screening,
-                      "truth_feedback": self.truth_feedback,
-                      "pe_baseline": self.pe_baseline,
-                      "leader_odom_broadcast": self.leader_odom_broadcast},
-            "rate_variant": self.rate_variant,
-            "pe_excitation": {"amplitude": self.pe_excitation.amplitude,
-                              "frequency": self.pe_excitation.frequency},
-            "judge": {"capacity": self.judge_capacity, "threshold": self.judge_threshold},
-            "broadcast_horizon": self.broadcast_horizon,
-            "physics_substeps": self.physics_substeps,
-            "random_init": None if self.random_init is None else
-                {"radius": self.random_init.radius, "min_sep": self.random_init.min_sep},
-            "saturation": None if self.saturation is None else
-                {"v_h_max": self.saturation.v_h_max, "v_z_max": self.saturation.v_z_max,
-                 "w_max": self.saturation.w_max},
-            "sample_dump": self.sample_dump,
-        }
+        d: dict = {"schema_version": SCHEMA_VERSION}
+        for name, (path, kind) in _FIELDS.items():
+            parent, _, key = path.rpartition(".")
+            node = d.setdefault(parent, {}) if parent else d
+            node[key] = kind.dump(getattr(self, name))
+        return d
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -211,12 +186,11 @@ class ScenarioConfig:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def _pop(d: dict, key: str, default=...):
-    if key in d:
-        return d.pop(key)
-    if default is ...:
-        raise ConfigError(f"missing required config key {key!r}")
-    return default
+def _object(raw, key: str) -> dict:
+    """A copy of the JSON object `raw`, for popping its keys."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{key} must be an object, got {raw!r}")
+    return dict(raw)
 
 
 def _reject_unknown(d: dict, context: str) -> None:
@@ -224,133 +198,179 @@ def _reject_unknown(d: dict, context: str) -> None:
         raise ConfigError(f"unknown {context} keys: {sorted(d)}")
 
 
-def _exact(value, kind: type, key: str):
-    """`value` if it is of type `kind` (bool, int or str; an integral
-    float counts as an int), else a ConfigError: never a silent coercion."""
-    if kind is int and isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is not kind:
-        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
-    return value
+def _non_finite(node, key: str = "") -> list[str]:
+    """Dotted keys of the non-finite reals in a `to_dict` tree."""
+    if isinstance(node, float):
+        return [] if math.isfinite(node) else [key]
+    subs = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    return [bad for sub, value in subs
+            for bad in _non_finite(value, f"{key}.{sub}" if key else sub)]
 
 
-def _float(value, key: str) -> float:
-    """`value` as a float if it is an int or a float (never a bool or a
-    string), else a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+class _Scalar:
+    """A bool, int, str or real value, never coerced: an integral float
+    counts as an int and an int as a real, nothing else.  A real is dumped
+    as a float, so configs that compare equal hash equal."""
+
+    def __init__(self, kind: type):
+        self.kind = kind
+
+    def dump(self, value):
+        return float(value) if self.kind is float else value
+
+    def load(self, raw, key: str):
+        if self.kind is float:
+            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+                raise ConfigError(f"{key} must be a number, got {raw!r}")
+            return float(raw)
+        if self.kind is int and isinstance(raw, float) and raw.is_integer():
+            raw = int(raw)
+        if type(raw) is not self.kind:
+            raise ConfigError(f"{key} must be {self.kind.__name__}, got {raw!r}")
+        return raw
 
 
-def _formation(raw: dict) -> dict[int, tuple[float, ...]]:
-    """Robot id -> offset; the JSON keys are robot ids as strings."""
-    formation = {}
-    for key, offset in raw.items():
+_BOOL, _INT, _STR, _REAL = (_Scalar(kind) for kind in (bool, int, str, float))
+
+
+class _Optional:
+    """A value of `kind`, or null for None."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def dump(self, value):
+        return None if value is None else self.kind.dump(value)
+
+    def load(self, raw, key: str):
+        return None if raw is None else self.kind.load(raw, key)
+
+
+class _List:
+    """A JSON list of values of one kind (exactly `length` of them when
+    given), loaded as a tuple."""
+
+    def __init__(self, kind, length: int | None = None):
+        self.kind = kind
+        self.length = length
+
+    def dump(self, value) -> list:
+        return [self.kind.dump(x) for x in value]
+
+    def load(self, raw, key: str) -> tuple:
+        if not isinstance(raw, list) or self.length not in (None, len(raw)):
+            shape = "a list" if self.length is None else f"a list of {self.length}"
+            raise ConfigError(f"{key} must be {shape}, got {raw!r}")
+        return tuple(self.kind.load(x, f"{key}.{n}") for n, x in enumerate(raw))
+
+
+class _Record:
+    """A frozen dataclass as a JSON object with one key per field, of the
+    scalar kind its annotation names; a key left out takes the field's
+    default, or the one given here.  Errors the dataclass raises name the
+    key."""
+
+    def __init__(self, cls: type, **defaults):
+        self.cls = cls
+        scalars = {"bool": _BOOL, "int": _INT, "str": _STR, "float": _REAL}
+        self.kinds = {f.name: scalars[f.type] for f in fields(cls)}
+        self.required = [f.name for f in fields(cls)
+                         if f.default is MISSING and f.name not in defaults]
+        self.defaults = defaults
+
+    def dump(self, value) -> dict:
+        return {name: kind.dump(getattr(value, name)) for name, kind in self.kinds.items()}
+
+    def load(self, raw, key: str):
+        d = _object(raw, key)
+        missing = [name for name in self.required if name not in d]
+        if missing:
+            raise ConfigError(f"missing required {key} keys: {missing}")
+        values = {**self.defaults, **{name: kind.load(d.pop(name), f"{key}.{name}")
+                                      for name, kind in self.kinds.items() if name in d}}
+        _reject_unknown(d, key)
         try:
-            rid = int(_exact(key, str, "formation key"))
-        except ValueError:
-            raise ConfigError(f"formation key {key!r} is not a robot id") from None
-        if not isinstance(offset, list) or len(offset) != 3:
-            raise ConfigError(f"formation offset for robot {key!r} must be a list of "
-                              f"3 numbers, got {offset!r}")
-        formation[rid] = tuple(_float(x, f"formation offset for robot {key!r}")
-                               for x in offset)
-    return formation
+            return self.cls(**values)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _floats(cls, raw: dict, context: str, **fixed):
-    """Dataclass `cls` from a JSON object: each float field from its key, or
-    its default when the key is absent; other keys are errors."""
-    d = dict(raw)
-    names = [f.name for f in fields(cls) if f.type in (float, "float")]
-    missing = [f.name for f in fields(cls)
-               if f.name in names and f.name not in d and f.default is MISSING]
-    if missing:
-        raise ConfigError(f"missing required {context} keys: {missing}")
-    values = {name: _float(d.pop(name), f"{context} {name}") for name in names if name in d}
-    _reject_unknown(d, context)
-    return cls(**values, **fixed)
+class _Formation:
+    """Robot id -> offset; the JSON keys are robot ids as strings."""
+
+    _OFFSET = _List(_REAL, 3)
+
+    def dump(self, value) -> dict:
+        return {str(rid): self._OFFSET.dump(off) for rid, off in value.items()}
+
+    def load(self, raw, key: str) -> dict:
+        formation = {}
+        for rid, offset in _object(raw, key).items():
+            try:
+                robot = int(_STR.load(rid, key))
+            except ValueError:
+                raise ConfigError(f"formation key {rid!r} is not a robot id") from None
+            formation[robot] = self._OFFSET.load(offset, f"formation offset for robot {rid!r}")
+        return formation
+
+
+# Every ScenarioConfig field: its dotted JSON path and its kind, in the
+# order `to_dict` writes them.  `to_dict` and `config_from_dict` both walk
+# this table; a key left out of the JSON takes the field's default.
+_FIELDS = {
+    "name": ("name", _STR),
+    "dt": ("dt", _REAL),
+    "duration_s": ("duration_s", _REAL),
+    "mode_2d": ("mode_2d", _BOOL),
+    "seed": ("seed", _INT),
+    "robots": ("robots", _List(_Record(RobotConfig))),
+    "edges": ("edges", _List(_List(_INT, 2))),
+    "gains": ("gains", _Record(ControlGains)),
+    "formation": ("formation", _Formation()),
+    "noise": ("noise", _Record(NoiseModel)),
+    "excitation_threshold": ("excitation_threshold", _REAL),
+    "hist_cap": ("hist_cap", _INT),
+    "stage1_timeout_s": ("stage1_timeout_s", _Optional(_REAL)),
+    # v_z may be left out; VelocityCommand itself has no default for it.
+    "leader_cruise": ("leader_cruise", _Optional(_Record(VelocityCommand, v_z=0.0))),
+    "outlier_screening": ("flags.outlier_screening", _BOOL),
+    "truth_feedback": ("flags.truth_feedback", _BOOL),
+    "pe_baseline": ("flags.pe_baseline", _BOOL),
+    "leader_odom_broadcast": ("flags.leader_odom_broadcast", _BOOL),
+    "rate_variant": ("rate_variant", _STR),
+    "pe_excitation": ("pe_excitation", _Record(PEBaselineConfig)),
+    "judge_capacity": ("judge.capacity", _INT),
+    "judge_threshold": ("judge.threshold", _REAL),
+    "broadcast_horizon": ("broadcast_horizon", _INT),
+    "physics_substeps": ("physics_substeps", _INT),
+    "random_init": ("random_init", _Optional(_Record(RandomInit))),
+    "saturation": ("saturation", _Optional(_Record(Saturation))),
+    "sample_dump": ("sample_dump", _BOOL),
+}
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
-    d = dict(raw)
-    version = _pop(d, "schema_version")
+    d = _object(raw, "config")
+    version = d.pop("schema_version", None)
     if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version}")
-
-    robots = []
-    for rd in _pop(d, "robots"):
-        rd = dict(rd)
-        robot_id = _exact(_pop(rd, "id"), int, "robot id")
-        robots.append(_floats(RobotConfig, rd, "robot", id=robot_id))
-
-    gd = dict(_pop(d, "gains"))
-    gains = ControlGains(*(_float(_pop(gd, k), f"gains {k}") for k in ("k1", "k2", "k3", "k4")))
-    _reject_unknown(gd, "gains")
-
-    noise = _floats(NoiseModel, _pop(d, "noise", {}), "noise")
-
-    formation = _formation(_pop(d, "formation", {}))
-
-    cruise_raw = _pop(d, "leader_cruise", None)
-    cruise = None
-    if cruise_raw is not None:
-        # v_z may be left out; VelocityCommand itself has no default for it.
-        cruise = _floats(VelocityCommand, {"v_z": 0.0, **cruise_raw}, "leader_cruise")
-
-    flags = dict(_pop(d, "flags", {}))
-    outlier_screening, truth_feedback, pe_baseline, leader_odom_broadcast = (
-        _exact(_pop(flags, key, default), bool, key)
-        for key, default in (("outlier_screening", True), ("truth_feedback", False),
-                             ("pe_baseline", False), ("leader_odom_broadcast", False)))
-    _reject_unknown(flags, "flags")
-
-    pe_exc = _floats(PEBaselineConfig, _pop(d, "pe_excitation", {}), "pe_excitation")
-
-    jd = dict(_pop(d, "judge", {}))
-    judge_capacity = _exact(_pop(jd, "capacity", 20), int, "judge capacity")
-    judge_threshold = _float(_pop(jd, "threshold", 0.5), "judge threshold")
-    _reject_unknown(jd, "judge")
-
-    rid = _pop(d, "random_init", None)
-    random_init = None if rid is None else _floats(RandomInit, rid, "random_init")
-    sat_raw = _pop(d, "saturation", None)
-    saturation = None if sat_raw is None else _floats(Saturation, sat_raw, "saturation")
-    timeout = _pop(d, "stage1_timeout_s", None)
-
-    cfg = ScenarioConfig(
-        name=_exact(_pop(d, "name"), str, "name"),
-        dt=_float(_pop(d, "dt"), "dt"),
-        duration_s=_float(_pop(d, "duration_s"), "duration_s"),
-        robots=tuple(robots),
-        edges=tuple((_exact(i, int, "edge"), _exact(j, int, "edge"))
-                    for i, j in _pop(d, "edges")),
-        gains=gains,
-        formation=formation,
-        noise=noise,
-        seed=_exact(_pop(d, "seed", 0), int, "seed"),
-        mode_2d=_exact(_pop(d, "mode_2d", False), bool, "mode_2d"),
-        excitation_threshold=_float(_pop(d, "excitation_threshold", 0.1),
-                                    "excitation_threshold"),
-        hist_cap=_exact(_pop(d, "hist_cap", 64), int, "hist_cap"),
-        stage1_timeout_s=None if timeout is None else _float(timeout, "stage1_timeout_s"),
-        leader_cruise=cruise,
-        outlier_screening=outlier_screening,
-        truth_feedback=truth_feedback,
-        pe_baseline=pe_baseline,
-        leader_odom_broadcast=leader_odom_broadcast,
-        rate_variant=str(_pop(d, "rate_variant", "stated")),
-        pe_excitation=pe_exc,
-        judge_capacity=judge_capacity,
-        judge_threshold=judge_threshold,
-        broadcast_horizon=_exact(_pop(d, "broadcast_horizon", 0), int, "broadcast_horizon"),
-        physics_substeps=_exact(_pop(d, "physics_substeps", 1), int, "physics_substeps"),
-        random_init=random_init,
-        saturation=saturation,
-        sample_dump=_exact(_pop(d, "sample_dump", False), bool, "sample_dump"),
-    )
+        raise ConfigError(f"unsupported schema_version {version!r}")
+    parents = {path.rpartition(".")[0] for path, _ in _FIELDS.values()} - {""}
+    nested = {parent: _object(d.pop(parent, {}), parent) for parent in sorted(parents)}
+    required = {f.name for f in fields(ScenarioConfig)
+                if f.default is MISSING and f.default_factory is MISSING}
+    values = {}
+    for name, (path, kind) in _FIELDS.items():
+        parent, _, key = path.rpartition(".")
+        node = nested[parent] if parent else d
+        if key in node:
+            values[name] = kind.load(node.pop(key), path)
+        elif name in required:
+            raise ConfigError(f"missing required config key {path!r}")
+    for parent, node in nested.items():
+        _reject_unknown(node, parent)
     _reject_unknown(d, "config")
-    return cfg
+    return ScenarioConfig(**values)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .geometry import Angle, PlanarRotation, Rotation3Z
 from .world import RobotTruth, VelocityCommand
+
+if TYPE_CHECKING:
+    from .config import RobotConfig
 
 
 class ExcitationTimeout(RuntimeError):
@@ -26,15 +29,12 @@ class ExcitationTimeout(RuntimeError):
 
 @dataclass(frozen=True)
 class ControlGains:
-    """Tracking gains plus the robot's stage-one excitation parameters."""
+    """Tracking gains of the stage-two law, shared by all robots."""
 
     k1: float
     k2: float
     k3: float
     k4: float
-    r: float = 0.0        # stage-one circle radius
-    c_v: float = 0.0      # stage-one vertical amplitude/frequency
-    c_w: float = 0.0      # stage-one yaw rate
 
     def __post_init__(self):
         # k4 = 0 is legitimate for planar runs (no altitude channel to close).
@@ -105,11 +105,12 @@ def tracking_error_estimated(q_hat: np.ndarray, Q0_hat: Rotation3Z,
     return TrackingError(e_p, 1.0 - c_sigma, s_sigma)
 
 
-def stage1_command(gains: ControlGains, t: float) -> VelocityCommand:
-    """Scripted excitation circle: v_h = r*c_w, sinusoidal climb, constant yaw rate."""
-    return VelocityCommand(gains.r * gains.c_w,
-                           gains.c_v * math.sin(gains.c_v * t),
-                           gains.c_w)
+def stage1_command(robot: RobotConfig, t: float) -> VelocityCommand:
+    """Scripted excitation circle from the robot's own stage-one parameters:
+    v_h = r*c_w, sinusoidal climb, constant yaw rate."""
+    return VelocityCommand(robot.r * robot.c_w,
+                           robot.c_v * math.sin(robot.c_v * t),
+                           robot.c_w)
 
 
 def stage2_command(leader_cmd: VelocityCommand, e_hat: TrackingError,

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig
-from .control import (ControlGains, StageTracker, stage1_command, stage2_command,
+from .control import (StageTracker, stage1_command, stage2_command,
                       tracking_error_estimated, tracking_error_truth, TrackingError)
 from .cooploc import (LeaderPoseEstimate, MissingNeighborEstimate, assign_layers,
                       leader_initial_estimate, leader_realtime_estimate)
@@ -42,8 +42,8 @@ from .estimation import ThetaEstimate, cl_update, cl_update_all, reconstruct_pos
 from .geometry import Angle, DegenerateRotation
 from .metrics import RunMetrics, convergence_time, detection_stats, smoothness, tail_mean
 from .outliers import JudgeBank
-from .regression import THETA_DIM, DataRecord, RecordBank, RecordPolicy, RegressorSample, \
-    ThetaTrue, build_sample, build_samples, excitation_ratio, excitation_ratios, pair_index
+from .regression import THETA_DIM, DataRecord, RecordBank, RegressorSample, ThetaTrue, \
+    build_sample, build_samples, excitation_ratio, excitation_ratios, pair_index
 from .sensing import OdomBroadcast, OdomStream, RangeStream
 from .world import RobotTruth, VelocityCommand, step
 
@@ -161,7 +161,6 @@ def _initial_truths(config: ScenarioConfig, seed: int) -> list[RobotTruth]:
 def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
     """Execute one deterministic run and return all logs plus metrics."""
     seed = config.seed if seed is None else int(seed)
-    noise = replace(config.noise, seed=seed)
     graph = assign_layers(config.edges, config.n_robots)
     pairs = graph.ordered_pairs()
     robots = list(range(config.n_robots))
@@ -170,27 +169,23 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
     dt = config.dt
     planar = config.mode_2d
     spec = config.formation_spec()
-    policy = RecordPolicy(hist_cap=config.hist_cap)
 
-    gains = {r.id: ControlGains(config.gains.k1, config.gains.k2, config.gains.k3,
-                                config.gains.k4, r=r.r, c_v=r.c_v, c_w=r.c_w)
-             for r in config.robots}
     cruise = config.leader_cruise
     if cruise is None:
-        g0 = gains[0]
-        cruise = VelocityCommand(g0.r * g0.c_w, 0.0, g0.c_w)
+        lead = config.robots[0]
+        cruise = VelocityCommand(lead.r * lead.c_w, 0.0, lead.c_w)
 
     truths = _initial_truths(config, seed)
-    odom = [OdomStream(noise, seed, r, planar=planar) for r in robots]
+    odom = [OdomStream(config.noise, seed, r, planar=planar) for r in robots]
     n_pairs = len(pairs)
     all_pairs = list(range(n_pairs))
     pair_i = [i for i, _ in pairs]
     pair_j = [j for _, j in pairs]
     pair_ij = np.array(pairs, dtype=np.intp).reshape(n_pairs, 2)
     # Per-pair state on a leading pair axis, in `pairs` order.
-    ranges = [RangeStream(noise, seed, i, j) for (i, j) in pairs]
+    ranges = [RangeStream(config.noise, seed, i, j) for (i, j) in pairs]
     judges = JudgeBank(n_pairs, config.judge_capacity, config.judge_threshold)
-    bank = RecordBank(n_pairs, planar)
+    bank = RecordBank(n_pairs, planar, config.hist_cap)
     theta = np.zeros((n_pairs, THETA_DIM))
     # Each pair's last accepted measurement: its tick, and [d^2, z_i, z_j].
     end_tick = [-2] * n_pairs
@@ -262,7 +257,7 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
             if len(got) < len(chain):
                 phi, y = phi[valid], y[valid]
             samples = [RegressorSample(row, yn, k - 1) for row, yn in zip(phi, y.tolist())]
-            bank.add_all(got, samples, policy)
+            bank.add_all(got, samples)
             cl_update_all(theta, bank, got, phi, y, config.rate_variant)
             updated[k, pair_index(got, n_pairs)] = True
             for n, s in zip(got, samples):
@@ -289,8 +284,9 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
                 except MissingNeighborEstimate:
                     pass  # keep previous (stale) estimate
 
-        ratio = excitation_ratios(bank)
-        stage.update(k, {r: [ratio[n] for n in out_pairs[r]] for r in robots})
+        if not stage.stage2_active:
+            ratio = excitation_ratios(bank)
+            stage.update(k, {r: [ratio[n] for n in out_pairs[r]] for r in robots})
 
         # Logs at instant k.
         theta_log[k] = theta
@@ -320,9 +316,8 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
 
     def follower_command(i: int, k: int, t: float, stage2: bool,
                          lead_cmd: VelocityCommand) -> VelocityCommand:
-        g = gains[i]
         if not config.pe_baseline and not stage2:
-            return stage1_command(g, t)
+            return stage1_command(config.robots[i], t)
         if config.truth_feedback:
             e_hat = tracking_error_truth(truths[i], truths[0], spec.offset(i))
         else:
@@ -330,7 +325,7 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
             if e_hat is None:
                 # Cold start: no usable estimate yet, fall back to feedforward.
                 e_hat = TrackingError(np.zeros(3), 0.0, 0.0)
-        cmd = stage2_command(lead_cmd, e_hat, g)
+        cmd = stage2_command(lead_cmd, e_hat, config.gains)
         if config.pe_baseline:
             pe = config.pe_excitation
             ph = _PHASE * i
@@ -359,7 +354,7 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
         t = k * dt
         stage2 = config.pe_baseline or stage.in_stage2(k)
         stage2_flag[k] = stage2
-        lead_cmd = cruise if stage2 else stage1_command(gains[0], t)
+        lead_cmd = cruise if stage2 else stage1_command(config.robots[0], t)
         if planar:
             lead_cmd = VelocityCommand(lead_cmd.v_h, 0.0, lead_cmd.w)
         # Followers feed forward the command the leader actually applies.
@@ -602,6 +597,8 @@ def _apply_axis(base: ScenarioConfig, axis: str, value, seed: int) -> ScenarioCo
         return replace(base, noise=replace(base.noise, outlier_prob=float(value)))
     if axis == "swarm_size":
         from .scenarios import chain_swarm
+        if isinstance(value, bool) or not float(value).is_integer():
+            raise ConfigError(f"swarm_size must be a whole number of robots, got {value!r}")
         # The chain supplies the layout; every other setting stays the base's.
         layout = chain_swarm(int(value), seed=seed)
         return replace(base, **{f: getattr(layout, f) for f in _LAYOUT_FIELDS})

@@ -43,6 +43,13 @@ THETA_DIM = 7
 # Samples with a shorter regressor carry no information and would divide by zero.
 PSI_EPS = 1e-8
 
+# Default number of samples a record retains.
+HIST_CAP = 64
+# Regularizer of the retention volume criterion; far below any meaningful eigenvalue.
+VOLUME_EPS = 1e-8
+# Relative determinant gain a retention swap must exceed; suppresses churn.
+MIN_SWAP_GAIN = 1e-9
+
 
 class EmptyRecord(ValueError):
     """Eigenvalue ratio requested from a record with no samples."""
@@ -124,24 +131,6 @@ def build_sample(d_k: float, d_k1: float,
     return RegressorSample(phi[0], float(y[0]), t_k)
 
 
-@dataclass(frozen=True)
-class RecordPolicy:
-    """Retention policy for the recorded-data history.
-
-    At capacity a candidate replaces the lowest-leverage sample only when
-    the swap strictly grows the information volume det(S + eps I); the
-    criterion targets the weak directions first (the determinant gain of a
-    sample is largest where the record is thinnest), so a rank-deficient
-    record always accepts samples that open new directions.
-    """
-
-    hist_cap: int = 64
-    # Regularizer for the volume criterion; far below any meaningful eigenvalue.
-    eps: float = 1e-8
-    # Required relative determinant gain for a swap; suppresses churn.
-    min_gain: float = 1e-9
-
-
 def pair_index(rows: list[int], pairs: int) -> list[int] | slice:
     """Numpy index of ascending, distinct rows of a `pairs`-long pair
     axis: a slice when every pair is in, which reads views, not copies."""
@@ -165,15 +154,20 @@ class RecordBank:
     `add_all` takes one candidate for each of several pairs.  A pair below
     `hist_cap` appends it; the pairs at capacity decide together, with one
     stacked inverse and leverage evaluation, whether the candidate replaces
-    their lowest-leverage sample (see RecordPolicy).  An eviction shifts
-    the rows after the evicted one up and writes the new sample last, the
-    row order of `history`.  The buffers grow to the largest hist_cap seen.
+    their lowest-leverage sample.  It does so only when the swap strictly
+    grows the information volume det(S + VOLUME_EPS I), by more than
+    MIN_SWAP_GAIN relative to it; the criterion targets the weak directions
+    first (the determinant gain of a sample is largest where the record is
+    thinnest), so a rank-deficient record always accepts samples that open
+    new directions.  An eviction shifts the rows after the evicted one up
+    and writes the new sample last, the row order of `history`.
     """
 
-    def __init__(self, pairs: int, planar: bool = False):
+    def __init__(self, pairs: int, planar: bool = False, hist_cap: int = HIST_CAP):
+        self.hist_cap = hist_cap
         self.history: list[list[RegressorSample]] = [[] for _ in range(pairs)]
-        self.phis = np.zeros((pairs, 0, THETA_DIM))
-        self.ys = np.zeros((pairs, 0))
+        self.phis = np.zeros((pairs, hist_cap, THETA_DIM))
+        self.ys = np.zeros((pairs, hist_cap))
         self.S = np.zeros((pairs, THETA_DIM, THETA_DIM))
         self.n = [0] * pairs
         self.lambda_min = np.zeros(pairs)
@@ -184,22 +178,13 @@ class RecordBank:
         self._block = (slice(None), self.active[:, None], self.active) if planar else ()
         self._eye = np.eye(len(self.active))
 
-    def _reserve(self, cap: int) -> None:
-        """Grow the sample buffers to `cap` rows, keeping the filled ones."""
-        grow = cap - self.phis.shape[1]
-        self.phis = np.pad(self.phis, ((0, 0), (0, grow), (0, 0)))
-        self.ys = np.pad(self.ys, ((0, 0), (0, grow)))
-
-    def add_all(self, rows: list[int], samples: list[RegressorSample],
-                policy: RecordPolicy = RecordPolicy()) -> list[bool]:
+    def add_all(self, rows: list[int], samples: list[RegressorSample]) -> list[bool]:
         """Offer samples[m] to pair rows[m] (ascending pair rows); returns
         which were kept."""
-        if self.phis.shape[1] < policy.hist_cap:
-            self._reserve(policy.hist_cap)
-        full = [m for m, r in enumerate(rows) if self.n[r] >= policy.hist_cap]
+        full = [m for m, r in enumerate(rows) if self.n[r] == self.hist_cap]
         # Candidate -> the row it replaces, or None, for the full records.
         swaps = dict(zip(full, self._retention([rows[m] for m in full],
-                                               [samples[m] for m in full], policy)))
+                                               [samples[m] for m in full])))
         kept = [swaps.get(m, m) is not None for m in range(len(rows))]
         new = [m for m, keep in enumerate(kept) if keep]
         if not new:
@@ -229,8 +214,8 @@ class RecordBank:
             self.lambda_max[r] = max(hi, 0.0)
         return kept
 
-    def _retention(self, rows: list[int], samples: list[RegressorSample],
-                   policy: RecordPolicy) -> list[int | None]:
+    def _retention(self, rows: list[int],
+                   samples: list[RegressorSample]) -> list[int | None]:
         """Volume criterion on the active block for pairs at capacity: the
         row each candidate replaces, or None.  gain_add = phi' P phi is the
         determinant ratio of adding the candidate; the leverage of each
@@ -240,38 +225,35 @@ class RecordBank:
         ix = pair_index(rows, len(self.n))
         phi_a = np.array([s.phi for s in samples], dtype=float)[:, self._act]
         S_grown = self.S[ix][self._block] + phi_a[:, :, None] * phi_a[:, None, :]
-        P = np.linalg.inv(S_grown + policy.eps * self._eye)
-        lengths = [self.n[r] for r in rows]
-        hist_a = self.phis[ix, :max(lengths)][:, :, self._act]
+        P = np.linalg.inv(S_grown + VOLUME_EPS * self._eye)
+        hist_a = self.phis[ix][:, :, self._act]
         leverages = np.einsum("pij,pjk,pik->pi", hist_a, P, hist_a)
-        if min(lengths) < max(lengths):
-            # Records past hist_cap (a policy shrank between adds) differ in length.
-            for lev, n in zip(leverages, lengths):
-                lev[n:] = np.inf
         cand = np.vecdot(np.matmul(phi_a[:, None, :], P)[:, 0], phi_a).tolist()
         out = []
         for lev, idx, cand_lev in zip(leverages, leverages.argmin(axis=1).tolist(), cand):
             if lev[idx] >= cand_lev:
                 out.append(None)
                 continue
-            gain_add = cand_lev / max(1.0 - cand_lev, policy.eps)
+            gain_add = cand_lev / max(1.0 - cand_lev, VOLUME_EPS)
             swap_gain = (1.0 + gain_add) * (1.0 - lev[idx])
-            out.append(None if swap_gain <= 1.0 + policy.min_gain else idx)
+            out.append(None if swap_gain <= 1.0 + MIN_SWAP_GAIN else idx)
         return out
 
 
 class DataRecord:
     """One pair's recorded samples: a view of one row of a RecordBank.
 
-    A record made with `DataRecord(planar)` owns a bank of one pair;
-    `DataRecord(bank=bank, row=p)` reads pair p of a shared bank.
-    `history` lists the retained samples oldest first, `phis`/`ys` are
-    views of their rows (valid until the next add), and `S`, `lambda_min`
-    and `lambda_max` are the bank's entries for the pair.
+    A record made with `DataRecord(planar, hist_cap)` owns a bank of one
+    pair; `DataRecord(bank=bank, row=p)` reads pair p of a shared bank and
+    has the bank's planar mode and hist_cap.  `history` lists the retained
+    samples oldest first, `phis`/`ys` are views of their rows (valid until
+    the next add), and `S`, `lambda_min` and `lambda_max` are the bank's
+    entries for the pair.
     """
 
-    def __init__(self, planar: bool = False, bank: RecordBank | None = None, row: int = 0):
-        self._bank = RecordBank(1, planar) if bank is None else bank
+    def __init__(self, planar: bool = False, hist_cap: int = HIST_CAP,
+                 bank: RecordBank | None = None, row: int = 0):
+        self._bank = RecordBank(1, planar, hist_cap) if bank is None else bank
         self._row = row
 
     def __len__(self) -> int:
@@ -313,9 +295,9 @@ class DataRecord:
     def lambda_max(self, value: float) -> None:
         self._bank.lambda_max[self._row] = value
 
-    def add(self, sample: RegressorSample, policy: RecordPolicy = RecordPolicy()) -> bool:
+    def add(self, sample: RegressorSample) -> bool:
         """Record a sample, enforcing the retention policy.  Returns True if kept."""
-        return self._bank.add_all([self._row], [sample], policy)[0]
+        return self._bank.add_all([self._row], [sample])[0]
 
     def rebuilt_S(self) -> np.ndarray:
         """Information matrix recomputed from scratch (reconstruction check)."""

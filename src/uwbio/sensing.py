@@ -26,7 +26,6 @@ class NoiseModel:
     sigma_odom_yaw: float = 0.0      # per-step yaw noise
     outlier_prob: float = 0.0
     sigma_outlier: float = 3.0
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("sigma_range", "sigma_odom_pos", "sigma_odom_yaw", "sigma_outlier"):

@@ -9,7 +9,7 @@ import pytest
 
 from uwbio.estimation import RelativePoseEstimate
 from uwbio.geometry import Rotation3Z
-from uwbio.regression import DataRecord, RecordPolicy, RegressorSample, ThetaTrue, build_sample
+from uwbio.regression import DataRecord, RegressorSample, ThetaTrue, build_sample
 from uwbio.world import RobotTruth, VelocityCommand, step, world_distance
 
 
@@ -53,10 +53,9 @@ def benchmark_pair(ticks: int = 1600, dt: float = 0.05):
 
 
 def filled_record(samples, cap: int = 64, planar: bool = False) -> DataRecord:
-    rec = DataRecord(planar=planar)
-    pol = RecordPolicy(hist_cap=cap)
+    rec = DataRecord(planar=planar, hist_cap=cap)
     for s in samples:
-        rec.add(s, pol)
+        rec.add(s)
     return rec
 
 

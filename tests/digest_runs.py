@@ -6,9 +6,11 @@ runs each operation of `chain10_noisy`, `mc_outliers` and `formation_logs`
 (`benchmarks/workloads.py`) at the given benchmark seed and prints its
 label, then one sha256 over every `RunResult` field (metrics included, in
 the `test_golden._feed` encoding), then one over every file `write_run`
-writes.  Running it on two commits and diffing the outputs checks that a
-change keeps every logged byte.  A run that raises prints its exception in
-place of the digests.  pytest does not collect this file.
+writes.  The config enters as its canonical JSON, the form `config_hash`
+is taken over, so a change to the config classes that keeps every key and
+value keeps the digest.  Running it on two commits and diffing the outputs
+checks that a change keeps every logged byte.  A run that raises prints
+its exception in place of the digests.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import hashlib
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -29,7 +32,7 @@ import workloads  # noqa: E402
 
 def result_digest(res) -> str:
     h = hashlib.sha256()
-    _feed(h, res)
+    _feed(h, replace(res, config=res.config.canonical_json()))
     return h.hexdigest()
 
 

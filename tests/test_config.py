@@ -1,9 +1,21 @@
 import json
+from dataclasses import fields, replace
 
 import pytest
 
-from uwbio.config import ConfigError, RandomInit, config_from_dict, load_config
+from uwbio.config import (_FIELDS, ConfigError, RandomInit, Saturation, ScenarioConfig,
+                          config_from_dict, load_config)
 from uwbio.scenarios import chain_swarm, four_robot_formation, two_robot_benchmark
+from uwbio.sensing import NoiseModel
+
+
+def set_key(d: dict, path: tuple, value) -> dict:
+    """`d` with the value at `path` (keys and list indices) replaced."""
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return d
 
 
 class TestRoundTrip:
@@ -100,6 +112,21 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("cfg", [
+        replace(two_robot_benchmark(), dt=1),
+        replace(two_robot_benchmark(), saturation=Saturation(1, 2, 3)),
+        two_robot_benchmark(noise=NoiseModel(sigma_range=0)),
+    ], ids=["dt", "saturation", "noise"])
+    def test_ints_in_real_fields_hash_as_floats(self, cfg):
+        clone = config_from_dict(json.loads(cfg.canonical_json()))
+        assert clone == cfg
+        assert clone.config_hash() == cfg.config_hash()
+
+    def test_codec_covers_every_field(self):
+        # A field missing from the table would be left out of the saved
+        # config and of its hash.
+        assert sorted(_FIELDS) == sorted(f.name for f in fields(ScenarioConfig))
+
     def test_canonical_json_is_stable(self):
         cfg = two_robot_benchmark()
         assert cfg.canonical_json() == cfg.canonical_json()
@@ -194,3 +221,32 @@ class TestStrictValues:
         d["judge"] = judge
         with pytest.raises(ValueError):
             config_from_dict(d)
+
+    @pytest.mark.parametrize("path, value", [
+        (("noise", "sigma_outlier"), float("nan")),
+        (("gains", "k1"), float("inf")),
+        (("robots", 1, "x"), float("nan")),
+        (("pe_excitation", "amplitude"), float("nan")),
+        (("saturation", "w_max"), float("nan")),
+        (("random_init", "radius"), float("nan")),
+        (("stage1_timeout_s",), float("inf")),
+    ])
+    def test_non_finite_real_rejected(self, path, value):
+        d = two_robot_benchmark().to_dict()
+        d["saturation"] = {"v_h_max": 1.0, "v_z_max": 1.0, "w_max": 1.0}
+        d["random_init"] = {"radius": 3.0, "min_sep": 1.0}
+        key = ".".join(map(str, path))
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            config_from_dict(set_key(d, path, value))
+
+    @pytest.mark.parametrize("path, value, key", [
+        (("judge", "capacity"), 0, "judge capacity"),
+        (("judge", "threshold"), 1.5, "judge threshold"),
+        (("edges",), [[1, 0, 2]], "edges.0"),
+        (("edges",), [[1]], "edges.0"),
+        (("broadcast_horizon",), -1, "broadcast_horizon"),
+    ])
+    def test_bad_value_rejected_naming_its_key(self, path, value, key):
+        d = two_robot_benchmark().to_dict()
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(set_key(d, path, value))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uwbio.config import RobotConfig
 from uwbio.control import (ControlGains, ExcitationTimeout, FormationSpec, StageTracker,
                            TrackingError, stage1_command, stage2_command,
                            tracking_error_estimated, tracking_error_truth)
@@ -99,19 +100,19 @@ class TestTrackingErrorEstimated:
 
 class TestStageCommands:
     def test_stage1_values(self):
-        g = ControlGains(1, 1, 1, 1, r=2.0, c_v=0.2, c_w=0.1)
+        g = RobotConfig(1, r=2.0, c_v=0.2, c_w=0.1)
         cmd = stage1_command(g, t=0.0)
         assert cmd.v_h == pytest.approx(0.2)
         assert cmd.w == pytest.approx(0.1)
         assert cmd.v_z == 0.0
 
     def test_stage1_zero_vertical_in_2d(self):
-        g = ControlGains(1, 1, 1, 1, r=0.3, c_v=0.0, c_w=0.5)
+        g = RobotConfig(1, r=0.3, c_v=0.0, c_w=0.5)
         for t in (0.0, 1.7, 9.2):
             assert stage1_command(g, t).v_z == 0.0
 
     def test_stage1_is_bounded(self):
-        g = ControlGains(1, 1, 1, 1, r=0.5, c_v=0.3, c_w=-0.4)
+        g = RobotConfig(1, r=0.5, c_v=0.3, c_w=-0.4)
         for t in np.linspace(0, 50, 300):
             cmd = stage1_command(g, t)
             assert abs(cmd.v_h) == pytest.approx(abs(g.r * g.c_w))

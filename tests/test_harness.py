@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from uwbio import harness
 from uwbio.cli import main as cli_main
 from uwbio.config import ConfigError, RandomInit
-from uwbio.control import ExcitationTimeout
+from uwbio.control import ExcitationTimeout, StageTracker
 from uwbio.harness import MissingLogs, _apply_axis, report, run, run_to_dir, sweep, write_run
 from uwbio.scenarios import chain_swarm, four_robot_formation, two_robot_benchmark
 from uwbio.regression import ThetaTrue
@@ -49,6 +50,26 @@ class TestRun:
         cfg = replace(two_robot_benchmark(duration_s=30.0), stage1_timeout_s=5.0)
         with pytest.raises(ExcitationTimeout):
             run(cfg)
+
+    def test_stage_check_stops_at_the_barrier(self, monkeypatch):
+        # Once stage two is active the stage check has nothing left to
+        # decide: neither the tracker nor the excitation ratios run again.
+        calls = {"update": 0, "ratios": 0}
+        update, ratios = StageTracker.update, harness.excitation_ratios
+
+        def counted_update(self, *args):
+            calls["update"] += 1
+            return update(self, *args)
+
+        def counted_ratios(bank):
+            calls["ratios"] += 1
+            return ratios(bank)
+
+        monkeypatch.setattr(StageTracker, "update", counted_update)
+        monkeypatch.setattr(harness, "excitation_ratios", counted_ratios)
+        res = run(two_robot_benchmark(duration_s=60.0))
+        assert res.transition_tick < res.n_ticks
+        assert calls == {"update": res.transition_tick, "ratios": res.transition_tick}
 
     def test_seed_override_changes_noisy_run(self):
         cfg = two_robot_benchmark(noise=NoiseModel(sigma_range=0.05), duration_s=10.0)
@@ -225,6 +246,12 @@ class TestSweep:
         assert (cfg.outlier_screening, cfg.hist_cap, cfg.rate_variant,
                 cfg.judge_capacity) == (False, 32, "proof", 10)
         assert (cfg.noise, cfg.duration_s, cfg.dt) == (base.noise, base.duration_s, base.dt)
+
+    def test_fractional_swarm_size_is_a_failure(self):
+        base = chain_swarm(3, seed=1, duration_s=20.0)
+        result = sweep(base, "swarm_size", [4.5], seeds=1)
+        assert not result.rows
+        assert [(v, "4.5" in err) for v, _, err in result.failures] == [(4.5, True)]
 
     def test_failures_recorded_not_raised(self):
         base = replace(two_robot_benchmark(duration_s=20.0), stage1_timeout_s=2.0)

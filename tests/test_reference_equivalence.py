@@ -26,7 +26,8 @@ from uwbio.control import tracking_error_truth
 from uwbio.estimation import _rate, cl_update, cl_update_all
 from uwbio.harness import _row_norms, run
 from uwbio.outliers import JudgeBank, JudgeQueue, ScreenResult
-from uwbio.regression import THETA_DIM, DataRecord, RecordBank, RecordPolicy, RegressorSample
+from uwbio.regression import (MIN_SWAP_GAIN, THETA_DIM, VOLUME_EPS, DataRecord, RecordBank,
+                              RegressorSample)
 from uwbio.scenarios import chain_swarm, four_robot_formation
 from uwbio.sensing import MeasurementTriplet, NoiseModel
 from uwbio.world import RobotTruth
@@ -57,7 +58,8 @@ class ReferenceJudgeQueue:
 class ReferenceDataRecord:
     """Recorded samples, re-stacked from the history on every kept sample."""
 
-    def __init__(self, planar: bool = False):
+    def __init__(self, planar: bool = False, hist_cap: int = 64):
+        self.hist_cap = hist_cap
         self.history: list[RegressorSample] = []
         self.S = np.zeros((THETA_DIM, THETA_DIM))
         self.phis = np.zeros((0, THETA_DIM))
@@ -82,9 +84,9 @@ class ReferenceDataRecord:
             self.ys = np.zeros(0)
         self.lambda_min, self.lambda_max = self._eigs(self.S)
 
-    def add(self, sample: RegressorSample, policy: RecordPolicy = RecordPolicy()) -> bool:
+    def add(self, sample: RegressorSample) -> bool:
         outer = np.outer(sample.phi, sample.phi)
-        if len(self.history) < policy.hist_cap:
+        if len(self.history) < self.hist_cap:
             self.history.append(sample)
             self.S += outer
             self._restack()
@@ -92,16 +94,16 @@ class ReferenceDataRecord:
         act = self.active
         phi_a = sample.phi[act]
         S_grown = self.S[np.ix_(act, act)] + np.outer(phi_a, phi_a)
-        P = np.linalg.inv(S_grown + policy.eps * np.eye(len(act)))
+        P = np.linalg.inv(S_grown + VOLUME_EPS * np.eye(len(act)))
         hist_a = self.phis[:, act]
         leverages = np.einsum("ij,jk,ik->i", hist_a, P, hist_a)
         cand_lev = float(phi_a @ P @ phi_a)
         idx = int(np.argmin(leverages))
         if leverages[idx] >= cand_lev:
             return False
-        gain_add = cand_lev / max(1.0 - cand_lev, policy.eps)
+        gain_add = cand_lev / max(1.0 - cand_lev, VOLUME_EPS)
         swap_gain = (1.0 + gain_add) * (1.0 - leverages[idx])
-        if swap_gain <= 1.0 + policy.min_gain:
+        if swap_gain <= 1.0 + MIN_SWAP_GAIN:
             return False
         evicted = self.history.pop(idx)
         self.history.append(sample)
@@ -173,10 +175,9 @@ def sample_stream(seed: int, n: int, planar: bool) -> list[RegressorSample]:
 @given(hist_cap=st.integers(7, 12), n=st.integers(0, 50),
        seed=st.integers(0, 2**32 - 1), planar=st.booleans())
 def test_data_record_matches_reference(hist_cap, n, seed, planar):
-    rec, ref = DataRecord(planar), ReferenceDataRecord(planar)
-    policy = RecordPolicy(hist_cap=hist_cap)
+    rec, ref = DataRecord(planar, hist_cap), ReferenceDataRecord(planar, hist_cap)
     for s in sample_stream(seed, n, planar):
-        assert rec.add(s, policy) == ref.add(s, policy)
+        assert rec.add(s) == ref.add(s)
         assert bits(rec.phis) == bits(ref.phis)
         assert bits(rec.ys) == bits(ref.ys)
         assert bits(rec.S) == bits(ref.S)
@@ -188,9 +189,8 @@ def test_data_record_matches_reference(hist_cap, n, seed, planar):
 def test_data_record_streams_evict():
     # The generated streams really reach the eviction path, in both modes.
     for planar in (False, True):
-        rec = DataRecord(planar)
-        policy = RecordPolicy(hist_cap=7)
-        kept = [rec.add(s, policy) for s in sample_stream(1, 50, planar)]
+        rec = DataRecord(planar, hist_cap=7)
+        kept = [rec.add(s) for s in sample_stream(1, 50, planar)]
         assert len(rec) == 7
         assert sum(kept[7:]) > 0
 
@@ -245,9 +245,8 @@ def check_pairs_against_reference(seed: int, n_pairs: int, planar: bool, hist_ca
     check every step bit for bit against one loop reference per pair.
     Returns the prefilled lengths and the number of evictions."""
     rng = np.random.default_rng(seed)
-    policy = RecordPolicy(hist_cap=hist_cap)
-    bank = RecordBank(n_pairs, planar)
-    refs = [ReferenceDataRecord(planar) for _ in range(n_pairs)]
+    bank = RecordBank(n_pairs, planar, hist_cap)
+    refs = [ReferenceDataRecord(planar, hist_cap) for _ in range(n_pairs)]
     theta = rng.normal(size=(n_pairs, THETA_DIM))
     ref_theta = [row.copy() for row in theta]
     streams = [iter(sample_stream(int(rng.integers(2**32)), 4 * hist_cap + steps, planar))
@@ -255,7 +254,7 @@ def check_pairs_against_reference(seed: int, n_pairs: int, planar: bool, hist_ca
     for p in range(n_pairs):
         for _ in range(int(rng.integers(0, 2 * hist_cap))):
             s = next(streams[p])
-            assert bank.add_all([p], [s], policy) == [refs[p].add(s, policy)]
+            assert bank.add_all([p], [s]) == [refs[p].add(s)]
     prefilled, evictions = list(bank.n), 0
     judges = JudgeBank(n_pairs, int(rng.integers(1, 7)), float(rng.uniform(0.05, 0.95)))
     ref_judges = [ReferenceJudgeQueue(judges.capacity, judges.threshold) for _ in range(n_pairs)]
@@ -272,9 +271,9 @@ def check_pairs_against_reference(seed: int, n_pairs: int, planar: bool, hist_ca
                       rng.choice(n_pairs, int(rng.integers(1, n_pairs + 1)), replace=False))
         samples = [next(streams[p]) for p in rows]
         full = [bank.n[p] == hist_cap for p in rows]
-        kept = bank.add_all(rows, samples, policy)
+        kept = bank.add_all(rows, samples)
         evictions += sum(k and f for k, f in zip(kept, full))
-        assert kept == [refs[p].add(s, policy) for p, s in zip(rows, samples)]
+        assert kept == [refs[p].add(s) for p, s in zip(rows, samples)]
         cl_step(theta, bank, rows, np.array([s.phi for s in samples]),
                 np.array([s.y for s in samples]), variant)
         for p, s in zip(rows, samples):

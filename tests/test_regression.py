@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import benchmark_pair, circle_cmd, filled_record
-from uwbio.regression import (DataRecord, EmptyRecord, MotionProfile, RecordPolicy,
-                              RegressorSample, ThetaTrue, build_sample,
-                              excitation_ratio, observability_probe)
+from uwbio.regression import (DataRecord, EmptyRecord, MotionProfile, RegressorSample,
+                              ThetaTrue, build_sample, excitation_ratio, observability_probe)
 from uwbio.world import RobotTruth, VelocityCommand
 
 
@@ -119,9 +118,8 @@ class TestDataRecord:
         # eigenvalue ratio past the stage threshold within 900 ticks.
         samples, _, _ = benchmark_pair(ticks=900)
         rec = DataRecord()
-        pol = RecordPolicy()
         for s in samples:
-            rec.add(s, pol)
+            rec.add(s)
         assert excitation_ratio(rec) >= 0.1
 
     def test_planar_record_uses_active_block(self):

@@ -5,11 +5,11 @@ __version__ = "0.1.0"
 from .geometry import (Angle, DegenerateRotation, PlanarRotation, Rotation3Z,
                        cross2, norm_project, wrap_angle)
 from .world import Pose4, RobotTruth, VelocityCommand, relative_truth, step
-from .sensing import MeasurementTriplet, NoiseModel, OdomBroadcast
+from .sensing import MeasurementTriplet, NoiseModel
 from .regression import (DataRecord, EmptyRecord, MotionProfile, RankDiagnosis,
                          RegressorSample, ThetaTrue, build_sample, excitation_ratio,
                          observability_probe)
-from .estimation import (RelativePoseEstimate, StaleBroadcast, ThetaEstimate,
+from .estimation import (RelativePoseEstimate, ThetaEstimate,
                          cl_update, realtime_relative_pose, reconstruct_pose)
 from .cooploc import (LeaderPoseEstimate, MissingNeighborEstimate, TopologyGraph,
                       UnreachableNode, assign_layers, leader_initial_estimate,

@@ -17,16 +17,22 @@ import numpy as np
 
 from .control import ControlGains, FormationSpec
 from .cooploc import assign_layers
-from .outliers import JudgeQueue
+from .outliers import JudgeBank
 from .regression import HIST_CAP
 from .sensing import NoiseModel
 from .world import VelocityCommand
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
+
+
+def check_seed(seed: int) -> None:
+    """Seeds feed numpy's SeedSequence, which takes only non-negative ints."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,6 @@ class ScenarioConfig:
     pe_excitation: PEBaselineConfig = PEBaselineConfig()
     judge_capacity: int = 20
     judge_threshold: float = 0.5
-    broadcast_horizon: int = 0
     physics_substeps: int = 1      # physics micro-steps per measurement tick
     random_init: RandomInit | None = None
     saturation: Saturation | None = None
@@ -120,6 +125,12 @@ class ScenarioConfig:
             raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ConfigError(f"duration_s must be positive and finite, got {self.duration_s!r}")
+        ticks = self.duration_s / self.dt
+        if not (math.isfinite(ticks) and round(ticks) >= 1
+                and math.isclose(ticks, round(ticks), rel_tol=1e-9)):
+            raise ConfigError(f"duration_s must be a whole number (>= 1) of dt ticks, "
+                              f"got {self.duration_s!r} / {self.dt!r} = {ticks!r}")
+        check_seed(self.seed)
         bad = _non_finite(self.to_dict())
         if bad:
             raise ConfigError(f"{bad[0]} must be finite")
@@ -136,8 +147,6 @@ class ScenarioConfig:
             raise ConfigError("physics_substeps must be >= 1")
         if self.stage1_timeout_s is not None and self.stage1_timeout_s <= 0:
             raise ConfigError("stage1_timeout_s must be positive when given")
-        if self.broadcast_horizon < 0:
-            raise ConfigError("broadcast_horizon must be >= 0")
         for rid in self.formation:
             if rid not in ids:
                 raise ConfigError(f"formation offset for unknown robot {rid}")
@@ -150,7 +159,7 @@ class ScenarioConfig:
         except ValueError as exc:   # a non-finite or short offset, or a leader offset
             raise ConfigError(str(exc)) from exc
         try:
-            JudgeQueue(self.judge_capacity, self.judge_threshold)
+            JudgeBank(0, self.judge_capacity, self.judge_threshold)
         except ValueError as exc:   # a capacity below 1 or a threshold outside (0, 1)
             raise ConfigError(f"judge {exc}") from exc
 
@@ -342,7 +351,6 @@ _FIELDS = {
     "pe_excitation": ("pe_excitation", _Record(PEBaselineConfig)),
     "judge_capacity": ("judge.capacity", _INT),
     "judge_threshold": ("judge.threshold", _REAL),
-    "broadcast_horizon": ("broadcast_horizon", _INT),
     "physics_substeps": ("physics_substeps", _INT),
     "random_init": ("random_init", _Optional(_Record(RandomInit))),
     "saturation": ("saturation", _Optional(_Record(Saturation))),
@@ -353,8 +361,15 @@ _FIELDS = {
 def config_from_dict(raw: dict) -> ScenarioConfig:
     d = _object(raw, "config")
     version = d.pop("schema_version", None)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version not in (1, SCHEMA_VERSION):
         raise ConfigError(f"unsupported schema_version {version!r}")
+    if version == 1:
+        # Version 2 dropped broadcast_horizon: leader odometry is read on the
+        # tick it is sent, so only a horizon of 0 meant what version 2 does.
+        horizon = _INT.load(d.pop("broadcast_horizon", 0), "broadcast_horizon")
+        if horizon != 0:
+            raise ConfigError(f"broadcast_horizon {horizon} is not supported: a version 1 "
+                              f"config loads only with broadcast_horizon 0 or absent")
     parents = {path.rpartition(".")[0] for path, _ in _FIELDS.values()} - {""}
     nested = {parent: _object(d.pop(parent, {}), parent) for parent in sorted(parents)}
     required = {f.name for f in fields(ScenarioConfig)

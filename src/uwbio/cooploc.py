@@ -18,9 +18,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .estimation import RelativePoseEstimate, StaleBroadcast
+from .estimation import RelativePoseEstimate
 from .geometry import Angle, Rotation3Z, norm_project
-from .sensing import OdomBroadcast
 
 
 class UnreachableNode(ValueError):
@@ -142,18 +141,15 @@ def leader_initial_estimate(robot: int, graph: TopologyGraph,
 
 
 def leader_realtime_estimate(lpe: LeaderPoseEstimate, own_cum_pos: np.ndarray,
-                             own_cum_yaw: Angle, leader_odom: OdomBroadcast,
-                             t_k: int, horizon: int = 0) -> tuple[np.ndarray, float, float]:
+                             own_cum_yaw: Angle, leader_cum_pos: np.ndarray,
+                             leader_cum_yaw: Angle) -> tuple[np.ndarray, float, float]:
     """Real-time leader-relative position and body-frame relative yaw trig.
 
     Returns (q_hat(t), c_hat, s_hat) where the trig pair belongs to the
     relative yaw of this robot's body frame measured in the leader's.
     """
-    if t_k - leader_odom.t_k > horizon:
-        raise StaleBroadcast(
-            f"leader odometry tick {leader_odom.t_k} older than {t_k} - {horizon}")
-    q = lpe.q0_hat + np.asarray(own_cum_pos, dtype=float) - lpe.Q0_hat.apply(leader_odom.cum_pos)
-    dphi = own_cum_yaw.radians - leader_odom.cum_yaw.radians
+    q = lpe.q0_hat + np.asarray(own_cum_pos, dtype=float) - lpe.Q0_hat.apply(leader_cum_pos)
+    dphi = own_cum_yaw.radians - leader_cum_yaw.radians
     c0, s0 = lpe.Q0_hat.c, lpe.Q0_hat.s
     c = c0 * np.cos(dphi) + s0 * np.sin(dphi)
     s = c0 * np.sin(dphi) - s0 * np.cos(dphi)

@@ -26,14 +26,9 @@ import numpy as np
 
 from .geometry import Angle, Rotation3Z, norm_project
 from .regression import THETA_DIM, DataRecord, RecordBank, RegressorSample, pair_index
-from .sensing import OdomBroadcast
 from .world import Pose4
 
 RATE_VARIANTS = ("stated", "proof")
-
-
-class StaleBroadcast(RuntimeError):
-    """Neighbor odometry is older than the allowed horizon."""
 
 
 @dataclass(frozen=True)
@@ -142,17 +137,13 @@ def reconstruct_pose(est: ThetaEstimate) -> RelativePoseEstimate:
 
 
 def realtime_relative_pose(est: ThetaEstimate, own_odom: Pose4,
-                           neighbor: OdomBroadcast, t_k: int,
-                           horizon: int = 0) -> tuple[np.ndarray, Angle]:
+                           neighbor_odom: Pose4) -> tuple[np.ndarray, Angle]:
     """Real-time relative position (in own odometry frame) and body-frame
     relative yaw for the pair, composed from the initial-pose estimate and
     both cumulative odometries.
     """
-    if t_k - neighbor.t_k > horizon:
-        raise StaleBroadcast(
-            f"neighbor {neighbor.sender} tick {neighbor.t_k} older than {t_k} - {horizon}")
     pose = reconstruct_pose(est)
-    p = pose.p0_hat + own_odom.position() - pose.R0_hat.apply(neighbor.cum_pos)
+    p = pose.p0_hat + own_odom.position() - pose.R0_hat.apply(neighbor_odom.position())
     theta = (pose.R0_hat.yaw()
-             + neighbor.cum_yaw.radians - own_odom.yaw.radians)
+             + neighbor_odom.yaw.radians - own_odom.yaw.radians)
     return p, Angle(theta)

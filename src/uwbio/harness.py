@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, check_seed
 from .control import (StageTracker, stage1_command, stage2_command,
                       tracking_error_estimated, tracking_error_truth, TrackingError)
 from .cooploc import (LeaderPoseEstimate, MissingNeighborEstimate, assign_layers,
@@ -44,7 +44,7 @@ from .metrics import RunMetrics, convergence_time, detection_stats, smoothness, 
 from .outliers import JudgeBank
 from .regression import THETA_DIM, DataRecord, RecordBank, RegressorSample, ThetaTrue, \
     build_sample, build_samples, excitation_ratio, excitation_ratios, pair_index
-from .sensing import OdomBroadcast, OdomStream, RangeStream
+from .sensing import OdomStream, RangeStream
 from .world import RobotTruth, VelocityCommand, step
 
 # Golden-angle phase spread keeps per-robot excitation signals decorrelated.
@@ -161,6 +161,7 @@ def _initial_truths(config: ScenarioConfig, seed: int) -> list[RobotTruth]:
 def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
     """Execute one deterministic run and return all logs plus metrics."""
     seed = config.seed if seed is None else int(seed)
+    check_seed(seed)
     graph = assign_layers(config.edges, config.n_robots)
     pairs = graph.ordered_pairs()
     robots = list(range(config.n_robots))
@@ -220,11 +221,11 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
     samples_dump: list[tuple] = []
     current_ehat: dict[int, TrackingError | None] = {r: None for r in followers}
 
-    def leader_odometry(k: int) -> OdomBroadcast:
+    def leader_odometry() -> tuple[np.ndarray, Angle]:
         if config.leader_odom_broadcast:
-            return odom[0].broadcast(k)
+            return odom[0].cum_pos, Angle(odom[0].cum_yaw)
         pose = truths[0].odom_pose
-        return OdomBroadcast(0, k, pose.position(), pose.yaw)
+        return pose.position(), pose.yaw
 
     def sense_and_update(k: int) -> None:
         # Each estimator stage runs once over all pairs; pairs are
@@ -295,7 +296,7 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
         if np.count_nonzero(np.isfinite(theta)) < theta.size:
             bad = pairs[int(np.argmin(np.isfinite(theta).all(axis=1)))]
             raise RuntimeError(f"non-finite estimate for pair {bad} at tick {k}")
-        z0 = leader_odometry(k)
+        z0_pos, z0_yaw = leader_odometry()
         for i in followers:
             current_ehat[i] = None
             est_i = lpe[i]
@@ -304,8 +305,7 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
             q0_fresh[i][k] = est_i.fresh == k
             q0_hat[i][k] = est_i.q0_hat
             q_hat, c_hat, s_hat = leader_realtime_estimate(
-                est_i, odom[i].cum_pos, Angle(odom[i].cum_yaw), z0, k,
-                config.broadcast_horizon)
+                est_i, odom[i].cum_pos, Angle(odom[i].cum_yaw), z0_pos, z0_yaw)
             rt_hat[i][k, :3] = q_hat
             rt_hat[i][k, 3:] = c_hat, s_hat
             e_hat = tracking_error_estimated(q_hat, est_i.Q0_hat, c_hat, s_hat,

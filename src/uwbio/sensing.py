@@ -36,16 +36,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class OdomBroadcast:
-    """Cumulative odometry a robot shares with its neighbors over the radio."""
-
-    sender: int
-    t_k: int
-    cum_pos: np.ndarray        # p^{O_j}_j(t_k), 3-vector
-    cum_yaw: Angle             # phi^{O_j}(t_k), unwrapped
-
-
-@dataclass(frozen=True)
 class MeasurementTriplet:
     """One synchronized sample: range plus both cumulative odometries."""
 
@@ -112,7 +102,6 @@ class OdomStream:
     def __init__(self, noise: NoiseModel, master_seed: int, robot_id: int, planar: bool = False):
         self.noise = noise
         self.rng = robot_rng(master_seed, robot_id)
-        self.robot_id = robot_id
         self.planar = planar
         self.cum_pos = np.zeros(3)
         self.cum_yaw = 0.0
@@ -121,6 +110,3 @@ class OdomStream:
         delta, dyaw = measure_odom(prev, nxt, self.noise, self.rng, self.planar)
         self.cum_pos = self.cum_pos + delta
         self.cum_yaw += dyaw.radians
-
-    def broadcast(self, t_k: int) -> OdomBroadcast:
-        return OdomBroadcast(self.robot_id, t_k, self.cum_pos.copy(), Angle(self.cum_yaw))

@@ -4,13 +4,21 @@
 
 runs each operation of `chain10_noisy`, `mc_outliers` and `formation_logs`
 (`benchmarks/workloads.py`) at the given benchmark seed and prints its
-label, then one sha256 over every `RunResult` field (metrics included, in
-the `test_golden._feed` encoding), then one over every file `write_run`
-writes.  The config enters as its canonical JSON, the form `config_hash`
-is taken over, so a change to the config classes that keeps every key and
-value keeps the digest.  Running it on two commits and diffing the outputs
-checks that a change keeps every logged byte.  A run that raises prints
-its exception in place of the digests.  pytest does not collect this file.
+label, then four sha256 digests:
+
+- `config`: the config's canonical JSON, the form `config_hash` is taken
+  over;
+- `result`: every `RunResult` field but `config` (metrics included, in the
+  `test_golden._feed` encoding);
+- `logs`: every file `write_run` writes except `manifest.json` and
+  `summary.csv`;
+- `header`: those two files, which carry the config and its hash.
+
+Running it on two commits and diffing the outputs checks that a change
+keeps every logged byte; a change to the config schema that keeps every
+logged value moves only the `config` and `header` columns.  A run that
+raises prints its exception in place of the digests.  pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -30,18 +38,31 @@ from uwbio.harness import write_run  # noqa: E402
 import workloads  # noqa: E402
 
 
+# The files that carry the config or its hash.
+HEADER_FILES = ("manifest.json", "summary.csv")
+
+
 def result_digest(res) -> str:
     h = hashlib.sha256()
-    _feed(h, replace(res, config=res.config.canonical_json()))
+    _feed(h, replace(res, config=None))
     return h.hexdigest()
 
 
-def files_digest(outdir: Path) -> str:
+def files_digest(paths) -> str:
     h = hashlib.sha256()
-    for path in sorted(outdir.iterdir()):
+    for path in sorted(paths):
         h.update(path.name.encode())
         h.update(path.read_bytes())
     return h.hexdigest()
+
+
+def digests(res, outdir: Path) -> list[str]:
+    """The `config`, `result`, `logs` and `header` digests of one run."""
+    files = list(outdir.iterdir())
+    return [hashlib.sha256(res.config.canonical_json().encode()).hexdigest(),
+            result_digest(res),
+            files_digest(f for f in files if f.name not in HEADER_FILES),
+            files_digest(f for f in files if f.name in HEADER_FILES)]
 
 
 def main(argv=None) -> int:
@@ -59,7 +80,7 @@ def main(argv=None) -> int:
                 except Exception as exc:   # reported in the digest line
                     print(f"{op.label} raised {exc!r}", flush=True)
                     continue
-                print(f"{op.label} {result_digest(res)} {files_digest(outdir)}", flush=True)
+                print(op.label, *digests(res, outdir), flush=True)
     return 0
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from uwbio.config import (_FIELDS, ConfigError, RandomInit, Saturation, ScenarioConfig,
                           config_from_dict, load_config)
+from uwbio.harness import run
 from uwbio.scenarios import chain_swarm, four_robot_formation, two_robot_benchmark
 from uwbio.sensing import NoiseModel
 
@@ -244,9 +245,50 @@ class TestStrictValues:
         (("judge", "threshold"), 1.5, "judge threshold"),
         (("edges",), [[1, 0, 2]], "edges.0"),
         (("edges",), [[1]], "edges.0"),
-        (("broadcast_horizon",), -1, "broadcast_horizon"),
+        (("seed",), -1, "seed"),
+        (("duration_s",), 0.01, "duration_s"),      # 0.2 ticks of dt 0.05
+        (("duration_s",), 1.03, "duration_s"),      # 20.6 ticks
     ])
     def test_bad_value_rejected_naming_its_key(self, path, value, key):
         d = two_robot_benchmark().to_dict()
         with pytest.raises(ConfigError, match=key):
             config_from_dict(set_key(d, path, value))
+
+    def test_negative_run_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            run(two_robot_benchmark(duration_s=1.0), seed=-1)
+
+    @pytest.mark.parametrize("duration_s, dt, ticks", [(0.05, 0.05, 1), (0.3, 0.1, 3),
+                                                       (0.7, 0.1, 7)])
+    def test_whole_tick_duration_loads(self, duration_s, dt, ticks):
+        # 0.3 / 0.1 and 0.7 / 0.1 fall just short of 3 and 7 in floating point.
+        d = two_robot_benchmark().to_dict()
+        d["duration_s"], d["dt"] = duration_s, dt
+        assert config_from_dict(d).n_ticks == ticks
+
+
+class TestSchemaV1:
+    """A version 1 file differs from version 2 only by `broadcast_horizon`,
+    which version 2 dropped."""
+
+    @pytest.mark.parametrize("horizon", [{}, {"broadcast_horizon": 0}], ids=["absent", "zero"])
+    def test_zero_or_absent_horizon_upgrades(self, horizon):
+        v2 = two_robot_benchmark().to_dict()
+        v1 = {**v2, "schema_version": 1, **horizon}
+        assert config_from_dict(v1) == config_from_dict(v2)
+
+    def test_nonzero_horizon_rejected(self):
+        v1 = {**two_robot_benchmark().to_dict(), "schema_version": 1, "broadcast_horizon": 3}
+        with pytest.raises(ConfigError, match="broadcast_horizon"):
+            config_from_dict(v1)
+
+    @pytest.mark.parametrize("version", [True, 2.0])
+    def test_version_not_coerced(self, version):
+        d = {**two_robot_benchmark().to_dict(), "schema_version": version}
+        with pytest.raises(ConfigError, match="schema_version"):
+            config_from_dict(d)
+
+    def test_horizon_unknown_in_version_2(self):
+        d = {**two_robot_benchmark().to_dict(), "broadcast_horizon": 0}
+        with pytest.raises(ConfigError, match="broadcast_horizon"):
+            config_from_dict(d)

@@ -7,9 +7,8 @@ from conftest import random_dag, random_world_poses, truth_pairwise
 from uwbio.cooploc import (LeaderPoseEstimate, MissingNeighborEstimate, UnreachableNode,
                            assign_layers, leader_initial_estimate,
                            leader_realtime_estimate)
-from uwbio.estimation import RelativePoseEstimate, StaleBroadcast
+from uwbio.estimation import RelativePoseEstimate
 from uwbio.geometry import Angle, Rotation3Z
-from uwbio.sensing import OdomBroadcast
 
 
 class TestAssignLayers:
@@ -156,8 +155,8 @@ class TestLayeredErrorPropagation:
 class TestLeaderRealtime:
     def test_at_start_returns_initials(self):
         lpe = LeaderPoseEstimate(np.array([1.0, 2.0, 0.5]), Rotation3Z.from_angle(0.7))
-        z0 = OdomBroadcast(0, 0, np.zeros(3), Angle(0.0))
-        q, c, s = leader_realtime_estimate(lpe, np.zeros(3), Angle(0.0), z0, 0)
+        q, c, s = leader_realtime_estimate(lpe, np.zeros(3), Angle(0.0),
+                                           np.zeros(3), Angle(0.0))
         assert np.allclose(q, [1, 2, 0.5], atol=0)
         # theta^{Sigma_0}_{Sigma_i}(t0) = -theta0 for the O_i -> O_0 angle.
         assert c == pytest.approx(math.cos(0.7), abs=1e-12)
@@ -165,9 +164,8 @@ class TestLeaderRealtime:
 
     def test_constant_when_nobody_moves(self):
         lpe = LeaderPoseEstimate(np.array([1.0, 2.0, 0.0]), Rotation3Z.from_angle(-0.4))
-        z0 = OdomBroadcast(0, 9, np.zeros(3), Angle(0.0))
-        first = leader_realtime_estimate(lpe, np.zeros(3), Angle(0.0), z0, 9)
-        again = leader_realtime_estimate(lpe, np.zeros(3), Angle(0.0), z0, 9)
+        first = leader_realtime_estimate(lpe, np.zeros(3), Angle(0.0), np.zeros(3), Angle(0.0))
+        again = leader_realtime_estimate(lpe, np.zeros(3), Angle(0.0), np.zeros(3), Angle(0.0))
         assert np.allclose(first[0], again[0], atol=0)
         assert first[1:] == again[1:]
 
@@ -177,14 +175,8 @@ class TestLeaderRealtime:
             phi_i = rng.uniform(-6, 6)
             phi_0 = rng.uniform(-6, 6)
             lpe = LeaderPoseEstimate(np.zeros(3), Rotation3Z.from_angle(theta0))
-            z0 = OdomBroadcast(0, 0, np.zeros(3), Angle(phi_0))
-            _, c, s = leader_realtime_estimate(lpe, np.zeros(3), Angle(phi_i), z0, 0)
+            _, c, s = leader_realtime_estimate(lpe, np.zeros(3), Angle(phi_i),
+                                               np.zeros(3), Angle(phi_0))
             want = phi_i - phi_0 - theta0        # yaw of Sigma_i in Sigma_0
             assert c == pytest.approx(math.cos(want), abs=1e-12)
             assert s == pytest.approx(math.sin(want), abs=1e-12)
-
-    def test_stale_leader_odometry_raises(self):
-        lpe = LeaderPoseEstimate(np.zeros(3), Rotation3Z.identity())
-        z0 = OdomBroadcast(0, 0, np.zeros(3), Angle(0.0))
-        with pytest.raises(StaleBroadcast):
-            leader_realtime_estimate(lpe, np.zeros(3), Angle(0.0), z0, t_k=2, horizon=0)

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import benchmark_pair, filled_record, synthetic_record
-from uwbio.estimation import (StaleBroadcast, ThetaEstimate,
+from uwbio.estimation import (ThetaEstimate,
                               cl_update, innovation, learning_rate,
                               realtime_relative_pose, reconstruct_pose)
-from uwbio.geometry import Angle, DegenerateRotation
+from uwbio.geometry import DegenerateRotation
 from uwbio.regression import DataRecord, RegressorSample
-from uwbio.sensing import OdomBroadcast
 from uwbio.world import Pose4
 
 
@@ -152,9 +151,7 @@ class TestRealtimeRelativePose:
     def test_at_start_returns_initials(self):
         samples, theta_true, _ = benchmark_pair(ticks=10)
         est = self._exact_estimate(theta_true)
-        own = Pose4.zero()
-        nb = OdomBroadcast(0, 0, np.zeros(3), Angle(0.0))
-        p, theta = realtime_relative_pose(est, own, nb, t_k=0)
+        p, theta = realtime_relative_pose(est, Pose4.zero(), Pose4.zero())
         assert np.allclose(p, theta_true.p0, atol=1e-12)
         assert theta.radians == pytest.approx(math.atan2(theta_true.s0, theta_true.c0))
 
@@ -164,18 +161,10 @@ class TestRealtimeRelativePose:
         est = self._exact_estimate(theta_true)
         for k in (50, 200, 399):
             ti, tj = truths[k]
-            nb = OdomBroadcast(0, k, tj.odom_pose.position(), tj.odom_pose.yaw)
-            p, theta = realtime_relative_pose(est, ti.odom_pose, nb, t_k=k)
+            p, theta = realtime_relative_pose(est, ti.odom_pose, tj.odom_pose)
             p_true, theta_true_t = relative_truth(ti, tj)
             assert np.allclose(p, p_true, atol=1e-9)
             assert theta.radians == pytest.approx(theta_true_t.radians, abs=1e-9)
-
-    def test_stale_broadcast_raises(self):
-        samples, theta_true, _ = benchmark_pair(ticks=10)
-        est = self._exact_estimate(theta_true)
-        nb = OdomBroadcast(0, 5, np.zeros(3), Angle(0.0))
-        with pytest.raises(StaleBroadcast):
-            realtime_relative_pose(est, Pose4.zero(), nb, t_k=7, horizon=1)
 
     @pytest.mark.slow
     def test_bounded_noise_error_scales_linearly(self):

@@ -25,7 +25,9 @@ update side by side.
 The digests were captured with Python 3.11 and NumPy 2.4 on x86-64 with
 OpenBLAS.  Another BLAS or CPU can round differently in the last bit;
 recapture them there from a commit known to be good, never from the
-commit under test.
+commit under test.  `summary.csv` carries `config_hash`, so a change to
+the config schema may recapture only the `summary.csv` digests, and only
+after a diff against the parent's files shows that no other column moved.
 """
 
 import dataclasses
@@ -83,7 +85,7 @@ GOLDEN = {
         "samples.csv":
             "846d215129af403ff17a2c885c0202a960ee84d7aa20be0156c9691f65ae975c",
         "summary.csv":
-            "426ed967ed26b433cfc301154cad82523944a5be4e5b8ddd945b2dff688c0ea8",
+            "18de541aa11ebc77cc71c6ddee4587af604282c9710a5c892363ddee693b1e1b",
         "tracking.csv":
             "dfcba0bf6b2a27e64f31ba056478f22ade66246bdf9770c93d8b03643f4c3e3c",
     }),
@@ -95,7 +97,7 @@ GOLDEN = {
         "outliers.csv":
             "b6c7d1581670bb190885fdb1438af7bdf73e555d9d2621949fdfca2c78d12b4a",
         "summary.csv":
-            "8d46ebb2012815c8698ef2c1de9c48ff41633760c2541bfd3fa117ed726b5ae3",
+            "59284e76cb0abbff666b1e2a626efd4fb1ec21b7513ab5be7464cc6e5d76775a",
         "tracking.csv":
             "956a9516bf194ff1edd989ad618474f8df6ca82efefb0d0ee2ee7280069e4f0b",
     }),
@@ -109,7 +111,7 @@ GOLDEN = {
         "saturation.csv":
             "2e39141711b496e14ee29ffef798658c65a72d2a93df8361ff2f0e74a03f8ef2",
         "summary.csv":
-            "56a114414014a72007ab27c467f58ce4cc068990911ab37d5b722b6106a8cafd",
+            "e761b7ad3cec68ab6a2ea957a5f0d62e9d37b41ae2bd333ef191276435c0eef9",
         "tracking.csv":
             "375eec07c4a4ac955b317a0d6c1dbd754420d51eb9e773a765f443948bbf5ae8",
     }),
@@ -121,7 +123,7 @@ GOLDEN = {
         "outliers.csv":
             "4b706dd003f152668eca6782810845d1db9d29645e975da2b4d58ec937b26bfb",
         "summary.csv":
-            "621e093e75ad6210d538bbce2d41e829b5f77d2bd8d627e7d9a7812ff8378019",
+            "9b0ad30ed88b69546b797d1da5ba0584af5d58e2cc1a0849ae7ad5f59013ec2e",
         "tracking.csv":
             "0bc8bdfc94975b3785317d385954539b4e85c327a9da83e5ba20556ed9c203a5",
     }),
@@ -133,7 +135,7 @@ GOLDEN = {
         "outliers.csv":
             "d90395876b8e57cf4d9e2d8341a47516ce7b562590a06c3ab2e12712bdb06b50",
         "summary.csv":
-            "4ff3a3404c0062cc61dfc7a3d0b47205421e179457be88046f7a4912b4f39287",
+            "8b34b6e2ae311a27cebf1905379a8979ec2f5cdea08579843969baecaf942acd",
         "tracking.csv":
             "80bc44e67df96061a88fa3df60848bd077401794f28935990fee191692de3a0f",
     }),

@@ -118,9 +118,3 @@ class TestOdom:
         d1 = measure_odom(r, nxt, noise, robot_rng(11, 3))
         d2 = measure_odom(r, nxt, noise, robot_rng(11, 3))
         assert np.array_equal(d1[0], d2[0]) and d1[1] == d2[1]
-
-    def test_broadcast_carries_tick(self):
-        stream = OdomStream(NoiseModel(), 0, 4)
-        b = stream.broadcast(17)
-        assert b.sender == 4 and b.t_k == 17
-        assert np.allclose(b.cum_pos, 0.0, atol=0)

@@ -29,6 +29,18 @@ class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
 
 
+def whole_ticks(name: str, seconds: float, dt: float) -> int:
+    """`seconds` as a number of dt ticks.  Raises a ConfigError naming `name`
+    unless the ratio is within 1e-9 (relative) of a whole number >= 1, so no
+    duration is silently rounded."""
+    ticks = seconds / dt
+    if not (math.isfinite(ticks) and round(ticks) >= 1
+            and math.isclose(ticks, round(ticks), rel_tol=1e-9)):
+        raise ConfigError(f"{name} must be a whole number (>= 1) of dt ticks, "
+                          f"got {seconds!r} / {dt!r} = {ticks!r}")
+    return round(ticks)
+
+
 def check_seed(seed: int) -> None:
     """Seeds feed numpy's SeedSequence, which takes only non-negative ints."""
     if seed < 0:
@@ -125,11 +137,7 @@ class ScenarioConfig:
             raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ConfigError(f"duration_s must be positive and finite, got {self.duration_s!r}")
-        ticks = self.duration_s / self.dt
-        if not (math.isfinite(ticks) and round(ticks) >= 1
-                and math.isclose(ticks, round(ticks), rel_tol=1e-9)):
-            raise ConfigError(f"duration_s must be a whole number (>= 1) of dt ticks, "
-                              f"got {self.duration_s!r} / {self.dt!r} = {ticks!r}")
+        whole_ticks("duration_s", self.duration_s, self.dt)
         check_seed(self.seed)
         bad = _non_finite(self.to_dict())
         if bad:
@@ -145,8 +153,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown rate_variant {self.rate_variant!r}")
         if self.physics_substeps < 1:
             raise ConfigError("physics_substeps must be >= 1")
-        if self.stage1_timeout_s is not None and self.stage1_timeout_s <= 0:
-            raise ConfigError("stage1_timeout_s must be positive when given")
+        if self.stage1_timeout_s is not None:
+            if self.stage1_timeout_s <= 0:
+                raise ConfigError("stage1_timeout_s must be positive when given")
+            whole_ticks("stage1_timeout_s", self.stage1_timeout_s, self.dt)
         for rid in self.formation:
             if rid not in ids:
                 raise ConfigError(f"formation offset for unknown robot {rid}")
@@ -169,7 +179,13 @@ class ScenarioConfig:
 
     @property
     def n_ticks(self) -> int:
-        return int(round(self.duration_s / self.dt))
+        return whole_ticks("duration_s", self.duration_s, self.dt)
+
+    @property
+    def stage1_timeout_ticks(self) -> int | None:
+        if self.stage1_timeout_s is None:
+            return None
+        return whole_ticks("stage1_timeout_s", self.stage1_timeout_s, self.dt)
 
     def formation_spec(self) -> FormationSpec:
         return FormationSpec({rid: np.asarray(off, dtype=float)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Angle, PlanarRotation, Rotation3Z
+from .geometry import Angle, Rotation3Z
 from .world import RobotTruth, VelocityCommand
 
 if TYPE_CHECKING:
@@ -86,40 +86,72 @@ def tracking_error_truth(robot: RobotTruth, leader: RobotTruth,
     return TrackingError(e_p, 1.0 - math.cos(theta), math.sin(theta))
 
 
+def tracking_error_rows(rt: list, lead: list, odom: list, offsets: list) -> list[list[float]]:
+    """Formation error of every robot from its leader-relative estimate.
+
+    Per robot: `rt` holds the real-time leader-relative position q_hat in
+    its odometry frame and the body-frame relative yaw trig pair
+    (c_sigma, s_sigma) (`cooploc.leader_realtime_rows`), `lead` its leader
+    estimate row, whose trig pair is the estimated odometry-frame rotation
+    Q0_hat to the leader, `odom` its cumulative odometry (x, y, z, yaw) and
+    `offsets` its desired offset.  Returns one (e_p x, y, z, e_c, e_s) row
+    per robot.
+    """
+    out = []
+    for (qx, qy, qz, c_sigma, s_sigma), lrow, orow, (fx, fy, fz) in zip(rt, lead, odom, offsets):
+        c0, s0 = lrow[3], lrow[4]
+        phi = orow[3]
+        cp, sp = math.cos(phi), math.sin(phi)
+        # Trig of the robot's body yaw measured in the leader's odometry frame.
+        c_os = c0 * cp + s0 * sp
+        s_os = c0 * sp - s0 * cp
+        ax = c0 * qx + s0 * qy - fx
+        ay = -s0 * qx + c0 * qy - fy
+        az = qz - fz
+        out.append([c_os * ax + s_os * ay, -s_os * ax + c_os * ay, az,
+                    1.0 - c_sigma, s_sigma])
+    return out
+
+
 def tracking_error_estimated(q_hat: np.ndarray, Q0_hat: Rotation3Z,
                              c_sigma: float, s_sigma: float,
                              own_cum_yaw: Angle, offset: np.ndarray) -> TrackingError:
-    """Formation error from the leader-relative estimate.
+    """One robot's formation error from its leader-relative estimate: a
+    front end to `tracking_error_rows`."""
+    row, = tracking_error_rows(
+        [(*np.asarray(q_hat, dtype=float).tolist(), c_sigma, s_sigma)],
+        [(0.0, 0.0, 0.0, Q0_hat.c, Q0_hat.s)], [(0.0, 0.0, 0.0, own_cum_yaw.radians)],
+        [np.asarray(offset, dtype=float).tolist()])
+    return TrackingError(np.array(row[:3]), row[3], row[4])
 
-    q_hat is the real-time leader-relative position in the robot's odometry
-    frame, (c_sigma, s_sigma) the body-frame relative yaw trig pair, and
-    Q0_hat the estimated odometry-frame rotation to the leader.
-    """
-    phi_i = own_cum_yaw.radians
-    c0, s0 = Q0_hat.c, Q0_hat.s
-    # Trig of the robot's body yaw measured in the leader's odometry frame.
-    c_os = c0 * math.cos(phi_i) + s0 * math.sin(phi_i)
-    s_os = c0 * math.sin(phi_i) - s0 * math.cos(phi_i)
-    arg = Q0_hat.apply_inverse(q_hat) - np.asarray(offset, dtype=float)
-    e_p = Rotation3Z(PlanarRotation(c_os, s_os)).apply_inverse(arg)
-    return TrackingError(e_p, 1.0 - c_sigma, s_sigma)
+
+def stage1_rows(robots: Sequence[RobotConfig], t: float) -> list[tuple[float, float, float]]:
+    """Scripted excitation circle of every robot from its own stage-one
+    parameters, as (v_h, v_z, w): v_h = r*c_w, sinusoidal climb, constant
+    yaw rate."""
+    return [(r.r * r.c_w, r.c_v * math.sin(r.c_v * t), r.c_w) for r in robots]
 
 
 def stage1_command(robot: RobotConfig, t: float) -> VelocityCommand:
-    """Scripted excitation circle from the robot's own stage-one parameters:
-    v_h = r*c_w, sinusoidal climb, constant yaw rate."""
-    return VelocityCommand(robot.r * robot.c_w,
-                           robot.c_v * math.sin(robot.c_v * t),
-                           robot.c_w)
+    """One robot's stage-one command: a front end to `stage1_rows`."""
+    return VelocityCommand(*stage1_rows([robot], t)[0])
+
+
+def stage2_rows(lead: tuple[float, float, float], errors: list,
+                gains: ControlGains) -> list[tuple[float, float, float]]:
+    """Tracking law around the leader command (v_h, v_z, w) for every
+    robot's estimated error row (e_p x, y, z, e_c, e_s), as (v_h, v_z, w)."""
+    v_h, v_z, w = lead
+    k1, k2, k3, k4 = gains.k1, gains.k2, gains.k3, gains.k4
+    return [(v_h - k1 * e[0] + k2 * w * e[1], v_z - k4 * e[2], w - k3 * e[4]) for e in errors]
 
 
 def stage2_command(leader_cmd: VelocityCommand, e_hat: TrackingError,
                    gains: ControlGains) -> VelocityCommand:
-    """Tracking law around the leader command using the estimated error."""
-    v_h = leader_cmd.v_h - gains.k1 * e_hat.e_p[0] + gains.k2 * leader_cmd.w * e_hat.e_p[1]
-    v_z = leader_cmd.v_z - gains.k4 * e_hat.e_p[2]
-    w = leader_cmd.w - gains.k3 * e_hat.e_s
-    return VelocityCommand(v_h, v_z, w)
+    """One robot's stage-two command: a front end to `stage2_rows`."""
+    e = (*e_hat.e_p.tolist(), e_hat.e_c, e_hat.e_s)
+    return VelocityCommand(*stage2_rows((leader_cmd.v_h, leader_cmd.v_z, leader_cmd.w),
+                                        [e], gains)[0])
 
 
 class StageTracker:

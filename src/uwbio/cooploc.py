@@ -12,6 +12,7 @@ from the two cumulative odometries.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -19,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .estimation import RelativePoseEstimate
-from .geometry import Angle, Rotation3Z, norm_project
+from .geometry import Angle, PlanarRotation, Rotation3Z, unit_pair
 
 
 class UnreachableNode(ValueError):
@@ -100,30 +101,69 @@ class LeaderPoseEstimate:
         return cls(np.zeros(3), Rotation3Z.identity(), 0)
 
 
+def composition_plan(graph: TopologyGraph) -> list[tuple[int, bool, list[tuple[int, int]]]]:
+    """The order `compose_layers` visits the followers in, layer by layer
+    from the leader outward: (robot, whether it is in layer 1, its
+    (pair index, neighbor) inputs), with pair indices in
+    `graph.ordered_pairs()` order."""
+    index = {p: n for n, p in enumerate(graph.ordered_pairs())}
+    return [(i, graph.layers[i] == 1, [(index[(i, j)], j) for j in graph.out_edges[i]])
+            for layer in range(1, graph.max_layer + 1) for i in graph.nodes_in_layer(layer)]
+
+
+def _compose(layer1: bool, inputs: list) -> list[float]:
+    """One robot's leader estimate row (q0 x, y, z, c, s) from its
+    (pairwise pose, neighbor leader estimate) inputs, both as (x, y, z, c, s).
+
+    Layer 1 copies the direct pairwise estimate; deeper layers average the
+    neighbor compositions and re-project the averaged rotation (raising
+    DegenerateRotation when the average has no direction).  The sums start
+    from 0.0, which turns a -0.0 term into 0.0.
+    """
+    if layer1:
+        return list(inputs[0][0])
+    qx = qy = qz = c_sum = s_sum = 0.0
+    for (px, py, pz, c, s), (lx, ly, lz, lc, ls) in inputs:
+        qx += px + (c * lx - s * ly)
+        qy += py + (s * lx + c * ly)
+        qz += pz + lz
+        cc, sc = unit_pair(c * lc - s * ls, s * lc + c * ls)
+        c_sum += cc
+        s_sum += sc
+    n = len(inputs)
+    return [qx / n, qy / n, qz / n, *unit_pair(c_sum / n, s_sum / n)]
+
+
+def compose_layers(plan: list, poses: list, lead: list, fresh: list, t_k: int) -> None:
+    """Cooperative update of every follower, shallow layers first, so deeper
+    robots read same-tick values from their parents.
+
+    `poses` holds each pair's initial relative pose (x, y, z, c, s) or None
+    (`estimation.reconstruct_poses`), `lead` each robot's leader estimate
+    row (q0 x, y, z, c, s; the leader's own is (0, 0, 0, 1, 0)) and `fresh`
+    the tick it was composed at, -1 while it has none.  A robot whose
+    inputs are all present gets a new row composed at tick t_k, written in
+    place; one with a missing input keeps its previous (stale) row and tick.
+    """
+    for robot, layer1, inputs in plan:
+        if all(poses[n] is not None and fresh[j] >= 0 for n, j in inputs):
+            lead[robot] = _compose(layer1, [(poses[n], lead[j]) for n, j in inputs])
+            fresh[robot] = t_k
+
+
 def leader_initial_estimate(robot: int, graph: TopologyGraph,
                             pairwise: Mapping[tuple[int, int], RelativePoseEstimate],
                             leader_estimates: Mapping[int, LeaderPoseEstimate],
                             t_k: int = 0) -> LeaderPoseEstimate:
-    """Compose the robot's initial leader-relative pose from its neighbors.
-
-    Layer 1 copies the direct pairwise estimate; deeper layers average the
-    neighbor compositions and re-project the averaged rotation.  Raises
+    """Compose one robot's initial leader-relative pose from its neighbors:
+    a front end to the composition `compose_layers` runs per robot.  Raises
     MissingNeighborEstimate when a needed input is absent, in which case
     the caller keeps the previous value.
     """
     neighbors = graph.out_edges[robot]
     if not neighbors:
         raise MissingNeighborEstimate(f"robot {robot} has no pruned neighbors")
-
-    if graph.layers[robot] == 1:
-        rpe = pairwise.get((robot, 0))
-        if rpe is None:
-            raise MissingNeighborEstimate(f"pair ({robot}, 0) estimate unavailable")
-        return LeaderPoseEstimate(rpe.p0_hat.copy(), rpe.R0_hat, t_k)
-
-    q_sum = np.zeros(3)
-    c_sum = 0.0
-    s_sum = 0.0
+    inputs = []
     for j in neighbors:
         rpe = pairwise.get((robot, j))
         if rpe is None:
@@ -131,26 +171,39 @@ def leader_initial_estimate(robot: int, graph: TopologyGraph,
         lpe = LeaderPoseEstimate.leader_self() if j == 0 else leader_estimates.get(j)
         if lpe is None:
             raise MissingNeighborEstimate(f"robot {j} leader estimate unavailable")
-        q_sum += rpe.p0_hat + rpe.R0_hat.apply(lpe.q0_hat)
-        composed = rpe.R0_hat.compose(lpe.Q0_hat)
-        c_sum += composed.c
-        s_sum += composed.s
-    n = len(neighbors)
-    rot = norm_project(c_sum / n, s_sum / n)
-    return LeaderPoseEstimate(q_sum / n, Rotation3Z(rot), t_k)
+        inputs.append(((*rpe.p0_hat.tolist(), rpe.R0_hat.c, rpe.R0_hat.s),
+                       (*lpe.q0_hat.tolist(), lpe.Q0_hat.c, lpe.Q0_hat.s)))
+    row = _compose(graph.layers[robot] == 1, inputs)
+    return LeaderPoseEstimate(np.array(row[:3]), Rotation3Z(PlanarRotation(*row[3:])), t_k)
+
+
+def leader_realtime_rows(lead: list, odom: list, leader_odom) -> list[list[float]]:
+    """Real-time leader-relative position and body-frame relative yaw trig
+    of every robot, from its leader estimate row (q0 x, y, z, c, s) in
+    `lead`, its cumulative odometry (x, y, z, yaw) in `odom` and the
+    leader's in `leader_odom`.
+
+    Returns one (q_hat(t) x, y, z, c_hat, s_hat) row per robot, where the
+    trig pair belongs to the relative yaw of the robot's body frame measured
+    in the leader's.
+    """
+    lx, ly, lz, lyaw = leader_odom
+    out = []
+    for (qx, qy, qz, c0, s0), (ox, oy, oz, oyaw) in zip(lead, odom):
+        dphi = oyaw - lyaw
+        cd, sd = math.cos(dphi), math.sin(dphi)
+        out.append([qx + ox - (c0 * lx - s0 * ly), qy + oy - (s0 * lx + c0 * ly), qz + oz - lz,
+                    c0 * cd + s0 * sd, c0 * sd - s0 * cd])
+    return out
 
 
 def leader_realtime_estimate(lpe: LeaderPoseEstimate, own_cum_pos: np.ndarray,
                              own_cum_yaw: Angle, leader_cum_pos: np.ndarray,
                              leader_cum_yaw: Angle) -> tuple[np.ndarray, float, float]:
-    """Real-time leader-relative position and body-frame relative yaw trig.
-
-    Returns (q_hat(t), c_hat, s_hat) where the trig pair belongs to the
-    relative yaw of this robot's body frame measured in the leader's.
-    """
-    q = lpe.q0_hat + np.asarray(own_cum_pos, dtype=float) - lpe.Q0_hat.apply(leader_cum_pos)
-    dphi = own_cum_yaw.radians - leader_cum_yaw.radians
-    c0, s0 = lpe.Q0_hat.c, lpe.Q0_hat.s
-    c = c0 * np.cos(dphi) + s0 * np.sin(dphi)
-    s = c0 * np.sin(dphi) - s0 * np.cos(dphi)
-    return q, float(c), float(s)
+    """One robot's real-time leader-relative estimate (q_hat(t), c_hat,
+    s_hat): a front end to `leader_realtime_rows`."""
+    row, = leader_realtime_rows(
+        [(*lpe.q0_hat.tolist(), lpe.Q0_hat.c, lpe.Q0_hat.s)],
+        [(*np.asarray(own_cum_pos, dtype=float).tolist(), own_cum_yaw.radians)],
+        (*np.asarray(leader_cum_pos, dtype=float).tolist(), leader_cum_yaw.radians))
+    return np.array(row[:3]), row[3], row[4]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Angle, Rotation3Z, norm_project
+from .geometry import NORM_TOL, Angle, DegenerateRotation, PlanarRotation, Rotation3Z, unit_pair
 from .regression import THETA_DIM, DataRecord, RecordBank, RegressorSample, pair_index
 from .world import Pose4
 
@@ -127,13 +127,28 @@ def innovation(est: ThetaEstimate, sample: RegressorSample) -> float:
     return float(est.theta_hat @ sample.phi - sample.y)
 
 
+def reconstruct_poses(theta: np.ndarray) -> list[tuple[float, ...] | None]:
+    """Initial relative pose of every pair of a (pairs, 7) estimate array, as
+    (x, y, z, c, s): the position block plus the normalized trig pair; None
+    while a pair's trig pair is uninformative (the caller then keeps what it
+    built from that pair before)."""
+    out = []
+    for x, y, z, _, _, c_raw, s_raw in theta.tolist():
+        try:
+            out.append((x, y, z, *unit_pair(c_raw, s_raw)))
+        except DegenerateRotation:
+            out.append(None)
+    return out
+
+
 def reconstruct_pose(est: ThetaEstimate) -> RelativePoseEstimate:
-    """Initial relative pose from the estimate: position block plus the
-    normalized trig pair.  Raises DegenerateRotation while the trig pair is
-    uninformative; the caller then keeps its previous pose.
-    """
-    rot = norm_project(est.theta_hat[5], est.theta_hat[6])
-    return RelativePoseEstimate(est.theta_hat[:3].copy(), Rotation3Z(rot))
+    """One pair's initial relative pose: a front end to `reconstruct_poses`.
+    Raises DegenerateRotation while the trig pair is uninformative."""
+    pose, = reconstruct_poses(est.theta_hat[None])
+    if pose is None:
+        raise DegenerateRotation(f"trig pair {est.theta_hat[5:].tolist()} is shorter than "
+                                 f"{NORM_TOL}")
+    return RelativePoseEstimate(np.array(pose[:3]), Rotation3Z(PlanarRotation(*pose[3:])))
 
 
 def realtime_relative_pose(est: ThetaEstimate, own_odom: Pose4,

@@ -2,18 +2,24 @@
 
 Per measurement instant the loop runs: sense -> outlier screen -> build
 and record the regressor sample -> concurrent-learning update -> layered
-cooperative update -> stage check; then a command is issued for the next
-interval and the physics steps.  The pairs are independent within a tick,
-so their estimator state lives on a leading pair axis in
-`graph.ordered_pairs()` order (a JudgeBank, a RecordBank, a (pairs, 7)
-estimate array and the last accepted measurement per pair), and each
-estimator stage runs once per tick over all pairs; cooperative
-composition, control, odometry and physics stay per robot.  The loop logs
-estimator, controller and physics state plus the true poses, and reads
-truth only for sensing, physics, `truth_feedback` and the unbroadcast
-leader odometry; afterwards `_score_truth` derives every truth error from
-the logs, all ticks at once.  Per-stream RNGs derived from (seed, stream
-tag) make a (config, seed) pair determine every logged byte.
+cooperative update -> stage check -> real-time leader estimate and
+estimated tracking error; then `tick` issues a command for the next
+interval and steps the physics and the odometry.  All of it runs over an
+explicit `SimState`.  The pairs are independent within a tick, so their
+estimator state lies on a leading pair axis in `graph.ordered_pairs()`
+order (a JudgeBank, a RecordBank, a (pairs, 7) estimate array and the last
+accepted measurement per pair), and each estimator stage runs once per
+tick over all pairs.  The per-robot state lies on a robot axis (true poses
+(robots, 8), cumulative odometry (robots, 4), leader estimates (robots, 5)
+with their composition ticks), and each per-robot layer (cooperative
+composition, real-time estimate and tracking error, commands, physics,
+odometry) runs once per tick as one pass over float rows.  The loop logs
+estimator, controller and physics state plus the true poses, one
+(rows, pairs or robots, ...) array row per tick, and reads truth only for
+sensing, physics, `truth_feedback` and the unbroadcast leader odometry;
+afterwards `_score_truth` derives every truth error from the logs, all
+ticks at once.  Per-stream RNGs derived from (seed, stream tag) make a
+(config, seed) pair determine every logged byte.
 """
 
 from __future__ import annotations
@@ -30,22 +36,30 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, check_seed
-from .control import (StageTracker, stage1_command, stage2_command,
-                      tracking_error_estimated, tracking_error_truth, TrackingError)
-from .cooploc import (LeaderPoseEstimate, MissingNeighborEstimate, assign_layers,
-                      leader_initial_estimate, leader_realtime_estimate)
-# The tick runs the stacked stages (build_samples, cl_update_all,
-# excitation_ratios).  benchmarks/tracing.py still wraps their one-pair
-# front ends under these harness names and fails without them; they can
-# go once it traces the stacked entry points instead.
-from .estimation import ThetaEstimate, cl_update, cl_update_all, reconstruct_pose
-from .geometry import Angle, DegenerateRotation
+from .control import (StageTracker, stage1_rows, stage2_rows, tracking_error_rows,
+                      tracking_error_truth)
+from .cooploc import (LeaderPoseEstimate, TopologyGraph, assign_layers, compose_layers,
+                      composition_plan, leader_realtime_rows)
+from .estimation import ThetaEstimate, cl_update_all, reconstruct_poses
+from .geometry import PlanarRotation, Rotation3Z
 from .metrics import RunMetrics, convergence_time, detection_stats, smoothness, tail_mean
 from .outliers import JudgeBank
 from .regression import THETA_DIM, DataRecord, RecordBank, RegressorSample, ThetaTrue, \
-    build_sample, build_samples, excitation_ratio, excitation_ratios, pair_index
-from .sensing import OdomStream, RangeStream
-from .world import RobotTruth, VelocityCommand, step
+    build_samples, excitation_ratios, pair_index
+from .sensing import RangeStream, odom_step, robot_rng
+from .world import RobotTruth, VelocityCommand, advance
+
+# The tick runs the stacked stages and row passes (build_samples,
+# cl_update_all, excitation_ratios, reconstruct_poses, compose_layers,
+# leader_realtime_rows, tracking_error_rows, stage1_rows, stage2_rows,
+# advance).  benchmarks/tracing.py still wraps their one-pair and one-robot
+# front ends under these harness names and fails without them; they can go
+# once it traces the stacked entry points instead.
+from .control import stage1_command, stage2_command, tracking_error_estimated  # noqa: F401
+from .cooploc import leader_initial_estimate, leader_realtime_estimate  # noqa: F401
+from .estimation import cl_update, reconstruct_pose  # noqa: F401
+from .regression import build_sample, excitation_ratio  # noqa: F401
+from .world import step  # noqa: F401
 
 # Golden-angle phase spread keeps per-robot excitation signals decorrelated.
 _PHASE = 2.399963229728653
@@ -158,245 +172,313 @@ def _initial_truths(config: ScenarioConfig, seed: int) -> list[RobotTruth]:
     return truths
 
 
-def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
-    """Execute one deterministic run and return all logs plus metrics."""
-    seed = config.seed if seed is None else int(seed)
-    check_seed(seed)
+@dataclass
+class Logs:
+    """Per-tick logs on a leading tick axis, one row written per tick: per
+    pair in `graph.ordered_pairs()` order, per robot with the leader at
+    index 0 (its real-time estimate and error rows stay NaN).  Follower
+    estimate rows are NaN until a leader estimate exists."""
+
+    truth: np.ndarray          # (rows, robots, 8): RobotTruth.as_row per tick
+    theta: np.ndarray          # (rows, pairs, 7)
+    lam_min: np.ndarray        # (rows, pairs)
+    lam_max: np.ndarray        # (rows, pairs)
+    updated: np.ndarray        # (rows, pairs) bool
+    lead: np.ndarray           # (rows, robots, 5) leader estimate q0_hat, c, s
+    q0_fresh: np.ndarray       # (rows, robots) bool: composed at this tick
+    rt_hat: np.ndarray         # (rows, robots, 5) real-time q_hat, c_hat, s_hat
+    track_est: np.ndarray      # (rows, robots, 5) estimated tracking error
+    commands: np.ndarray       # (ticks, robots, 3) v_h, v_z, w
+    stage2: np.ndarray         # (ticks,) bool
+    outlier_events: list = field(default_factory=list)
+    saturation_events: list = field(default_factory=list)
+    samples_dump: list = field(default_factory=list)
+
+
+@dataclass
+class SimState:
+    """Everything `tick` reads and advances.  Per-pair estimator state lies
+    on a leading pair axis in `pairs` order.  Per-robot state is a table of
+    float rows, one per robot with the leader first, which each per-robot
+    layer reads and writes in one Python pass (at a few robots a pass over
+    rows costs less than numpy calls on stacked arrays)."""
+
+    config: ScenarioConfig
+    graph: TopologyGraph
+    pairs: tuple[tuple[int, int], ...]
+    pair_ij: np.ndarray                 # (pairs, 2) robot indices
+    out_pairs: list[list[int]]          # each robot's pairs, as the stage check reads them
+    plan: list                          # cooploc.composition_plan
+    offsets: list[list[float]]          # desired formation offset per robot
+    cruise: tuple[float, float, float]  # the leader's stage-two command
+    stage: StageTracker
+    logs: Logs
+    # Per pair.
+    ranges: list[RangeStream]
+    judges: JudgeBank
+    bank: RecordBank
+    theta: np.ndarray                   # (pairs, 7) estimates
+    end_tick: list[int]                 # tick of each pair's last accepted measurement
+    end: np.ndarray                     # (pairs, 7): its [d^2, z_i, z_j]
+    last_sample: dict
+    # Per robot.
+    truth: list[list[float]]            # (robots, 8): RobotTruth.as_row
+    cum: list[list[float]]              # (robots, 4): cumulative odometry x, y, z, yaw
+    odom_rngs: list[np.random.Generator]
+    lead: list[list[float]]             # (robots, 5): leader estimate q0_hat, c, s; NaN before one
+    fresh: list[int]                    # tick each was composed at, -1 before
+    errors: list                        # per follower: the error row the next command feeds back
+
+
+# The error a follower without a leader estimate feeds back: none, so its
+# stage-two command is the leader's feedforward.
+_COLD_START = (0.0, 0.0, 0.0, 0.0, 0.0)
+_NAN_ROW = (math.nan,) * 5
+
+
+def _initial_state(config: ScenarioConfig, seed: int) -> SimState:
     graph = assign_layers(config.edges, config.n_robots)
     pairs = graph.ordered_pairs()
-    robots = list(range(config.n_robots))
-    followers = [r for r in robots if r != 0]
-    T = config.n_ticks
-    dt = config.dt
-    planar = config.mode_2d
+    n_pairs, n_robots, rows = len(pairs), config.n_robots, config.n_ticks + 1
     spec = config.formation_spec()
-
     cruise = config.leader_cruise
     if cruise is None:
         lead = config.robots[0]
         cruise = VelocityCommand(lead.r * lead.c_w, 0.0, lead.c_w)
+    logs = Logs(
+        truth=np.zeros((rows, n_robots, 8)),
+        theta=np.full((rows, n_pairs, THETA_DIM), np.nan),
+        lam_min=np.zeros((rows, n_pairs)), lam_max=np.zeros((rows, n_pairs)),
+        updated=np.zeros((rows, n_pairs), dtype=bool),
+        lead=np.full((rows, n_robots, 5), np.nan),
+        q0_fresh=np.zeros((rows, n_robots), dtype=bool),
+        rt_hat=np.full((rows, n_robots, 5), np.nan),
+        track_est=np.full((rows, n_robots, 5), np.nan),
+        commands=np.zeros((config.n_ticks, n_robots, 3)),
+        stage2=np.zeros(config.n_ticks, dtype=bool))
+    return SimState(
+        config=config, graph=graph, pairs=pairs,
+        pair_ij=np.array(pairs, dtype=np.intp).reshape(n_pairs, 2),
+        out_pairs=[[pairs.index((r, j)) for j in graph.out_edges[r]] for r in range(n_robots)],
+        plan=composition_plan(graph),
+        offsets=[spec.offset(r).tolist() for r in range(n_robots)],
+        cruise=(cruise.v_h, cruise.v_z, cruise.w),
+        stage=StageTracker(range(n_robots), config.excitation_threshold,
+                           config.stage1_timeout_ticks),
+        logs=logs,
+        ranges=[RangeStream(config.noise, seed, i, j) for (i, j) in pairs],
+        judges=JudgeBank(n_pairs, config.judge_capacity, config.judge_threshold),
+        bank=RecordBank(n_pairs, config.mode_2d, config.hist_cap),
+        theta=np.zeros((n_pairs, THETA_DIM)),
+        end_tick=[-2] * n_pairs, end=np.zeros((n_pairs, 7)), last_sample={},
+        truth=[list(t.as_row()) for t in _initial_truths(config, seed)],
+        cum=[[0.0] * 4 for _ in range(n_robots)],
+        odom_rngs=[robot_rng(seed, r) for r in range(n_robots)],
+        # The leader's own estimate is LeaderPoseEstimate.leader_self.
+        lead=[[0.0, 0.0, 0.0, 1.0, 0.0]] + [[math.nan] * 5 for _ in range(n_robots - 1)],
+        fresh=[0] + [-1] * (n_robots - 1), errors=[])
 
-    truths = _initial_truths(config, seed)
-    odom = [OdomStream(config.noise, seed, r, planar=planar) for r in robots]
-    n_pairs = len(pairs)
-    all_pairs = list(range(n_pairs))
-    pair_i = [i for i, _ in pairs]
-    pair_j = [j for _, j in pairs]
-    pair_ij = np.array(pairs, dtype=np.intp).reshape(n_pairs, 2)
-    # Per-pair state on a leading pair axis, in `pairs` order.
-    ranges = [RangeStream(config.noise, seed, i, j) for (i, j) in pairs]
-    judges = JudgeBank(n_pairs, config.judge_capacity, config.judge_threshold)
-    bank = RecordBank(n_pairs, planar, config.hist_cap)
-    theta = np.zeros((n_pairs, THETA_DIM))
-    # Each pair's last accepted measurement: its tick, and [d^2, z_i, z_j].
-    end_tick = [-2] * n_pairs
-    end = np.zeros((n_pairs, 7))
-    last_sample: dict[tuple[int, int], RegressorSample] = {}
-    # One-pair views of that state (they hold none of their own), for the
-    # pose reconstruction and the result.
-    estimators = {p: ThetaEstimate(theta[n], DataRecord(bank=bank, row=n), config.rate_variant)
-                  for n, p in enumerate(pairs)}
-    # Each robot's pairs, as the stage check reads their records.
-    out_pairs = {r: [pairs.index((r, j)) for j in graph.out_edges[r]] for r in robots}
-    lpe: dict[int, LeaderPoseEstimate | None] = {r: None for r in followers}
 
-    timeout_ticks = None if config.stage1_timeout_s is None else \
-        int(round(config.stage1_timeout_s / dt))
-    stage = StageTracker(robots, config.excitation_threshold, timeout_ticks)
-
-    rows = T + 1
-    truth = np.zeros((rows, len(robots), 8))
-    theta_log = np.full((rows, n_pairs, THETA_DIM), np.nan)
-    lam_min = np.zeros((rows, n_pairs))
-    lam_max = np.zeros((rows, n_pairs))
-    updated = np.zeros((rows, n_pairs), dtype=bool)
-    q0_hat = {r: np.full((rows, 3), np.nan) for r in followers}
-    q0_fresh = {r: np.zeros(rows, dtype=bool) for r in followers}
-    rt_hat = {r: np.full((rows, 5), np.nan) for r in followers}
-    track_est = {r: np.full((rows, 5), np.nan) for r in followers}
-    commands = {r: np.zeros((T, 3)) for r in robots}
-    stage2_flag = np.zeros(T, dtype=bool)
-    outlier_events: list[tuple] = []
-    saturation_events: list[tuple] = []
-    samples_dump: list[tuple] = []
-    current_ehat: dict[int, TrackingError | None] = {r: None for r in followers}
-
-    def leader_odometry() -> tuple[np.ndarray, Angle]:
-        if config.leader_odom_broadcast:
-            return odom[0].cum_pos, Angle(odom[0].cum_yaw)
-        pose = truths[0].odom_pose
-        return pose.position(), pose.yaw
-
-    def sense_and_update(k: int) -> None:
-        # Each estimator stage runs once over all pairs; pairs are
-        # independent within a tick.
-        truth[k] = [t.as_row() for t in truths]
-        ends = truth[k].take(pair_ij, axis=0)
-        diff = ends[:, 0, :3] - ends[:, 1, :3]
-        draws = [stream.draw(x) for stream, x in
-                 zip(ranges, np.sqrt(np.vecdot(diff, diff)).tolist())]
-        d = [x for x, _ in draws]
-        injected = [inj for _, inj in draws]
-        now = np.empty((n_pairs, 7))
-        # Python's float power, as the one-pair build_sample squares ranges.
-        now[:, 0] = [x ** 2 for x in d]
-        now[:, 1:] = np.array([o.cum_pos for o in odom]).take(pair_ij, axis=0).reshape(-1, 6)
-        if config.outlier_screening:
-            verdict, votes, qsize = judges.screen_all(np.array(d), now[:, 1:], k)
-            outlier_events.extend(zip(repeat(k), pair_i, pair_j, d, votes, qsize, verdict,
-                                      injected))
-            accepted = [p for p, out in enumerate(verdict) if not out]
-        else:
-            outlier_events.extend(zip(repeat(k), pair_i, pair_j, d, repeat(0), repeat(0),
-                                      repeat(False), injected))
-            accepted = all_pairs
-        chain = [p for p in accepted if end_tick[p] == k - 1]
-        ix = pair_index(chain, n_pairs)
-        phi, y, valid = build_samples(end[ix], now[ix] - end[ix])
-        got = [p for p, ok in zip(chain, valid.tolist()) if ok]
-        if got:
-            if len(got) < len(chain):
-                phi, y = phi[valid], y[valid]
-            samples = [RegressorSample(row, yn, k - 1) for row, yn in zip(phi, y.tolist())]
-            bank.add_all(got, samples)
-            cl_update_all(theta, bank, got, phi, y, config.rate_variant)
-            updated[k, pair_index(got, n_pairs)] = True
-            for n, s in zip(got, samples):
-                last_sample[pairs[n]] = s
-                if config.sample_dump:
-                    samples_dump.append((k - 1, *pairs[n], *s.phi.tolist(), s.y))
-        ix = pair_index(accepted, n_pairs)
-        end[ix] = now[ix]
-        for p in accepted:
-            end_tick[p] = k
-
-        # Cooperative update, shallow layers first so deeper nodes read
-        # same-tick values from their parents.
-        pairwise = {}
-        for p, est in estimators.items():
-            try:
-                pairwise[p] = reconstruct_pose(est)
-            except DegenerateRotation:
-                pass
-        for layer in range(1, graph.max_layer + 1):
-            for i in graph.nodes_in_layer(layer):
-                try:
-                    lpe[i] = leader_initial_estimate(i, graph, pairwise, lpe, t_k=k)
-                except MissingNeighborEstimate:
-                    pass  # keep previous (stale) estimate
-
-        if not stage.stage2_active:
-            ratio = excitation_ratios(bank)
-            stage.update(k, {r: [ratio[n] for n in out_pairs[r]] for r in robots})
-
-        # Logs at instant k.
-        theta_log[k] = theta
-        lam_min[k] = bank.lambda_min
-        lam_max[k] = bank.lambda_max
-        if np.count_nonzero(np.isfinite(theta)) < theta.size:
-            bad = pairs[int(np.argmin(np.isfinite(theta).all(axis=1)))]
-            raise RuntimeError(f"non-finite estimate for pair {bad} at tick {k}")
-        z0_pos, z0_yaw = leader_odometry()
-        for i in followers:
-            current_ehat[i] = None
-            est_i = lpe[i]
-            if est_i is None:
-                continue
-            q0_fresh[i][k] = est_i.fresh == k
-            q0_hat[i][k] = est_i.q0_hat
-            q_hat, c_hat, s_hat = leader_realtime_estimate(
-                est_i, odom[i].cum_pos, Angle(odom[i].cum_yaw), z0_pos, z0_yaw)
-            rt_hat[i][k, :3] = q_hat
-            rt_hat[i][k, 3:] = c_hat, s_hat
-            e_hat = tracking_error_estimated(q_hat, est_i.Q0_hat, c_hat, s_hat,
-                                             Angle(odom[i].cum_yaw), spec.offset(i))
-            current_ehat[i] = e_hat
-            track_est[i][k] = [e_hat.e_p[0], e_hat.e_p[1], e_hat.e_p[2],
-                               e_hat.e_c, e_hat.e_s]
-
-    def follower_command(i: int, k: int, t: float, stage2: bool,
-                         lead_cmd: VelocityCommand) -> VelocityCommand:
-        if not config.pe_baseline and not stage2:
-            return stage1_command(config.robots[i], t)
-        if config.truth_feedback:
-            e_hat = tracking_error_truth(truths[i], truths[0], spec.offset(i))
-        else:
-            e_hat = current_ehat[i]
-            if e_hat is None:
-                # Cold start: no usable estimate yet, fall back to feedforward.
-                e_hat = TrackingError(np.zeros(3), 0.0, 0.0)
-        cmd = stage2_command(lead_cmd, e_hat, config.gains)
-        if config.pe_baseline:
-            pe = config.pe_excitation
-            ph = _PHASE * i
-            v_h = cmd.v_h + pe.amplitude * math.sin(pe.frequency * t + ph)
-            w = cmd.w + pe.amplitude * math.cos(pe.frequency * t + ph)
-            v_z = cmd.v_z
-            if not planar:
-                v_z += 0.5 * pe.amplitude * math.sin(0.8 * pe.frequency * t + ph)
-            cmd = VelocityCommand(v_h, v_z, w)
-        return cmd
-
-    def saturate(r: int, k: int, cmd: VelocityCommand) -> VelocityCommand:
-        sat = config.saturation
-        if sat is None:
-            return cmd
-        v_h = min(max(cmd.v_h, -sat.v_h_max), sat.v_h_max)
-        v_z = min(max(cmd.v_z, -sat.v_z_max), sat.v_z_max)
-        w = min(max(cmd.w, -sat.w_max), sat.w_max)
-        if (v_h, v_z, w) != (cmd.v_h, cmd.v_z, cmd.w):
-            saturation_events.append((k, r, cmd.v_h, cmd.v_z, cmd.w))
-            return VelocityCommand(v_h, v_z, w)
-        return cmd
-
-    sense_and_update(0)
-    for k in range(T):
-        t = k * dt
-        stage2 = config.pe_baseline or stage.in_stage2(k)
-        stage2_flag[k] = stage2
-        lead_cmd = cruise if stage2 else stage1_command(config.robots[0], t)
-        if planar:
-            lead_cmd = VelocityCommand(lead_cmd.v_h, 0.0, lead_cmd.w)
-        # Followers feed forward the command the leader actually applies.
-        lead_cmd = saturate(0, k, lead_cmd)
-        cmds = {0: lead_cmd}
-        for i in followers:
-            cmd = follower_command(i, k, t, stage2, lead_cmd)
-            if planar:
-                cmd = VelocityCommand(cmd.v_h, 0.0, cmd.w)
-            cmds[i] = saturate(i, k, cmd)
-        sub = config.physics_substeps
-        for r in robots:
-            cmd = cmds[r]
-            commands[r][k] = cmd.v_h, cmd.v_z, cmd.w
-            nt = truths[r]
-            for _ in range(sub):
-                nt = step(nt, cmd, dt / sub)
-            wp = nt.world_pose
-            if not (math.isfinite(wp.x) and math.isfinite(wp.y) and math.isfinite(wp.z)):
-                raise RuntimeError(f"non-finite state for robot {r} at tick {k + 1}")
-            odom[r].update(truths[r], nt)
-            truths[r] = nt
-        sense_and_update(k + 1)
-
-    def per_pair(log: np.ndarray) -> dict:
-        return {p: log[:, n] for n, p in enumerate(pairs)}
-
-    result = RunResult(
-        config=config, seed=seed, dt=dt, n_ticks=T, graph=graph, truth=truth,
-        theta_log=per_pair(theta_log), lam_min=per_pair(lam_min), lam_max=per_pair(lam_max),
-        updated=per_pair(updated),
-        q0_hat=q0_hat, q0_fresh=q0_fresh, rt_hat=rt_hat, track_est=track_est,
-        commands=commands, stage2_flag=stage2_flag,
-        transition_tick=stage.transition_tick,
-        outlier_events=outlier_events, saturation_events=saturation_events,
-        samples_dump=samples_dump,
-        final_estimators=estimators, final_lpe=dict(lpe),
-        final_truths=list(truths), last_sample=last_sample,
-    )
+def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
+    """Execute one deterministic run and return all logs plus metrics."""
+    seed = config.seed if seed is None else int(seed)
+    check_seed(seed)
+    state = _initial_state(config, seed)
+    _observe(state, 0)
+    for k in range(config.n_ticks):
+        tick(state, k)
+    result = _result(state, seed)
     _score_truth(result)
     result.metrics = _compute_metrics(result)
     return result
+
+
+def tick(state: SimState, k: int) -> None:
+    """Advance the run from instant k to k + 1: issue every robot's command
+    for the interval, step the physics and the odometry, then observe
+    instant k + 1."""
+    cfg = state.config
+    cmds = _commands(state, k)
+    state.logs.commands[k] = cmds
+    after = state.truth
+    sub = cfg.physics_substeps
+    for _ in range(sub):
+        after = advance(after, cmds, cfg.dt / sub)
+    for r, row in enumerate(after):
+        if not (math.isfinite(row[0]) and math.isfinite(row[1]) and math.isfinite(row[2])):
+            raise RuntimeError(f"non-finite state for robot {r} at tick {k + 1}")
+    state.cum = odom_step(state.cum, state.truth, after, cfg.noise, state.odom_rngs, cfg.mode_2d)
+    state.truth = after
+    _observe(state, k + 1)
+
+
+def _commands(state: SimState, k: int) -> list[tuple[float, float, float]]:
+    """Every robot's (v_h, v_z, w) for interval k, leader first, saturated."""
+    cfg = state.config
+    t = k * cfg.dt
+    planar = cfg.mode_2d
+    stage2 = cfg.pe_baseline or state.stage.in_stage2(k)
+    state.logs.stage2[k] = stage2
+    lead = state.cruise if stage2 else stage1_rows(cfg.robots[:1], t)[0]
+    if planar:
+        lead = (lead[0], 0.0, lead[2])
+    # Followers feed forward the command the leader actually applies.
+    lead = _saturate(state, k, 0, lead)
+    if not cfg.pe_baseline and not stage2:
+        follow = stage1_rows(cfg.robots[1:], t)
+    else:
+        errors = state.errors
+        if cfg.truth_feedback:
+            leader = RobotTruth.from_row(0, state.truth[0])
+            errors = []
+            for i in range(1, cfg.n_robots):
+                e = tracking_error_truth(RobotTruth.from_row(i, state.truth[i]), leader,
+                                         state.offsets[i])
+                errors.append((*e.e_p.tolist(), e.e_c, e.e_s))
+        follow = stage2_rows(lead, errors, cfg.gains)
+    cmds = [lead]
+    pe = cfg.pe_excitation
+    for i, (v_h, v_z, w) in enumerate(follow, start=1):
+        if cfg.pe_baseline:
+            ph = _PHASE * i
+            v_h += pe.amplitude * math.sin(pe.frequency * t + ph)
+            w += pe.amplitude * math.cos(pe.frequency * t + ph)
+            if not planar:
+                v_z += 0.5 * pe.amplitude * math.sin(0.8 * pe.frequency * t + ph)
+        cmds.append(_saturate(state, k, i, (v_h, 0.0 if planar else v_z, w)))
+    return cmds
+
+
+def _saturate(state: SimState, k: int, r: int,
+              cmd: tuple[float, float, float]) -> tuple[float, float, float]:
+    sat = state.config.saturation
+    if sat is None:
+        return cmd
+    v_h, v_z, w = cmd
+    out = (min(max(v_h, -sat.v_h_max), sat.v_h_max),
+           min(max(v_z, -sat.v_z_max), sat.v_z_max),
+           min(max(w, -sat.w_max), sat.w_max))
+    if out != cmd:
+        state.logs.saturation_events.append((k, r, v_h, v_z, w))
+        return out
+    return cmd
+
+
+def _observe(state: SimState, k: int) -> None:
+    """Instant k: sense, run each estimator stage once over all pairs (the
+    pairs are independent within a tick), compose the leader estimates,
+    check the stage, derive the real-time estimates and log it all."""
+    cfg, logs, pairs, bank, theta = state.config, state.logs, state.pairs, state.bank, state.theta
+    n_pairs = len(pairs)
+    logs.truth[k] = state.truth
+    ends = logs.truth[k].take(state.pair_ij, axis=0)
+    diff = ends[:, 0, :3] - ends[:, 1, :3]
+    draws = [stream.draw(x) for stream, x in
+             zip(state.ranges, np.sqrt(np.vecdot(diff, diff)).tolist())]
+    d = [x for x, _ in draws]
+    injected = [inj for _, inj in draws]
+    pair_i = [i for i, _ in pairs]
+    pair_j = [j for _, j in pairs]
+    now = np.empty((n_pairs, 7))
+    # Python's float power, as the one-pair build_sample squares ranges.
+    now[:, 0] = [x ** 2 for x in d]
+    cum = state.cum
+    now[:, 1:] = [cum[i][:3] + cum[j][:3] for i, j in pairs]
+    if cfg.outlier_screening:
+        verdict, votes, qsize = state.judges.screen_all(np.array(d), now[:, 1:], k)
+        logs.outlier_events.extend(zip(repeat(k), pair_i, pair_j, d, votes, qsize, verdict,
+                                       injected))
+        accepted = [p for p, out in enumerate(verdict) if not out]
+    else:
+        logs.outlier_events.extend(zip(repeat(k), pair_i, pair_j, d, repeat(0), repeat(0),
+                                       repeat(False), injected))
+        accepted = list(range(n_pairs))
+    end, end_tick = state.end, state.end_tick
+    chain = [p for p in accepted if end_tick[p] == k - 1]
+    ix = pair_index(chain, n_pairs)
+    phi, y, valid = build_samples(end[ix], now[ix] - end[ix])
+    got = [p for p, ok in zip(chain, valid.tolist()) if ok]
+    if got:
+        if len(got) < len(chain):
+            phi, y = phi[valid], y[valid]
+        samples = [RegressorSample(row, yn, k - 1) for row, yn in zip(phi, y.tolist())]
+        bank.add_all(got, samples)
+        cl_update_all(theta, bank, got, phi, y, cfg.rate_variant)
+        logs.updated[k, pair_index(got, n_pairs)] = True
+        for n, s in zip(got, samples):
+            state.last_sample[pairs[n]] = s
+            if cfg.sample_dump:
+                logs.samples_dump.append((k - 1, *pairs[n], *s.phi.tolist(), s.y))
+    ix = pair_index(accepted, n_pairs)
+    end[ix] = now[ix]
+    for p in accepted:
+        end_tick[p] = k
+
+    lead, fresh = state.lead, state.fresh
+    compose_layers(state.plan, reconstruct_poses(theta), lead, fresh, k)
+
+    if not state.stage.stage2_active:
+        ratio = excitation_ratios(bank)
+        state.stage.update(k, {r: [ratio[n] for n in ns] for r, ns in enumerate(state.out_pairs)})
+
+    logs.theta[k] = theta
+    logs.lam_min[k] = bank.lambda_min
+    logs.lam_max[k] = bank.lambda_max
+    if np.count_nonzero(np.isfinite(theta)) < theta.size:
+        bad = pairs[int(np.argmin(np.isfinite(theta).all(axis=1)))]
+        raise RuntimeError(f"non-finite estimate for pair {bad} at tick {k}")
+    logs.lead[k] = lead
+    logs.q0_fresh[k] = [f == k for f in fresh]
+    leader = cum[0] if cfg.leader_odom_broadcast else state.truth[0][4:]
+    rt = leader_realtime_rows(lead[1:], cum[1:], leader)
+    track = tracking_error_rows(rt, lead[1:], cum[1:], state.offsets[1:])
+    errors = track
+    if min(fresh) < 0:
+        # Followers without a leader estimate log NaN rows (the rows computed
+        # from their NaN estimates carry NaN of either sign) and feed back
+        # no error.
+        rt = [row if f >= 0 else _NAN_ROW for row, f in zip(rt, fresh[1:])]
+        track = [row if f >= 0 else _NAN_ROW for row, f in zip(track, fresh[1:])]
+        errors = [row if f >= 0 else _COLD_START for row, f in zip(errors, fresh[1:])]
+    logs.rt_hat[k, 1:] = rt
+    logs.track_est[k, 1:] = track
+    state.errors = errors
+
+
+def _result(state: SimState, seed: int) -> RunResult:
+    """The run's logs as per-pair and per-robot views, and its final state
+    as the one-pair and one-robot objects."""
+    cfg, logs = state.config, state.logs
+    followers = range(1, cfg.n_robots)
+
+    def per_pair(log: np.ndarray) -> dict:
+        return {p: log[:, n] for n, p in enumerate(state.pairs)}
+
+    def per_follower(log: np.ndarray) -> dict:
+        return {r: log[:, r] for r in followers}
+
+    # One-pair views of the stacked estimator state; they hold none of their own.
+    estimators = {p: ThetaEstimate(state.theta[n], DataRecord(bank=state.bank, row=n),
+                                   cfg.rate_variant)
+                  for n, p in enumerate(state.pairs)}
+    final_lpe = {}
+    for r in followers:
+        x, y, z, c, s = state.lead[r]
+        final_lpe[r] = None if state.fresh[r] < 0 else LeaderPoseEstimate(
+            np.array([x, y, z]), Rotation3Z(PlanarRotation(c, s)), state.fresh[r])
+    return RunResult(
+        config=cfg, seed=seed, dt=cfg.dt, n_ticks=cfg.n_ticks, graph=state.graph,
+        truth=logs.truth, theta_log=per_pair(logs.theta), lam_min=per_pair(logs.lam_min),
+        lam_max=per_pair(logs.lam_max), updated=per_pair(logs.updated),
+        q0_hat={r: logs.lead[:, r, :3] for r in followers}, q0_fresh=per_follower(logs.q0_fresh),
+        rt_hat=per_follower(logs.rt_hat), track_est=per_follower(logs.track_est),
+        commands={r: logs.commands[:, r] for r in range(cfg.n_robots)},
+        stage2_flag=logs.stage2, transition_tick=state.stage.transition_tick,
+        outlier_events=logs.outlier_events, saturation_events=logs.saturation_events,
+        samples_dump=logs.samples_dump, final_estimators=estimators, final_lpe=final_lpe,
+        final_truths=[RobotTruth.from_row(r, row) for r, row in enumerate(state.truth)],
+        last_sample=state.last_sample,
+    )
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:

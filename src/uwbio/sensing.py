@@ -79,21 +79,41 @@ class RangeStream:
         return max(d, 0.0), injected
 
 
+def odom_step(cum: list, prev: list, nxt: list, noise: NoiseModel, rngs: list,
+              planar: bool = False) -> list[list[float]]:
+    """Advance every robot's dead-reckoned odometry by one step.
+
+    `cum` holds each robot's cumulative odometry (x, y, z, yaw), `prev` and
+    `nxt` its truth rows (`RobotTruth.as_row`) before and after the step,
+    `rngs` its odometry generator.  The increment is the true odometry-frame
+    displacement plus independent Gaussian noise per axis, and the yaw
+    increment plus noise; in planar mode the z axis is frozen entirely.
+    Returns the new cumulative rows.
+    """
+    sp, sy = noise.sigma_odom_pos, noise.sigma_odom_yaw
+    out = []
+    for (cx, cy, cz, cyaw), p, n, rng in zip(cum, prev, nxt, rngs):
+        # One draw of four normals, scaled as 0.0 + sigma*z: bit for bit the
+        # normal(0, sp, size=3) then normal(0, sy) it stands for, and the
+        # generator ends in the same state.
+        z0, z1, z2, z3 = rng.standard_normal(4).tolist()
+        dz = 0.0 if planar else n[6] - p[6] + (0.0 + sp * z2)
+        out.append([cx + (n[4] - p[4] + (0.0 + sp * z0)),
+                    cy + (n[5] - p[5] + (0.0 + sp * z1)),
+                    cz + dz,
+                    cyaw + (n[7] - p[7] + (0.0 + sy * z3))])
+    return out
+
+
 def measure_odom(prev: RobotTruth, nxt: RobotTruth, noise: NoiseModel,
                  rng: np.random.Generator, planar: bool = False) -> tuple[np.ndarray, Angle]:
-    """Noisy per-step odometry increment between consecutive truths of one robot.
-
-    Returns the displacement in the robot's odometry frame plus independent
-    Gaussian noise per axis, and the yaw increment plus noise.  In planar
-    mode the z axis is frozen entirely.
-    """
-    delta = nxt.odom_pose.position() - prev.odom_pose.position()
-    delta = delta + rng.normal(0.0, noise.sigma_odom_pos, size=3)
-    if planar:
-        delta[2] = 0.0
-    dyaw = (nxt.odom_pose.yaw.radians - prev.odom_pose.yaw.radians
-            + rng.normal(0.0, noise.sigma_odom_yaw))
-    return delta, Angle(dyaw)
+    """Noisy odometry increment between consecutive truths of one robot:
+    `odom_step` from a zero cumulative row.  That adds 0.0 to each
+    increment, which leaves it unchanged, because an increment is never
+    -0.0 (its noise term 0.0 + sigma*z is never -0.0)."""
+    (dx, dy, dz, dyaw), = odom_step([(0.0, 0.0, 0.0, 0.0)], [prev.as_row()], [nxt.as_row()],
+                                    noise, [rng], planar)
+    return np.array([dx, dy, dz]), Angle(dyaw)
 
 
 class OdomStream:
@@ -107,6 +127,8 @@ class OdomStream:
         self.cum_yaw = 0.0
 
     def update(self, prev: RobotTruth, nxt: RobotTruth) -> None:
-        delta, dyaw = measure_odom(prev, nxt, self.noise, self.rng, self.planar)
-        self.cum_pos = self.cum_pos + delta
-        self.cum_yaw += dyaw.radians
+        """One step: a front end to `odom_step`."""
+        (x, y, z, yaw), = odom_step([(*self.cum_pos.tolist(), self.cum_yaw)], [prev.as_row()],
+                                    [nxt.as_row()], self.noise, [self.rng], self.planar)
+        self.cum_pos = np.array([x, y, z])
+        self.cum_yaw = yaw

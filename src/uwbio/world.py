@@ -53,9 +53,6 @@ class VelocityCommand:
     def zero(cls) -> "VelocityCommand":
         return cls(0.0, 0.0, 0.0)
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.v_h, self.v_z, self.w])
-
 
 @dataclass(frozen=True)
 class RobotTruth:
@@ -86,37 +83,40 @@ class RobotTruth:
         return self.world_pose.yaw.radians - self.odom_pose.yaw.radians
 
 
-def _arc_delta(v_h: float, w: float, dt: float) -> tuple[float, float]:
-    """Planar displacement over dt relative to the heading at the start of the step."""
-    if abs(w) > OMEGA_EPS:
-        return (v_h / w) * math.sin(w * dt), (v_h / w) * (1.0 - math.cos(w * dt))
-    return v_h * dt, 0.0
+def advance(rows: list, cmds: list, dt: float) -> list[list[float]]:
+    """Integrate the unicycle kinematics of every robot over one step.
 
-
-def _advance(pose: Pose4, dlx: float, dly: float, dz: float, dyaw: float) -> Pose4:
-    c = math.cos(pose.yaw.radians)
-    s = math.sin(pose.yaw.radians)
-    return Pose4(pose.x + c * dlx - s * dly,
-                 pose.y + s * dlx + c * dly,
-                 pose.z + dz,
-                 Angle(pose.yaw.radians + dyaw))
-
-
-def step(state: RobotTruth, cmd: VelocityCommand, dt: float) -> RobotTruth:
-    """Integrate the unicycle kinematics over one step.
-
-    The same heading-relative displacement is applied to the world pose and
-    to the odometry pose, each expressed through its own current yaw, which
-    keeps the two books exactly consistent up to rounding.
+    `rows` holds one `RobotTruth.as_row` per robot, `cmds` its body-frame
+    command as (v_h, v_z, w); returns the stepped rows.  The same
+    heading-relative displacement is applied to the world pose and to the
+    odometry pose, each expressed through its own current yaw, which keeps
+    the two books exactly consistent up to rounding.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    dlx, dly = _arc_delta(cmd.v_h, cmd.w, dt)
-    dz = cmd.v_z * dt
-    dyaw = cmd.w * dt
-    return RobotTruth(state.id,
-                      _advance(state.world_pose, dlx, dly, dz, dyaw),
-                      _advance(state.odom_pose, dlx, dly, dz, dyaw))
+    out = []
+    for (wx, wy, wz, wyaw, ox, oy, oz, oyaw), (v_h, v_z, w) in zip(rows, cmds):
+        # Planar displacement over dt relative to the heading at the start
+        # of the step: an exact arc, or a straight segment at a tiny yaw rate.
+        if abs(w) > OMEGA_EPS:
+            dlx = (v_h / w) * math.sin(w * dt)
+            dly = (v_h / w) * (1.0 - math.cos(w * dt))
+        else:
+            dlx, dly = v_h * dt, 0.0
+        dz = v_z * dt
+        dyaw = w * dt
+        cw, sw = math.cos(wyaw), math.sin(wyaw)
+        co, so = math.cos(oyaw), math.sin(oyaw)
+        # Evaluated left to right: x + c*dlx - s*dly is (x + c*dlx) - s*dly.
+        out.append([wx + cw * dlx - sw * dly, wy + sw * dlx + cw * dly, wz + dz, wyaw + dyaw,
+                    ox + co * dlx - so * dly, oy + so * dlx + co * dly, oz + dz, oyaw + dyaw])
+    return out
+
+
+def step(state: RobotTruth, cmd: VelocityCommand, dt: float) -> RobotTruth:
+    """One robot's step: a front end to `advance`."""
+    row, = advance([state.as_row()], [(cmd.v_h, cmd.v_z, cmd.w)], dt)
+    return RobotTruth.from_row(state.id, row)
 
 
 def frame_rotation(a: RobotTruth, b: RobotTruth) -> Rotation3Z:

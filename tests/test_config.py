@@ -248,6 +248,8 @@ class TestStrictValues:
         (("seed",), -1, "seed"),
         (("duration_s",), 0.01, "duration_s"),      # 0.2 ticks of dt 0.05
         (("duration_s",), 1.03, "duration_s"),      # 20.6 ticks
+        (("stage1_timeout_s",), 0.01, "stage1_timeout_s"),   # 0.2 ticks
+        (("stage1_timeout_s",), 0.07, "stage1_timeout_s"),   # 1.4 ticks
     ])
     def test_bad_value_rejected_naming_its_key(self, path, value, key):
         d = two_robot_benchmark().to_dict()

@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +221,24 @@ class TestDeterminismAndLogs:
             assert theta.tobytes() == ThetaTrue.from_truths(start[i], start[j]).vector.tobytes()
             if j == 0:
                 assert theta[:3].tobytes() == res.q0_true[i].tobytes()
+
+    def test_benchmark_tracer_wraps_and_restores(self, monkeypatch):
+        """benchmarks/run.py imports benchmarks/tracing.py on every run, which
+        resolves its METHODS at import and its HARNESS_FUNCTIONS on
+        uwbio.harness when a Tracer is entered; a refactor that drops one of
+        those names breaks every benchmark run."""
+        spec = importlib.util.spec_from_file_location(
+            "benchmark_tracing", Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)   # its dataclasses look it up
+        spec.loader.exec_module(tracing)
+        before = {name: getattr(harness, name) for name in tracing.HARNESS_FUNCTIONS}
+        methods = {(cls, attr): getattr(cls, attr) for cls, attr in tracing.METHODS}
+        with tracing.Tracer() as tracer:
+            harness.run(two_robot_benchmark(duration_s=1.0))
+        assert tracer.stats["harness.run"].calls == 1
+        assert all(getattr(harness, name) is fn for name, fn in before.items())
+        assert all(getattr(cls, attr) is fn for (cls, attr), fn in methods.items())
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
-"""The stacked screen, record and estimator against their loop versions.
+"""The stacked screen, record and estimator, and the per-robot row passes,
+against their loop versions.
 
 `JudgeBank` keeps every pair's accepted triplets in a fixed ring and votes
 for all pairs with one array expression; `RecordBank` keeps every pair's
@@ -14,23 +15,33 @@ array versions replaced, without their argument checks and docstrings.
 Truth scoring likewise takes the row norms of a whole log at once, where
 the tick loop once took them one row at a time, and the tracking errors of
 all ticks at once, where it once called `tracking_error_truth` per tick.
+The per-robot layers (physics and odometry, layered composition, real-time
+estimate and tracking error, commands) run as one pass over float rows per
+tick, against copies of the one-robot object code they replaced.
 """
 
+import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uwbio.control import tracking_error_truth
-from uwbio.estimation import _rate, cl_update, cl_update_all
+from conftest import random_dag
+from uwbio import harness
+from uwbio.config import Saturation
+from uwbio.control import TrackingError, tracking_error_rows, tracking_error_truth
+from uwbio.cooploc import assign_layers, compose_layers, composition_plan, leader_realtime_rows
+from uwbio.estimation import _rate, cl_update, cl_update_all, reconstruct_poses
+from uwbio.geometry import NORM_TOL, Angle, DegenerateRotation
 from uwbio.harness import _row_norms, run
 from uwbio.outliers import JudgeBank, JudgeQueue, ScreenResult
 from uwbio.regression import (MIN_SWAP_GAIN, THETA_DIM, VOLUME_EPS, DataRecord, RecordBank,
                               RegressorSample)
 from uwbio.scenarios import chain_swarm, four_robot_formation
-from uwbio.sensing import MeasurementTriplet, NoiseModel
-from uwbio.world import RobotTruth
+from uwbio.sensing import MeasurementTriplet, NoiseModel, odom_step
+from uwbio.world import OMEGA_EPS, Pose4, RobotTruth, VelocityCommand, advance
 
 
 class ReferenceJudgeQueue:
@@ -357,3 +368,311 @@ def test_track_truth_equals_tracking_error_truth(config):
                                      RobotTruth.from_row(0, row[0]), spec.offset(i))
             want.append([e.e_p[0], e.e_p[1], e.e_p[2], e.e_c, e.e_s])
         assert track.tobytes() == np.array(want).tobytes()
+
+
+# -- per-robot layers ----------------------------------------------------------
+#
+# Each per-robot layer runs once per tick as one pass over float rows.  The
+# references below are copies of the one-robot object code the passes
+# replaced (Pose4/Angle/Rotation3Z/LeaderPoseEstimate/TrackingError/
+# VelocityCommand per robot and per tick), and the passes must match them
+# bit for bit.
+
+
+def reference_step(state: RobotTruth, cmd: VelocityCommand, dt: float) -> RobotTruth:
+    """One robot's unicycle step over exact arcs, through Pose4 objects."""
+    if abs(cmd.w) > OMEGA_EPS:
+        dlx, dly = (cmd.v_h / cmd.w) * math.sin(cmd.w * dt), \
+            (cmd.v_h / cmd.w) * (1.0 - math.cos(cmd.w * dt))
+    else:
+        dlx, dly = cmd.v_h * dt, 0.0
+    dz, dyaw = cmd.v_z * dt, cmd.w * dt
+
+    def advance_pose(pose: Pose4) -> Pose4:
+        c, s = math.cos(pose.yaw.radians), math.sin(pose.yaw.radians)
+        return Pose4(pose.x + c * dlx - s * dly, pose.y + s * dlx + c * dly, pose.z + dz,
+                     Angle(pose.yaw.radians + dyaw))
+
+    return RobotTruth(state.id, advance_pose(state.world_pose), advance_pose(state.odom_pose))
+
+
+def reference_odom_update(cum_pos, cum_yaw, prev: RobotTruth, nxt: RobotTruth,
+                          noise: NoiseModel, rng, planar: bool):
+    """One robot's dead-reckoning step, drawing its noise as normal(size=3)
+    then normal()."""
+    delta = nxt.odom_pose.position() - prev.odom_pose.position()
+    delta = delta + rng.normal(0.0, noise.sigma_odom_pos, size=3)
+    if planar:
+        delta[2] = 0.0
+    dyaw = (nxt.odom_pose.yaw.radians - prev.odom_pose.yaw.radians
+            + rng.normal(0.0, noise.sigma_odom_yaw))
+    return cum_pos + delta, cum_yaw + dyaw
+
+
+coord = st.floats(-50, 50, allow_nan=False)
+yaw_rate = st.one_of(st.sampled_from([0.0, -0.0, 1e-9, -1e-9, OMEGA_EPS, -OMEGA_EPS, 2e-8]),
+                     st.floats(-2, 2, allow_nan=False))
+sigma = st.one_of(st.just(0.0), st.floats(1e-4, 0.2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(robots=st.lists(st.tuples(st.lists(coord, min_size=8, max_size=8),
+                                 st.floats(-2, 2), st.floats(-1, 1), yaw_rate),
+                       min_size=1, max_size=4),
+       dt=st.floats(0.01, 0.2), substeps=st.integers(1, 3), planar=st.booleans(),
+       sp=sigma, sy=sigma, seed=st.integers(0, 2**32 - 1), ticks=st.integers(1, 3))
+def test_physics_and_odometry_match_reference(robots, dt, substeps, planar, sp, sy, seed,
+                                              ticks):
+    """`world.advance` over sub-steps, then `sensing.odom_step`, as the tick
+    runs them, against per-robot `step` and odometry loops."""
+    noise = NoiseModel(sigma_odom_pos=sp, sigma_odom_yaw=sy)
+    rows = [row for row, *_ in robots]
+    cmds = [(v_h, v_z, w) for _, v_h, v_z, w in robots]
+    cum = [[0.0] * 4 for _ in robots]
+    rngs = [np.random.default_rng([seed, r]) for r in range(len(robots))]
+    ref_truths = [RobotTruth.from_row(r, row) for r, row in enumerate(rows)]
+    ref_cum = [(np.zeros(3), 0.0) for _ in robots]
+    ref_rngs = [np.random.default_rng([seed, r]) for r in range(len(robots))]
+    for _ in range(ticks):
+        after = rows
+        for _ in range(substeps):
+            after = advance(after, cmds, dt / substeps)
+        cum = odom_step(cum, rows, after, noise, rngs, planar)
+        rows = after
+        for r, (v_h, v_z, w) in enumerate(cmds):
+            nt = ref_truths[r]
+            for _ in range(substeps):
+                nt = reference_step(nt, VelocityCommand(v_h, v_z, w), dt / substeps)
+            ref_cum[r] = reference_odom_update(*ref_cum[r], ref_truths[r], nt, noise,
+                                               ref_rngs[r], planar)
+            ref_truths[r] = nt
+    assert bits(rows) == bits([t.as_row() for t in ref_truths])
+    assert bits(cum) == bits([[*pos, yaw] for pos, yaw in ref_cum])
+    assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in ref_rngs]
+
+
+def reference_unit(c_raw, s_raw):
+    n = math.hypot(c_raw, s_raw)
+    if n < NORM_TOL:
+        raise DegenerateRotation(f"{c_raw}, {s_raw}")
+    return c_raw / n, s_raw / n
+
+
+def reference_rotate(c, s, v) -> np.ndarray:
+    """Rotation3Z.apply."""
+    h = np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+    return np.array([h[0], h[1], v[2]])
+
+
+def reference_leader_initial_estimate(robot, graph, pairwise, leader_estimates, t_k):
+    """One robot's composition over (p0, c, s) pairwise and (q0, c, s, fresh)
+    leader estimates; None where a needed input is missing."""
+    neighbors = graph.out_edges[robot]
+    if graph.layers[robot] == 1:
+        rpe = pairwise.get((robot, 0))
+        return None if rpe is None else (rpe[0].copy(), rpe[1], rpe[2], t_k)
+    q_sum, c_sum, s_sum = np.zeros(3), 0.0, 0.0
+    for j in neighbors:
+        rpe = pairwise.get((robot, j))
+        lpe = (np.zeros(3), 1.0, 0.0, 0) if j == 0 else leader_estimates.get(j)
+        if rpe is None or lpe is None:
+            return None
+        q_sum += rpe[0] + reference_rotate(rpe[1], rpe[2], lpe[0])
+        c, s = reference_unit(rpe[1] * lpe[1] - rpe[2] * lpe[2],
+                              rpe[2] * lpe[1] + rpe[1] * lpe[2])
+        c_sum += c
+        s_sum += s
+    n = len(neighbors)
+    return (q_sum / n, *reference_unit(c_sum / n, s_sum / n), t_k)
+
+
+def reference_compose_tick(graph, theta, leader_estimates, t_k) -> None:
+    """Reconstruct every pair's pose, then update the robots layer by layer,
+    keeping a robot's previous estimate when an input is missing."""
+    pairwise = {}
+    for n, p in enumerate(graph.ordered_pairs()):
+        try:
+            pairwise[p] = (theta[n, :3].copy(), *reference_unit(theta[n, 5], theta[n, 6]))
+        except DegenerateRotation:
+            pass
+    for layer in range(1, graph.max_layer + 1):
+        for i in graph.nodes_in_layer(layer):
+            est = reference_leader_initial_estimate(i, graph, pairwise, leader_estimates, t_k)
+            if est is not None:
+                leader_estimates[i] = est
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ticks=st.integers(1, 6),
+       degenerate=st.floats(0.0, 0.5), zeros=st.floats(0.0, 0.5))
+def test_layered_composition_matches_reference(seed, ticks, degenerate, zeros):
+    """`reconstruct_poses` then `compose_layers` over random DAGs and random
+    estimates, some of whose trig pairs are shorter than NORM_TOL (the pair
+    is missing that tick, and robots that need it keep their stale
+    estimate and tick) and some of whose positions are +-0.0 (a sum that
+    started from -0.0 would keep a -0.0 term), against the per-robot loop."""
+    rng = np.random.default_rng(seed)
+    n, edges = random_dag(rng)
+    graph = assign_layers(edges, n)
+    plan = composition_plan(graph)
+    lead = [[0.0, 0.0, 0.0, 1.0, 0.0]] + [[math.nan] * 5 for _ in range(n - 1)]
+    fresh = [0] + [-1] * (n - 1)
+    ref: dict = {}
+    for k in range(ticks):
+        theta = rng.normal(size=(len(graph.ordered_pairs()), THETA_DIM))
+        tiny = rng.uniform(size=len(theta)) < degenerate
+        theta[tiny, 5:] *= 1e-10
+        zero = rng.uniform(size=(len(theta), 3)) < zeros
+        theta[:, :3][zero] = np.copysign(0.0, rng.normal(size=int(zero.sum())))
+        compose_layers(plan, reconstruct_poses(theta), lead, fresh, k)
+        reference_compose_tick(graph, theta, ref, k)
+        for i in range(1, n):
+            if i in ref:
+                q, c, s, tick = ref[i]
+                assert (bits(lead[i]), fresh[i]) == (bits([*q, c, s]), tick)
+            else:
+                assert fresh[i] == -1 and all(math.isnan(v) for v in lead[i])
+
+
+def test_composition_cases_are_reached():
+    """The generated DAGs and estimates reach a robot with two neighbours, a
+    degenerate pair, and a robot left stale by a missing input."""
+    two, stale = 0, 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, edges = random_dag(rng)
+        graph = assign_layers(edges, n)
+        two += any(len(graph.out_edges[i]) > 1 for i in range(n))
+        plan = composition_plan(graph)
+        lead = [[0.0, 0.0, 0.0, 1.0, 0.0]] + [[math.nan] * 5 for _ in range(n - 1)]
+        fresh = [0] + [-1] * (n - 1)
+        for k in range(3):
+            theta = rng.normal(size=(len(graph.ordered_pairs()), THETA_DIM))
+            theta[rng.uniform(size=len(theta)) < 0.3, 5:] *= 1e-10
+            compose_layers(plan, reconstruct_poses(theta), lead, fresh, k)
+            stale += sum(0 <= f < k for f in fresh[1:])
+    assert two > 0 and stale > 0
+
+
+def reference_realtime_and_error(q0, c0, s0, own_pos, own_yaw, lead_pos, lead_yaw, offset):
+    """leader_realtime_estimate then tracking_error_estimated for one robot."""
+    q = q0 + own_pos - reference_rotate(c0, s0, lead_pos)
+    dphi = own_yaw - lead_yaw
+    c = float(c0 * np.cos(dphi) + s0 * np.sin(dphi))
+    s = float(c0 * np.sin(dphi) - s0 * np.cos(dphi))
+    c_os = c0 * math.cos(own_yaw) + s0 * math.sin(own_yaw)
+    s_os = c0 * math.sin(own_yaw) - s0 * math.cos(own_yaw)
+    arg = np.array([c0 * q[0] + s0 * q[1], -s0 * q[0] + c0 * q[1], q[2]]) - offset
+    e_p = np.array([c_os * arg[0] + s_os * arg[1], -s_os * arg[0] + c_os * arg[1], arg[2]])
+    return [*q, c, s], [*e_p, 1.0 - c, s]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+def test_realtime_estimate_and_tracking_error_match_reference(seed, n):
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(-4, 4, n)
+    lead = [[*rng.normal(0, 10, 3).tolist(), math.cos(a), math.sin(a)] for a in angle]
+    odom = [[*rng.normal(0, 20, 3).tolist(), float(rng.uniform(-30, 30))] for _ in range(n)]
+    leader = [*rng.normal(0, 20, 3).tolist(), float(rng.uniform(-30, 30))]
+    offsets = [rng.normal(0, 2, 3).tolist() for _ in range(n)]
+    rt = leader_realtime_rows(lead, odom, leader)
+    track = tracking_error_rows(rt, lead, odom, offsets)
+    for m in range(n):
+        want_rt, want_e = reference_realtime_and_error(
+            np.array(lead[m][:3]), lead[m][3], lead[m][4], np.array(odom[m][:3]), odom[m][3],
+            np.array(leader[:3]), leader[3], np.array(offsets[m]))
+        assert bits(rt[m]) == bits(want_rt)
+        assert bits(track[m]) == bits(want_e)
+
+
+def reference_commands(cfg, k, truths, errors, stage2_active, events):
+    """Every robot's command for interval k as the per-robot loop issued it:
+    VelocityCommand objects, one stage-one or stage-two law per follower, PE
+    excitation, planar z freeze and saturation with its event log."""
+    t = k * cfg.dt
+    planar = cfg.mode_2d
+    gains, pe, sat = cfg.gains, cfg.pe_excitation, cfg.saturation
+    cruise = cfg.leader_cruise
+    if cruise is None:
+        lead = cfg.robots[0]
+        cruise = VelocityCommand(lead.r * lead.c_w, 0.0, lead.c_w)
+
+    def stage1(robot):
+        return VelocityCommand(robot.r * robot.c_w, robot.c_v * math.sin(robot.c_v * t),
+                               robot.c_w)
+
+    def saturate(r, cmd):
+        if sat is None:
+            return cmd
+        v_h = min(max(cmd.v_h, -sat.v_h_max), sat.v_h_max)
+        v_z = min(max(cmd.v_z, -sat.v_z_max), sat.v_z_max)
+        w = min(max(cmd.w, -sat.w_max), sat.w_max)
+        if (v_h, v_z, w) != (cmd.v_h, cmd.v_z, cmd.w):
+            events.append((k, r, cmd.v_h, cmd.v_z, cmd.w))
+            return VelocityCommand(v_h, v_z, w)
+        return cmd
+
+    stage2 = cfg.pe_baseline or stage2_active
+    lead_cmd = cruise if stage2 else stage1(cfg.robots[0])
+    if planar:
+        lead_cmd = VelocityCommand(lead_cmd.v_h, 0.0, lead_cmd.w)
+    lead_cmd = saturate(0, lead_cmd)
+    out = [lead_cmd]
+    spec = cfg.formation_spec()
+    for i in range(1, cfg.n_robots):
+        if not cfg.pe_baseline and not stage2:
+            cmd = stage1(cfg.robots[i])
+        else:
+            if cfg.truth_feedback:
+                e = tracking_error_truth(truths[i], truths[0], spec.offset(i))
+            else:
+                e = errors[i - 1] or TrackingError(np.zeros(3), 0.0, 0.0)
+            cmd = VelocityCommand(
+                lead_cmd.v_h - gains.k1 * e.e_p[0] + gains.k2 * lead_cmd.w * e.e_p[1],
+                lead_cmd.v_z - gains.k4 * e.e_p[2], lead_cmd.w - gains.k3 * e.e_s)
+            if cfg.pe_baseline:
+                ph = harness._PHASE * i
+                v_h = cmd.v_h + pe.amplitude * math.sin(pe.frequency * t + ph)
+                w = cmd.w + pe.amplitude * math.cos(pe.frequency * t + ph)
+                v_z = cmd.v_z
+                if not planar:
+                    v_z += 0.5 * pe.amplitude * math.sin(0.8 * pe.frequency * t + ph)
+                cmd = VelocityCommand(v_h, v_z, w)
+        if planar:
+            cmd = VelocityCommand(cmd.v_h, 0.0, cmd.w)
+        out.append(saturate(i, cmd))
+    return [(c.v_h, c.v_z, c.w) for c in out]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), k=st.integers(0, 500),
+       saturated=st.booleans(), pe_baseline=st.booleans(), truth_feedback=st.booleans(),
+       planar=st.booleans(), stage2=st.booleans(), cruise=st.booleans())
+def test_commands_match_reference(seed, n, k, saturated, pe_baseline, truth_feedback, planar,
+                                  stage2, cruise):
+    """The tick's command pass (stage one or two, the PE baseline, truth
+    feedback, the planar z freeze, saturation on and off) against the
+    per-robot loop."""
+    rng = np.random.default_rng(seed)
+    cfg = replace(chain_swarm(n, seed=seed % 1000), mode_2d=planar, pe_baseline=pe_baseline,
+                  truth_feedback=truth_feedback,
+                  saturation=Saturation(0.3, 0.05, 0.4) if saturated else None,
+                  leader_cruise=VelocityCommand(0.4, 0.1, -0.3) if cruise else None,
+                  formation={i: tuple(rng.normal(0, 2, 3).tolist()) for i in range(1, n)})
+    state = harness._initial_state(cfg, 0)
+    state.truth = [[*rng.normal(0, 5, 4).tolist(), *rng.normal(0, 5, 4).tolist()]
+                   for _ in range(n)]
+    errors = [None if rng.uniform() < 0.3 else
+              TrackingError(rng.normal(0, 1, 3), float(rng.normal()), float(rng.normal()))
+              for _ in range(n - 1)]
+    state.errors = [harness._COLD_START if e is None else (*e.e_p.tolist(), e.e_c, e.e_s)
+                    for e in errors]
+    if stage2:
+        state.stage.transition_tick = k
+    events: list = []
+    want = reference_commands(cfg, k, [RobotTruth.from_row(r, row)
+                                       for r, row in enumerate(state.truth)],
+                              errors, stage2, events)
+    assert bits(harness._commands(state, k)) == bits(want)
+    assert bits(state.logs.saturation_events) == bits(events)

@@ -176,15 +176,16 @@ def _initial_truths(config: ScenarioConfig, seed: int) -> list[RobotTruth]:
 class Logs:
     """Per-tick logs on a leading tick axis, one row written per tick: per
     pair in `graph.ordered_pairs()` order, per robot with the leader at
-    index 0 (its real-time estimate and error rows stay NaN).  Follower
-    estimate rows are NaN until a leader estimate exists."""
+    index 0 (its estimate rows stay NaN).  Follower estimate rows are NaN
+    until a leader estimate exists.  The per-robot logs are laid out robot
+    by robot in memory, so each robot's view in `RunResult` is contiguous."""
 
     truth: np.ndarray          # (rows, robots, 8): RobotTruth.as_row per tick
     theta: np.ndarray          # (rows, pairs, 7)
     lam_min: np.ndarray        # (rows, pairs)
     lam_max: np.ndarray        # (rows, pairs)
     updated: np.ndarray        # (rows, pairs) bool
-    lead: np.ndarray           # (rows, robots, 5) leader estimate q0_hat, c, s
+    q0_hat: np.ndarray         # (rows, robots, 3) initial leader estimate
     q0_fresh: np.ndarray       # (rows, robots) bool: composed at this tick
     rt_hat: np.ndarray         # (rows, robots, 5) real-time q_hat, c_hat, s_hat
     track_est: np.ndarray      # (rows, robots, 5) estimated tracking error
@@ -236,6 +237,12 @@ _COLD_START = (0.0, 0.0, 0.0, 0.0, 0.0)
 _NAN_ROW = (math.nan,) * 5
 
 
+def _robot_major(rows: int, n_robots: int, width: int | None, fill) -> np.ndarray:
+    """A (rows, robots[, width]) log filled with `fill`, laid out robot by robot."""
+    shape = (n_robots, rows) if width is None else (n_robots, rows, width)
+    return np.full(shape, fill).swapaxes(0, 1)
+
+
 def _initial_state(config: ScenarioConfig, seed: int) -> SimState:
     graph = assign_layers(config.edges, config.n_robots)
     pairs = graph.ordered_pairs()
@@ -250,11 +257,11 @@ def _initial_state(config: ScenarioConfig, seed: int) -> SimState:
         theta=np.full((rows, n_pairs, THETA_DIM), np.nan),
         lam_min=np.zeros((rows, n_pairs)), lam_max=np.zeros((rows, n_pairs)),
         updated=np.zeros((rows, n_pairs), dtype=bool),
-        lead=np.full((rows, n_robots, 5), np.nan),
-        q0_fresh=np.zeros((rows, n_robots), dtype=bool),
-        rt_hat=np.full((rows, n_robots, 5), np.nan),
-        track_est=np.full((rows, n_robots, 5), np.nan),
-        commands=np.zeros((config.n_ticks, n_robots, 3)),
+        q0_hat=_robot_major(rows, n_robots, 3, np.nan),
+        q0_fresh=_robot_major(rows, n_robots, None, False),
+        rt_hat=_robot_major(rows, n_robots, 5, np.nan),
+        track_est=_robot_major(rows, n_robots, 5, np.nan),
+        commands=_robot_major(config.n_ticks, n_robots, 3, 0.0),
         stage2=np.zeros(config.n_ticks, dtype=bool))
     return SimState(
         config=config, graph=graph, pairs=pairs,
@@ -427,7 +434,7 @@ def _observe(state: SimState, k: int) -> None:
     if np.count_nonzero(np.isfinite(theta)) < theta.size:
         bad = pairs[int(np.argmin(np.isfinite(theta).all(axis=1)))]
         raise RuntimeError(f"non-finite estimate for pair {bad} at tick {k}")
-    logs.lead[k] = lead
+    logs.q0_hat[k] = [row[:3] for row in lead]
     logs.q0_fresh[k] = [f == k for f in fresh]
     leader = cum[0] if cfg.leader_odom_broadcast else state.truth[0][4:]
     rt = leader_realtime_rows(lead[1:], cum[1:], leader)
@@ -470,7 +477,7 @@ def _result(state: SimState, seed: int) -> RunResult:
         config=cfg, seed=seed, dt=cfg.dt, n_ticks=cfg.n_ticks, graph=state.graph,
         truth=logs.truth, theta_log=per_pair(logs.theta), lam_min=per_pair(logs.lam_min),
         lam_max=per_pair(logs.lam_max), updated=per_pair(logs.updated),
-        q0_hat={r: logs.lead[:, r, :3] for r in followers}, q0_fresh=per_follower(logs.q0_fresh),
+        q0_hat=per_follower(logs.q0_hat), q0_fresh=per_follower(logs.q0_fresh),
         rt_hat=per_follower(logs.rt_hat), track_est=per_follower(logs.track_est),
         commands={r: logs.commands[:, r] for r in range(cfg.n_robots)},
         stage2_flag=logs.stage2, transition_tick=state.stage.transition_tick,

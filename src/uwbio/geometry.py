@@ -98,7 +98,7 @@ def unit_pair(c_raw: float, s_raw: float) -> tuple[float, float]:
     estimate; the caller keeps its previous rotation in that case.
     """
     # math.hypot, not np.hypot: the two differ in the last bit on about
-    # 0.3% of pairs.
+    # 0.5% of random pairs.
     n = math.hypot(c_raw, s_raw)
     if n < NORM_TOL:
         raise DegenerateRotation(f"trig pair ({c_raw}, {s_raw}) has norm {n} < {NORM_TOL}")

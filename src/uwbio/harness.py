@@ -53,8 +53,9 @@ from .world import RobotTruth, VelocityCommand, advance
 # cl_update_all, excitation_ratios, reconstruct_poses, compose_layers,
 # leader_realtime_rows, tracking_error_rows, stage1_rows, stage2_rows,
 # advance).  benchmarks/tracing.py still wraps their one-pair and one-robot
-# front ends under these harness names and fails without them; they can go
-# once it traces the stacked entry points instead.
+# front ends under these harness names and fails without them (a test in
+# tests/test_harness.py checks that they exist); they can go once it traces
+# the stacked entry points instead.
 from .control import stage1_command, stage2_command, tracking_error_estimated  # noqa: F401
 from .cooploc import leader_initial_estimate, leader_realtime_estimate  # noqa: F401
 from .estimation import cl_update, reconstruct_pose  # noqa: F401
@@ -176,8 +177,8 @@ def _initial_truths(config: ScenarioConfig, seed: int) -> list[RobotTruth]:
 class Logs:
     """Per-tick logs on a leading tick axis, one row written per tick: per
     pair in `graph.ordered_pairs()` order, per robot with the leader at
-    index 0 (its estimate rows stay NaN).  Follower estimate rows are NaN
-    until a leader estimate exists.  The per-robot logs are laid out robot
+    index 0 (its q0_hat rows hold its own zeros, its real-time rows stay
+    NaN).  Follower estimate rows are NaN until a leader estimate exists.  The per-robot logs are laid out robot
     by robot in memory, so each robot's view in `RunResult` is contiguous."""
 
     truth: np.ndarray          # (rows, robots, 8): RobotTruth.as_row per tick

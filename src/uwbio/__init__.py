@@ -2,15 +2,14 @@
 
 __version__ = "0.1.0"
 
-from .geometry import (Angle, DegenerateRotation, PlanarRotation, Rotation3Z,
-                       cross2, norm_project, wrap_angle)
+from .geometry import Angle, DegenerateRotation, PlanarRotation, Rotation3Z, cross2
 from .world import Pose4, RobotTruth, VelocityCommand, relative_truth, step
 from .sensing import MeasurementTriplet, NoiseModel
 from .regression import (DataRecord, EmptyRecord, MotionProfile, RankDiagnosis,
                          RegressorSample, ThetaTrue, build_sample, excitation_ratio,
                          observability_probe)
 from .estimation import (RelativePoseEstimate, ThetaEstimate,
-                         cl_update, realtime_relative_pose, reconstruct_pose)
+                         cl_update, reconstruct_pose)
 from .cooploc import (LeaderPoseEstimate, MissingNeighborEstimate, TopologyGraph,
                       UnreachableNode, assign_layers, leader_initial_estimate,
                       leader_realtime_estimate)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .control import ControlGains, FormationSpec
 from .cooploc import assign_layers
+from .estimation import RATE_VARIANTS
 from .outliers import JudgeBank
 from .regression import HIST_CAP
 from .sensing import NoiseModel
@@ -41,10 +42,14 @@ def whole_ticks(name: str, seconds: float, dt: float) -> int:
     return round(ticks)
 
 
-def check_seed(seed: int) -> None:
-    """Seeds feed numpy's SeedSequence, which takes only non-negative ints."""
+def check_seed(seed) -> int:
+    """A seed under the loader's rule for ints (an integral float loads as
+    its int, nothing else is coerced), >= 0 because numpy's SeedSequence
+    takes only non-negative ints.  Returns the seed as an int."""
+    seed = _INT.load(seed, "seed")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed!r}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -149,7 +154,7 @@ class ScenarioConfig:
             raise ConfigError("excitation_threshold must be in (0, 1)")
         if self.hist_cap < 7:
             raise ConfigError("hist_cap must be at least the parameter dimension")
-        if self.rate_variant not in ("stated", "proof"):
+        if self.rate_variant not in RATE_VARIANTS:
             raise ConfigError(f"unknown rate_variant {self.rate_variant!r}")
         if self.physics_substeps < 1:
             raise ConfigError("physics_substeps must be >= 1")

@@ -68,10 +68,6 @@ class TrackingError:
     e_c: float
     e_s: float
 
-    def yaw_error(self) -> float:
-        """Relative yaw angle recovered from the trig error pair."""
-        return math.atan2(self.e_s, 1.0 - self.e_c)
-
 
 def tracking_error_truth(robot: RobotTruth, leader: RobotTruth,
                          offset: np.ndarray) -> TrackingError:

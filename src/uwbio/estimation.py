@@ -24,9 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import NORM_TOL, Angle, DegenerateRotation, PlanarRotation, Rotation3Z, unit_pair
+from .geometry import NORM_TOL, DegenerateRotation, PlanarRotation, Rotation3Z, unit_pair
 from .regression import THETA_DIM, DataRecord, RecordBank, RegressorSample, pair_index
-from .world import Pose4
 
 RATE_VARIANTS = ("stated", "proof")
 
@@ -39,12 +38,6 @@ class ThetaEstimate:
     data: DataRecord
     rate_variant: str = "stated"
 
-    @classmethod
-    def fresh(cls, data: DataRecord, rate_variant: str = "stated") -> "ThetaEstimate":
-        if rate_variant not in RATE_VARIANTS:
-            raise ValueError(f"unknown rate variant {rate_variant!r}")
-        return cls(np.zeros(THETA_DIM), data, rate_variant)
-
 
 @dataclass(frozen=True)
 class RelativePoseEstimate:
@@ -54,7 +47,10 @@ class RelativePoseEstimate:
     R0_hat: Rotation3Z
 
 
-def _rate(lam_min: float, lam_max: float, lam_u: float, variant: str) -> float:
+def learning_rate(lam_min: float, lam_max: float, lam_u: float = 1.0,
+                  variant: str = "stated") -> float:
+    """eta of one pair from its record's eigenvalues and lambda_max(U_k);
+    0 while the record is rank deficient (lambda_min = 0)."""
     if variant == "stated":
         denom = lam_u + lam_max ** 2
     elif variant == "proof":
@@ -64,10 +60,6 @@ def _rate(lam_min: float, lam_max: float, lam_u: float, variant: str) -> float:
     if denom <= 0.0:
         return 0.0
     return lam_min / denom
-
-
-def learning_rate(data: DataRecord, lam_u: float = 1.0, variant: str = "stated") -> float:
-    return _rate(data.lambda_min, data.lambda_max, lam_u, variant)
 
 
 def cl_update_all(theta: np.ndarray, bank: RecordBank, rows: list[int],
@@ -84,7 +76,7 @@ def cl_update_all(theta: np.ndarray, bank: RecordBank, rows: list[int],
     last bits).
     """
     lam_min, lam_max = bank.lambda_min.tolist(), bank.lambda_max.tolist()
-    eta = [_rate(lam_min[r], lam_max[r], lam_u, variant)
+    eta = [learning_rate(lam_min[r], lam_max[r], lam_u, variant)
            for r, lam_u in zip(rows, np.vecdot(phi, phi).tolist())]
     groups: dict[int, list[int]] = {}
     for m, (r, rate) in enumerate(zip(rows, eta)):
@@ -122,11 +114,6 @@ def cl_update(est: ThetaEstimate, current: RegressorSample) -> ThetaEstimate:
     return replace(est, theta_hat=theta[row]) if moved[0] else est
 
 
-def innovation(est: ThetaEstimate, sample: RegressorSample) -> float:
-    """Predicted-minus-measured residual theta' phi - y."""
-    return float(est.theta_hat @ sample.phi - sample.y)
-
-
 def reconstruct_poses(theta: np.ndarray) -> list[tuple[float, ...] | None]:
     """Initial relative pose of every pair of a (pairs, 7) estimate array, as
     (x, y, z, c, s): the position block plus the normalized trig pair; None
@@ -149,16 +136,3 @@ def reconstruct_pose(est: ThetaEstimate) -> RelativePoseEstimate:
         raise DegenerateRotation(f"trig pair {est.theta_hat[5:].tolist()} is shorter than "
                                  f"{NORM_TOL}")
     return RelativePoseEstimate(np.array(pose[:3]), Rotation3Z(PlanarRotation(*pose[3:])))
-
-
-def realtime_relative_pose(est: ThetaEstimate, own_odom: Pose4,
-                           neighbor_odom: Pose4) -> tuple[np.ndarray, Angle]:
-    """Real-time relative position (in own odometry frame) and body-frame
-    relative yaw for the pair, composed from the initial-pose estimate and
-    both cumulative odometries.
-    """
-    pose = reconstruct_pose(est)
-    p = pose.p0_hat + own_odom.position() - pose.R0_hat.apply(neighbor_odom.position())
-    theta = (pose.R0_hat.yaw()
-             + neighbor_odom.yaw.radians - own_odom.yaw.radians)
-    return p, Angle(theta)

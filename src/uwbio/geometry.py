@@ -3,8 +3,8 @@
 Yaw rotations are carried as their (cos, sin) pair rather than as an angle,
 so that a scaled trig pair coming out of a linear estimator can be projected
 back onto the rotation group by plain normalization, without trig round
-trips.  Odometry headings are kept unwrapped (cumulative) and only wrapped
-on explicit request.
+trips.  Odometry headings are kept unwrapped (cumulative); a bounded angle
+is only ever read off a rotation (`PlanarRotation.angle`).
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TAU = 2.0 * math.pi
-
 # Below this magnitude a (cos, sin) pair carries no usable direction.
 NORM_TOL = 1e-9
 
@@ -24,32 +22,12 @@ class DegenerateRotation(ValueError):
     """Trig pair is too close to (0, 0) to define a rotation."""
 
 
-def wrap_angle(radians: float) -> float:
-    """Map an angle to the principal interval (-pi, pi]."""
-    return -((-radians + math.pi) % TAU - math.pi)
-
-
 @dataclass(frozen=True)
 class Angle:
-    """Cumulative (unwrapped) angle in radians.
-
-    Odometry headings accumulate past +-pi; ``wrapped()`` returns the
-    principal value in (-pi, pi] when a bounded angle is needed.
-    """
+    """Cumulative (unwrapped) angle in radians: odometry headings
+    accumulate past +-pi."""
 
     radians: float
-
-    def wrapped(self) -> float:
-        return wrap_angle(self.radians)
-
-    def __add__(self, other: "Angle") -> "Angle":
-        return Angle(self.radians + other.radians)
-
-    def __sub__(self, other: "Angle") -> "Angle":
-        return Angle(self.radians - other.radians)
-
-    def __neg__(self) -> "Angle":
-        return Angle(-self.radians)
 
 
 @dataclass(frozen=True)
@@ -81,14 +59,6 @@ class PlanarRotation:
         return np.array([self.c * v[0] + self.s * v[1],
                          -self.s * v[0] + self.c * v[1]])
 
-    def compose(self, other: "PlanarRotation") -> "PlanarRotation":
-        # Renormalize so long composition chains keep c^2 + s^2 = 1.
-        return norm_project(self.c * other.c - self.s * other.s,
-                            self.s * other.c + self.c * other.s)
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.c, -self.s], [self.s, self.c]])
-
 
 def unit_pair(c_raw: float, s_raw: float) -> tuple[float, float]:
     """Scale a (cos, sin) estimate onto the unit circle, as plain floats.
@@ -103,11 +73,6 @@ def unit_pair(c_raw: float, s_raw: float) -> tuple[float, float]:
     if n < NORM_TOL:
         raise DegenerateRotation(f"trig pair ({c_raw}, {s_raw}) has norm {n} < {NORM_TOL}")
     return c_raw / n, s_raw / n
-
-
-def norm_project(c_raw: float, s_raw: float) -> PlanarRotation:
-    """`unit_pair` as a PlanarRotation."""
-    return PlanarRotation(*unit_pair(c_raw, s_raw))
 
 
 def cross2(a, b) -> float:
@@ -149,11 +114,3 @@ class Rotation3Z:
         v = np.asarray(v, dtype=float)
         h = self.planar.apply_inverse(v[:2])
         return np.array([h[0], h[1], v[2]])
-
-    def compose(self, other: "Rotation3Z") -> "Rotation3Z":
-        return Rotation3Z(self.planar.compose(other.planar))
-
-    def as_matrix(self) -> np.ndarray:
-        m = np.eye(3)
-        m[:2, :2] = self.planar.as_matrix()
-        return m

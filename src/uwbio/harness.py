@@ -156,7 +156,7 @@ def _initial_truths(config: ScenarioConfig, seed: int) -> list[RobotTruth]:
     if config.random_init is not None:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
         radius, min_sep = config.random_init.radius, config.random_init.min_sep
-        placed = [np.zeros(2)]
+        placed = [np.array([truths[0].world_pose.x, truths[0].world_pose.y])]
         for r in config.robots[1:]:
             for _ in range(_PLACEMENT_DRAWS):
                 pos = rng.uniform(-radius, radius, 2)
@@ -289,8 +289,7 @@ def _initial_state(config: ScenarioConfig, seed: int) -> SimState:
 
 def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
     """Execute one deterministic run and return all logs plus metrics."""
-    seed = config.seed if seed is None else int(seed)
-    check_seed(seed)
+    seed = check_seed(config.seed if seed is None else seed)
     state = _initial_state(config, seed)
     _observe(state, 0)
     for k in range(config.n_ticks):

@@ -101,30 +101,6 @@ class JudgeQueue:
     def __init__(self, capacity: int = 20, threshold: float = 0.5):
         self._bank = JudgeBank(1, capacity, threshold)
 
-    @property
-    def capacity(self) -> int:
-        return self._bank.capacity
-
-    @property
-    def threshold(self) -> float:
-        return self._bank.threshold
-
-    def __len__(self) -> int:
-        return self._bank.size[0]
-
-    @property
-    def entries(self) -> tuple[MeasurementTriplet, ...]:
-        """The queued triplets, oldest first (a snapshot, not the storage)."""
-        oldest = self._bank.count[0] % self.capacity
-        rows = np.roll(self._bank.ring[0, :len(self)], -oldest, axis=0)
-        return tuple(MeasurementTriplet(float(r[0]), r[1:4].copy(), r[4:7].copy(),
-                                        int(r[7])) for r in rows)
-
-    def accept(self, triplet: MeasurementTriplet) -> None:
-        """Enqueue a triplet, evicting the oldest one at capacity."""
-        entry = np.concatenate(([triplet.d], triplet.z_i, triplet.z_j, [triplet.t_k]))
-        self._bank.accept_all([0], entry[None])
-
     def screen(self, candidate: MeasurementTriplet) -> ScreenResult:
         """Vote the candidate against the queue; accepted candidates are
         enqueued (see JudgeBank.screen_all)."""

@@ -283,6 +283,8 @@ class DataRecord:
     def lambda_min(self) -> float:
         return float(self._bank.lambda_min[self._row])
 
+    # Writable so the benchmark's self-test can corrupt a finished run's
+    # eigenvalue and see its checks catch it.
     @lambda_min.setter
     def lambda_min(self, value: float) -> None:
         self._bank.lambda_min[self._row] = value
@@ -291,20 +293,9 @@ class DataRecord:
     def lambda_max(self) -> float:
         return float(self._bank.lambda_max[self._row])
 
-    @lambda_max.setter
-    def lambda_max(self, value: float) -> None:
-        self._bank.lambda_max[self._row] = value
-
     def add(self, sample: RegressorSample) -> bool:
         """Record a sample, enforcing the retention policy.  Returns True if kept."""
         return self._bank.add_all([self._row], [sample])[0]
-
-    def rebuilt_S(self) -> np.ndarray:
-        """Information matrix recomputed from scratch (reconstruction check)."""
-        S = np.zeros((THETA_DIM, THETA_DIM))
-        for s in self.history:
-            S += np.outer(s.phi, s.phi)
-        return S
 
 
 def excitation_ratios(bank: RecordBank) -> list[float]:

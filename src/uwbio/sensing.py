@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Angle
 from .world import RobotTruth, world_distance
 
 
@@ -103,17 +102,6 @@ def odom_step(cum: list, prev: list, nxt: list, noise: NoiseModel, rngs: list,
                     cz + dz,
                     cyaw + (n[7] - p[7] + (0.0 + sy * z3))])
     return out
-
-
-def measure_odom(prev: RobotTruth, nxt: RobotTruth, noise: NoiseModel,
-                 rng: np.random.Generator, planar: bool = False) -> tuple[np.ndarray, Angle]:
-    """Noisy odometry increment between consecutive truths of one robot:
-    `odom_step` from a zero cumulative row.  That adds 0.0 to each
-    increment, which leaves it unchanged, because an increment is never
-    -0.0 (its noise term 0.0 + sigma*z is never -0.0)."""
-    (dx, dy, dz, dyaw), = odom_step([(0.0, 0.0, 0.0, 0.0)], [prev.as_row()], [nxt.as_row()],
-                                    noise, [rng], planar)
-    return np.array([dx, dy, dz]), Angle(dyaw)
 
 
 class OdomStream:

@@ -37,9 +37,6 @@ class Pose4:
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
-    def horizontal(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 @dataclass(frozen=True)
 class VelocityCommand:
@@ -48,10 +45,6 @@ class VelocityCommand:
     v_h: float
     v_z: float
     w: float
-
-    @classmethod
-    def zero(cls) -> "VelocityCommand":
-        return cls(0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)

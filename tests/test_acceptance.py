@@ -69,7 +69,7 @@ def test_criterion_02_estimator_equals_least_squares(two_robot_clean):
     """Iterated update lands on the batch normal-equation solution."""
     rec = two_robot_clean.final_estimators[PAIR].data
     current = two_robot_clean.last_sample[PAIR]
-    est = ThetaEstimate.fresh(rec)
+    est = ThetaEstimate(np.zeros(7), rec)
     for it in range(5000):
         est = cl_update(est, current)
     batch = np.linalg.solve(rec.phis.T @ rec.phis + np.outer(current.phi, current.phi),
@@ -248,7 +248,7 @@ def test_criterion_09_smoothness_comparison():
 
 def test_criterion_10_observability_suite():
     """Degenerate motion profiles produce exactly the predicted nullspaces."""
-    still = lambda t: VelocityCommand.zero()
+    still = lambda t: VelocityCommand(0.0, 0.0, 0.0)
     obs = RobotTruth.spawn(1, 0, 0, 0, 0.3)
     nbr = RobotTruth.spawn(0, 2, 1, 0, 1.0)
 

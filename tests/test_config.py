@@ -260,6 +260,16 @@ class TestStrictValues:
         with pytest.raises(ConfigError, match="seed"):
             run(two_robot_benchmark(duration_s=1.0), seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_run_seed_not_coerced(self, seed):
+        # The loader's int rule: only an integral float loads as its int.
+        with pytest.raises(ConfigError, match="seed"):
+            run(two_robot_benchmark(duration_s=1.0), seed=seed)
+
+    def test_integral_float_run_seed_runs_as_int(self):
+        seed = run(two_robot_benchmark(duration_s=1.0), seed=2.0).seed
+        assert seed == 2 and type(seed) is int
+
     @pytest.mark.parametrize("duration_s, dt, ticks", [(0.05, 0.05, 1), (0.3, 0.1, 3),
                                                        (0.7, 0.1, 7)])
     def test_whole_tick_duration_loads(self, duration_s, dt, ticks):

@@ -69,8 +69,10 @@ class TestTrackingErrorTruth:
             assert e.e_s == pytest.approx(math.sin(yaw - lyaw), abs=1e-12)
 
     def test_yaw_error_recovered(self):
-        e = TrackingError(np.zeros(3), 1 - math.cos(0.3), math.sin(0.3))
-        assert e.yaw_error() == pytest.approx(0.3)
+        # The relative yaw is recoverable from the trig error pair.
+        leader = RobotTruth.spawn(0, 0.0, 0.0, 0.0, 0.2)
+        e = tracking_error_truth(RobotTruth.spawn(1, 1.0, 0.0, 0.0, 0.5), leader, np.zeros(3))
+        assert math.atan2(e.e_s, 1.0 - e.e_c) == pytest.approx(0.3)
 
 
 class TestTrackingErrorEstimated:

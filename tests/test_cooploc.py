@@ -124,7 +124,7 @@ class TestLayeredErrorPropagation:
         # At every tick the composed error obeys the triangle decomposition
         # |q_err_child| <= |pair position err| + |pair rotation err| * |q_parent|
         #                  + |q_err_parent|.
-        from uwbio.geometry import norm_project, DegenerateRotation
+        from uwbio.geometry import DegenerateRotation, unit_pair
         from uwbio.harness import run
         from uwbio.scenarios import chain_swarm
         res = run(chain_swarm(4, seed=11, duration_s=120.0))
@@ -141,11 +141,11 @@ class TestLayeredErrorPropagation:
                     continue
                 th = res.theta_log[pair][k]
                 try:
-                    rot = norm_project(th[5], th[6])
+                    c, s = unit_pair(th[5], th[6])
                 except DegenerateRotation:
                     continue
                 pair_pos = np.linalg.norm(th[:3] - th_true[:3])
-                pair_rot = math.hypot(rot.c - th_true[5], rot.s - th_true[6])
+                pair_rot = math.hypot(c - th_true[5], s - th_true[6])
                 bound = pair_pos + pair_rot * q_parent + res.q0_err[parent][k]
                 assert res.q0_err[child][k] <= bound + 1e-9
                 checked += 1

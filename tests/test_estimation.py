@@ -4,47 +4,39 @@ import numpy as np
 import pytest
 
 from conftest import benchmark_pair, filled_record, synthetic_record
-from uwbio.estimation import (ThetaEstimate,
-                              cl_update, innovation, learning_rate,
-                              realtime_relative_pose, reconstruct_pose)
+from uwbio.cooploc import leader_realtime_rows
+from uwbio.estimation import (ThetaEstimate, cl_update, learning_rate, reconstruct_pose,
+                              reconstruct_poses)
 from uwbio.geometry import DegenerateRotation
 from uwbio.regression import DataRecord, RegressorSample
-from uwbio.world import Pose4
 
 
 def est_from(record, theta=None, variant="stated"):
-    e = ThetaEstimate.fresh(record, variant)
-    if theta is not None:
-        e = ThetaEstimate(np.asarray(theta, dtype=float), record, variant)
-    return e
+    theta = np.zeros(7) if theta is None else np.asarray(theta, dtype=float)
+    return ThetaEstimate(theta, record, variant)
 
 
 class TestLearningRate:
     def test_stated_formula(self):
-        rec = DataRecord()
-        rec.lambda_min, rec.lambda_max = 0.5, 3.0
-        assert learning_rate(rec, 1.0, "stated") == pytest.approx(0.5 / (1 + 9))
+        assert learning_rate(0.5, 3.0, 1.0, "stated") == pytest.approx(0.5 / (1 + 9))
 
     def test_proof_formula(self):
-        rec = DataRecord()
-        rec.lambda_min, rec.lambda_max = 0.5, 3.0
-        assert learning_rate(rec, 1.0, "proof") == pytest.approx(0.5 / 16)
+        assert learning_rate(0.5, 3.0, 1.0, "proof") == pytest.approx(0.5 / 16)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            learning_rate(DataRecord(), 1.0, "bogus")
+            learning_rate(0.0, 0.0, 1.0, "bogus")
 
     def test_rank_deficient_is_zero(self):
         rec = DataRecord()
         rec.add(RegressorSample(np.eye(7)[0], 0.0, 0))
-        assert learning_rate(rec) == 0.0
+        assert learning_rate(rec.lambda_min, rec.lambda_max) == 0.0
 
 
 class TestClUpdate:
     def test_requires_nonempty_record(self):
         with pytest.raises(ValueError):
-            cl_update(ThetaEstimate.fresh(DataRecord()),
-                      RegressorSample(np.eye(7)[0], 0.0, 0))
+            cl_update(est_from(DataRecord()), RegressorSample(np.eye(7)[0], 0.0, 0))
 
     def test_zero_lambda_min_is_noop(self, rng):
         rec = DataRecord()
@@ -60,7 +52,7 @@ class TestClUpdate:
         rec, theta = synthetic_record(rng, n=25)
         est = est_from(rec, theta)
         current = rec.history[-1]
-        assert innovation(est, current) == pytest.approx(0.0, abs=1e-14)
+        assert est.theta_hat @ current.phi - current.y == pytest.approx(0.0, abs=1e-14)
         out = cl_update(est, current)
         assert np.allclose(out.theta_hat, theta, atol=1e-13)
 
@@ -69,7 +61,7 @@ class TestClUpdate:
         # history directly; the iterated update must land on it.
         samples, theta_true, _ = benchmark_pair(ticks=1200)
         rec = filled_record(samples)
-        est = ThetaEstimate.fresh(rec)
+        est = est_from(rec)
         current = samples[-1]
         for _ in range(5000):
             est = cl_update(est, current)
@@ -85,7 +77,7 @@ class TestClUpdate:
         # contraction |err'| <= rho |err| and the Lyapunov decrement bound.
         samples, theta_true, _ = benchmark_pair(ticks=1200)
         rec = filled_record(samples)
-        est = ThetaEstimate.fresh(rec, "proof")
+        est = est_from(rec, variant="proof")
         truth = theta_true.vector
         lam_min, lam_max = rec.lambda_min, rec.lambda_max
         rho = math.sqrt(1.0 - lam_min ** 2 / (1.0 + lam_max) ** 2)
@@ -102,7 +94,7 @@ class TestClUpdate:
     def test_monotone_error_decrease_noise_free(self):
         samples, theta_true, _ = benchmark_pair(ticks=1200)
         rec = filled_record(samples)
-        est = ThetaEstimate.fresh(rec)
+        est = est_from(rec)
         truth = theta_true.vector
         prev = np.linalg.norm(est.theta_hat - truth)
         for s in samples[-200:]:
@@ -134,7 +126,7 @@ class TestReconstructPose:
     def test_converged_scenario_recovers_pose(self):
         samples, theta_true, _ = benchmark_pair(ticks=1600)
         rec = filled_record(samples)
-        est = ThetaEstimate.fresh(rec)
+        est = est_from(rec)
         for s in samples[-1000:]:
             est = cl_update(est, s)
         pose = reconstruct_pose(est)
@@ -144,27 +136,33 @@ class TestReconstructPose:
 
 
 class TestRealtimeRelativePose:
-    def _exact_estimate(self, theta_true):
-        rec = DataRecord()
-        return est_from(rec, theta_true.vector)
+    """The real-time pose of a layer-1 robot i relative to the leader j:
+    `leader_realtime_rows` on the leader estimate row that `reconstruct_poses`
+    makes of the pair's theta.  Its trig pair is of the yaw of i's body
+    frame in j's, the negative of the relative yaw `relative_truth` gives."""
+
+    def _realtime(self, theta_true, odom_i, odom_j):
+        (q0_x, q0_y, q0_z, c, s), = reconstruct_poses(theta_true.vector[None])
+        (x, y, z, c_hat, s_hat), = leader_realtime_rows([(q0_x, q0_y, q0_z, c, s)], [odom_i],
+                                                         odom_j)
+        return np.array([x, y, z]), c_hat, s_hat
 
     def test_at_start_returns_initials(self):
         samples, theta_true, _ = benchmark_pair(ticks=10)
-        est = self._exact_estimate(theta_true)
-        p, theta = realtime_relative_pose(est, Pose4.zero(), Pose4.zero())
+        p, c, s = self._realtime(theta_true, (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
         assert np.allclose(p, theta_true.p0, atol=1e-12)
-        assert theta.radians == pytest.approx(math.atan2(theta_true.s0, theta_true.c0))
+        assert math.atan2(-s, c) == pytest.approx(math.atan2(theta_true.s0, theta_true.c0))
 
     def test_matches_truth_along_trajectory(self):
         from uwbio.world import relative_truth
         samples, theta_true, truths = benchmark_pair(ticks=400)
-        est = self._exact_estimate(theta_true)
         for k in (50, 200, 399):
             ti, tj = truths[k]
-            p, theta = realtime_relative_pose(est, ti.odom_pose, tj.odom_pose)
+            p, c, s = self._realtime(theta_true, ti.as_row()[4:], tj.as_row()[4:])
             p_true, theta_true_t = relative_truth(ti, tj)
             assert np.allclose(p, p_true, atol=1e-9)
-            assert theta.radians == pytest.approx(theta_true_t.radians, abs=1e-9)
+            assert c == pytest.approx(math.cos(theta_true_t.radians), abs=1e-9)
+            assert -s == pytest.approx(math.sin(theta_true_t.radians), abs=1e-9)
 
     @pytest.mark.slow
     def test_bounded_noise_error_scales_linearly(self):

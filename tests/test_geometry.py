@@ -4,47 +4,47 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from uwbio.geometry import (Angle, DegenerateRotation, PlanarRotation, Rotation3Z,
-                            cross2, norm_project, wrap_angle)
+from uwbio.geometry import DegenerateRotation, PlanarRotation, Rotation3Z, cross2, unit_pair
+from uwbio.world import RobotTruth, relative_truth
 
 angles = st.floats(-50.0, 50.0, allow_nan=False)
 coords = st.floats(-100.0, 100.0, allow_nan=False)
 
 
 class TestNormProject:
+    """`unit_pair`: a trig pair projected onto the unit circle by its norm."""
+
     def test_identity_passthrough(self):
-        r = norm_project(1.0, 0.0)
-        assert (r.c, r.s) == (1.0, 0.0)
+        assert unit_pair(1.0, 0.0) == (1.0, 0.0)
 
     def test_positive_scaling(self):
-        r = norm_project(2.0, 0.0)
-        assert (r.c, r.s) == (1.0, 0.0)
+        assert unit_pair(2.0, 0.0) == (1.0, 0.0)
 
     def test_scaled_rotation(self):
-        r = norm_project(3 * math.cos(0.7), 3 * math.sin(0.7))
-        assert abs(r.c - math.cos(0.7)) < 1e-12
-        assert abs(r.s - math.sin(0.7)) < 1e-12
+        c, s = unit_pair(3 * math.cos(0.7), 3 * math.sin(0.7))
+        assert abs(c - math.cos(0.7)) < 1e-12
+        assert abs(s - math.sin(0.7)) < 1e-12
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateRotation):
-            norm_project(1e-10, -1e-10)
+            unit_pair(1e-10, -1e-10)
 
     @given(angles, st.floats(1e-6, 1e6))
     def test_idempotent(self, ang, scale):
-        r1 = norm_project(scale * math.cos(ang), scale * math.sin(ang))
-        r2 = norm_project(r1.c, r1.s)
-        assert abs(r1.c - r2.c) < 1e-12 and abs(r1.s - r2.s) < 1e-12
+        c1, s1 = unit_pair(scale * math.cos(ang), scale * math.sin(ang))
+        c2, s2 = unit_pair(c1, s1)
+        assert abs(c1 - c2) < 1e-12 and abs(s1 - s2) < 1e-12
 
     @given(angles, st.floats(1e-6, 1e6))
     def test_angle_preserved(self, ang, scale):
         c_raw, s_raw = scale * math.cos(ang), scale * math.sin(ang)
-        r = norm_project(c_raw, s_raw)
+        r = PlanarRotation(*unit_pair(c_raw, s_raw))
         assert r.angle() == pytest.approx(math.atan2(s_raw, c_raw), abs=1e-12)
 
     @given(angles, st.floats(1e-6, 1e6))
     def test_unit_norm(self, ang, scale):
-        r = norm_project(scale * math.cos(ang), scale * math.sin(ang))
-        assert abs(r.c ** 2 + r.s ** 2 - 1.0) < 1e-12
+        c, s = unit_pair(scale * math.cos(ang), scale * math.sin(ang))
+        assert abs(c ** 2 + s ** 2 - 1.0) < 1e-12
 
 
 class TestCross2:
@@ -96,24 +96,20 @@ class TestRotateH:
 
 
 class TestAngle:
-    def test_wrap_interval(self):
-        assert wrap_angle(math.pi) == pytest.approx(math.pi)
-        assert wrap_angle(-math.pi) == pytest.approx(math.pi)
-        assert wrap_angle(0.0) == 0.0
-        assert wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
-
     @given(angles)
     def test_wrapped_in_range(self, a):
-        w = Angle(a).wrapped()
+        # The one bounded reading of an angle is a rotation's.
+        w = PlanarRotation.from_angle(a).angle()
         assert -math.pi < w <= math.pi
         # Same direction as the unwrapped angle.
         assert math.cos(w) == pytest.approx(math.cos(a), abs=1e-9)
         assert math.sin(w) == pytest.approx(math.sin(a), abs=1e-9)
 
     def test_cumulative_arithmetic(self):
-        a = Angle(3.0) + Angle(4.0)
-        assert a.radians == 7.0   # unwrapped storage
-        assert (Angle(1.0) - Angle(4.0)).radians == -3.0
+        a = RobotTruth.spawn(0, 0.0, 0.0, 0.0, 4.0)
+        b = RobotTruth.spawn(1, 0.0, 0.0, 0.0, 7.0)
+        assert b.world_pose.yaw.radians == 7.0   # unwrapped storage
+        assert relative_truth(b, a)[1].radians == -3.0
 
 
 class TestRotation3Z:
@@ -130,11 +126,13 @@ class TestRotation3Z:
 
     @given(angles, angles)
     def test_compose_matches_angle_sum(self, a, b):
-        r = Rotation3Z.from_angle(a).compose(Rotation3Z.from_angle(b))
-        assert r.c == pytest.approx(math.cos(a + b), abs=1e-12)
-        assert r.s == pytest.approx(math.sin(a + b), abs=1e-12)
+        # R(a) applied to the direction of angle b points along a + b.
+        r = Rotation3Z.from_angle(a).apply([math.cos(b), math.sin(b), 0.0])
+        assert r[0] == pytest.approx(math.cos(a + b), abs=1e-12)
+        assert r[1] == pytest.approx(math.sin(a + b), abs=1e-12)
 
     def test_matrix_is_orthonormal(self):
-        m = Rotation3Z.from_angle(0.77).as_matrix()
+        # The matrix whose columns are the rotated basis vectors.
+        m = np.column_stack([Rotation3Z.from_angle(0.77).apply(e) for e in np.eye(3)])
         assert np.allclose(m @ m.T, np.eye(3), atol=1e-15)
         assert np.linalg.det(m) == pytest.approx(1.0)

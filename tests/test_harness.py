@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +16,16 @@ from uwbio.scenarios import chain_swarm, four_robot_formation, two_robot_benchma
 from uwbio.regression import ThetaTrue
 from uwbio.sensing import NoiseModel
 from uwbio.world import RobotTruth, relative_truth
+
+
+def load_benchmark_module(name: str, monkeypatch):
+    """Import benchmarks/<name>.py by path, as benchmarks/run.py does."""
+    spec = importlib.util.spec_from_file_location(
+        f"benchmark_{name}", Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)   # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +107,14 @@ class TestRun:
         cfg = replace(chain_swarm(5), random_init=RandomInit(radius=0.5, min_sep=1.0))
         with pytest.raises(ConfigError, match=r"robot \d+ .*min_sep=1\.0.*radius=0\.5"):
             run(cfg)
+
+    def test_random_init_min_sep_is_from_the_leader(self):
+        # A leader off the origin: min_sep is measured from where it stands.
+        cfg = two_robot_benchmark(duration_s=1.0, random_init=RandomInit(radius=1.0, min_sep=1.0))
+        cfg = replace(cfg, robots=(replace(cfg.robots[0], x=0.6),) + cfg.robots[1:])
+        for seed in range(40):
+            leader, follower = run(cfg, seed=seed).truth[0]
+            assert math.hypot(follower[0] - leader[0], follower[1] - leader[1]) >= 1.0
 
 
 class TestModes:
@@ -227,11 +246,7 @@ class TestDeterminismAndLogs:
         resolves its METHODS at import and its HARNESS_FUNCTIONS on
         uwbio.harness when a Tracer is entered; a refactor that drops one of
         those names breaks every benchmark run."""
-        spec = importlib.util.spec_from_file_location(
-            "benchmark_tracing", Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py")
-        tracing = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, tracing)   # its dataclasses look it up
-        spec.loader.exec_module(tracing)
+        tracing = load_benchmark_module("tracing", monkeypatch)
         before = {name: getattr(harness, name) for name in tracing.HARNESS_FUNCTIONS}
         methods = {(cls, attr): getattr(cls, attr) for cls, attr in tracing.METHODS}
         with tracing.Tracer() as tracer:
@@ -239,6 +254,21 @@ class TestDeterminismAndLogs:
         assert tracer.stats["harness.run"].calls == 1
         assert all(getattr(harness, name) is fn for name, fn in before.items())
         assert all(getattr(cls, attr) is fn for (cls, attr), fn in methods.items())
+
+    def test_benchmark_checks_read_their_names(self, monkeypatch, tmp_path):
+        """benchmarks/checks.py validates every benchmark run through names
+        of the run result (final_estimators' records, final_lpe's rotations,
+        final_truths' poses, the logs); a refactor that drops one of them
+        rejects every benchmark run."""
+        checks = load_benchmark_module("checks", monkeypatch)
+        noise = NoiseModel(sigma_range=0.05, sigma_odom_pos=0.002, sigma_odom_yaw=0.001)
+        screened = run(chain_swarm(4, noise=replace(noise, outlier_prob=0.05), duration_s=20.0))
+        assert screened.config.outlier_screening
+        checks.check_run(screened)
+        checks.check_screen_health(screened)
+        logged = run_to_dir(four_robot_formation(noise=noise, duration_s=30.0), tmp_path)
+        checks.check_run(logged)
+        checks.check_logs(logged, tmp_path)
 
 
 class TestSweep:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import circle_cmd
-from uwbio.outliers import JudgeQueue
+from uwbio.outliers import JudgeBank, JudgeQueue, ScreenResult
 from uwbio.sensing import MeasurementTriplet
 from uwbio.world import RobotTruth, step, world_distance
 
@@ -12,40 +12,53 @@ def triplet(d, zi, zj, t_k=0):
                               np.asarray(zj, dtype=float), t_k)
 
 
+def ring_row(d, zi, zj, t_k=0) -> np.ndarray:
+    """A judge ring row [d, z_i (3), z_j (3), t_k]."""
+    return np.array([d, *zi, *zj, t_k], dtype=float)
+
+
+def screen(bank: JudgeBank, d, zi, zj, t_k=0) -> ScreenResult:
+    """Screen one candidate against a bank of one pair."""
+    z = np.array([[*zi, *zj]], dtype=float)
+    out, votes, size = bank.screen_all(np.array([float(d)]), z, t_k)
+    return ScreenResult(out[0], votes[0], size[0])
+
+
 class TestScreen:
     def test_empty_queue_accepts_and_enqueues(self):
-        q = JudgeQueue()
-        res = q.screen(triplet(5.0, [0, 0, 0], [1, 0, 0]))
+        bank = JudgeBank(1)
+        res = screen(bank, 5.0, [0, 0, 0], [1, 0, 0])
         assert not res.is_outlier and res.votes == 0 and res.queue_size == 0
-        assert len(q) == 1
+        assert bank.size == [1]
 
     def test_inflated_candidate_rejected_unanimously(self):
-        q = JudgeQueue(capacity=20, threshold=0.5)
+        bank = JudgeBank(1, capacity=20, threshold=0.5)
         # 20 consistent entries while both robots creep < 0.1 m total.
         for k in range(20):
-            q.screen(triplet(5.0 + 0.001 * k, [0.001 * k, 0, 0], [0, 0.001 * k, 0], k))
-        assert len(q) == 20
-        res = q.screen(triplet(10.0, [0.021, 0, 0], [0, 0.021, 0], 21))
+            screen(bank, 5.0 + 0.001 * k, [0.001 * k, 0, 0], [0, 0.001 * k, 0], k)
+        assert bank.size == [20]
+        res = screen(bank, 10.0, [0.021, 0, 0], [0, 0.021, 0], 21)
         assert res.is_outlier and res.votes == 20
-        assert len(q) == 20   # rejected candidates never enter the queue
+        assert bank.size == [20]   # rejected candidates never enter the queue
 
     def test_exact_half_votes_is_inlier(self):
         # Ratio exactly 0.5 fails the strict inequality, so the candidate is kept.
-        q = JudgeQueue(capacity=20, threshold=0.5)
+        bank = JudgeBank(1, capacity=20, threshold=0.5)
         for k in range(10):     # voters: same place, far-off distance
-            q.accept(triplet(50.0, [0, 0, 0], [5, 0, 0], k))
+            bank.accept_all([0], ring_row(50.0, [0, 0, 0], [5, 0, 0], k)[None])
         for k in range(10):     # non-voters: huge odometry slack
-            q.accept(triplet(5.0, [500 + k, 0, 0], [-500 - k, 0, 0], 10 + k))
-        res = q.screen(triplet(5.0, [0, 0, 0], [5, 0, 0], 30))
+            bank.accept_all([0], ring_row(5.0, [500 + k, 0, 0], [-500 - k, 0, 0], 10 + k)[None])
+        res = screen(bank, 5.0, [0, 0, 0], [5, 0, 0], 30)
         assert res.votes == 10 and res.queue_size == 20
         assert not res.is_outlier
 
     def test_queue_evicts_oldest(self):
-        q = JudgeQueue(capacity=3, threshold=0.9)
+        bank = JudgeBank(1, capacity=3, threshold=0.9)
         for k in range(5):
-            q.screen(triplet(1.0, [0.2 * k, 0, 0], [0, 0, 0], k))
-        assert len(q) == 3
-        assert [e.t_k for e in q.entries] == [2, 3, 4]
+            screen(bank, 1.0, [0.2 * k, 0, 0], [0, 0, 0], k)
+        assert bank.size == [3]
+        oldest = bank.count[0] % bank.capacity
+        assert np.roll(bank.ring[0, :, 7], -oldest).tolist() == [2, 3, 4]
 
     @pytest.mark.xfail(strict=True, reason="known fault: an empty queue accepts any "
                        "first range, so an outlier accepted first outvotes every "

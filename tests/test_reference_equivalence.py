@@ -33,7 +33,7 @@ from uwbio import harness
 from uwbio.config import Saturation
 from uwbio.control import TrackingError, tracking_error_rows, tracking_error_truth
 from uwbio.cooploc import assign_layers, compose_layers, composition_plan, leader_realtime_rows
-from uwbio.estimation import _rate, cl_update, cl_update_all, reconstruct_poses
+from uwbio.estimation import cl_update, cl_update_all, learning_rate, reconstruct_poses
 from uwbio.geometry import NORM_TOL, Angle, DegenerateRotation
 from uwbio.harness import _row_norms, run
 from uwbio.outliers import JudgeBank, JudgeQueue, ScreenResult
@@ -161,13 +161,16 @@ def triplet_stream(seed: int, n: int, coarse: bool) -> list[MeasurementTriplet]:
        n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1), coarse=st.booleans())
 def test_judge_queue_matches_reference(capacity, threshold, n, seed, coarse):
     q = JudgeQueue(capacity, threshold)
+    bank = JudgeBank(1, capacity, threshold)
     ref = ReferenceJudgeQueue(capacity, threshold)
     for cand in triplet_stream(seed, n, coarse):
-        assert q.screen(cand) == ref.screen(cand)
-        assert len(q) == len(ref.entries)
-    got, want = q.entries, tuple(ref.entries)
-    assert [(e.d, bits(e.z_i), bits(e.z_j), e.t_k) for e in got] == \
-        [(e.d, bits(e.z_i), bits(e.z_j), e.t_k) for e in want]
+        want = ref.screen(cand)
+        assert q.screen(cand) == want
+        out, votes, size = bank.screen_all(np.array([cand.d]),
+                                           np.concatenate((cand.z_i, cand.z_j))[None], cand.t_k)
+        assert ScreenResult(out[0], votes[0], size[0]) == want
+        assert bank.size[0] == len(ref.entries)
+    assert queued(bank, 0) == [(e.d, bits(e.z_i), bits(e.z_j), e.t_k) for e in ref.entries]
 
 
 def sample_stream(seed: int, n: int, planar: bool) -> list[RegressorSample]:
@@ -226,7 +229,7 @@ def padded_cl_update_all(theta, bank, rows, phi, y, variant="stated"):
     """cl_update_all with every record zero-padded to the longest one and
     one stacked product for all pairs, instead of one per record length."""
     lam_min, lam_max = bank.lambda_min.tolist(), bank.lambda_max.tolist()
-    eta = [_rate(lam_min[r], lam_max[r], lam_u, variant)
+    eta = [learning_rate(lam_min[r], lam_max[r], lam_u, variant)
            for r, lam_u in zip(rows, np.vecdot(phi, phi).tolist())]
     sel = [m for m, rate in enumerate(eta) if rate != 0.0]
     if sel:

@@ -101,7 +101,7 @@ class TestDataRecord:
         samples, _, _ = benchmark_pair(ticks=600)
         rec = filled_record(samples, cap=12)
         assert len(rec) == 12
-        assert np.linalg.norm(rec.S - rec.rebuilt_S()) < 1e-9
+        assert np.linalg.norm(rec.S - rec.phis.T @ rec.phis) < 1e-9
         assert np.allclose(rec.phis, np.stack([s.phi for s in rec.history]), atol=0)
 
     def test_stored_phis_unit_norm_and_lambda_bounds(self):
@@ -132,7 +132,7 @@ class TestDataRecord:
 
 
 def stationary(t):
-    return VelocityCommand.zero()
+    return VelocityCommand(0.0, 0.0, 0.0)
 
 
 class TestObservabilityProbe:

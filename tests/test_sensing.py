@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uwbio.sensing import (MeasurementTriplet, NoiseModel, OdomStream, RangeStream,
-                           measure_odom, robot_rng)
+                           odom_step, robot_rng)
 from uwbio.world import RobotTruth, VelocityCommand, step
 
 
@@ -69,13 +69,20 @@ class TestRange:
         assert d1 != d2
 
 
+def increment(prev, nxt, noise, rng):
+    """One robot's noisy odometry increment: `odom_step` from a zero
+    cumulative row, as (dx, dy, dz, dyaw)."""
+    row, = odom_step([(0.0, 0.0, 0.0, 0.0)], [prev.as_row()], [nxt.as_row()], noise, [rng])
+    return row
+
+
 class TestOdom:
     def test_zero_noise_exact_delta(self):
         r = RobotTruth.spawn(0, 5, 5, 0, 1.0)
         nxt = step(r, VelocityCommand(0.5, 0.1, 0.3), 0.1)
-        delta, dyaw = measure_odom(r, nxt, NoiseModel(), robot_rng(0, 0))
+        *delta, dyaw = increment(r, nxt, NoiseModel(), robot_rng(0, 0))
         assert np.allclose(delta, nxt.odom_pose.position() - r.odom_pose.position(), atol=0)
-        assert dyaw.radians == nxt.odom_pose.yaw.radians - r.odom_pose.yaw.radians
+        assert dyaw == nxt.odom_pose.yaw.radians - r.odom_pose.yaw.radians
 
     def test_cumulative_matches_truth_when_noiseless(self):
         r = RobotTruth.spawn(0, 1, 2, 0, 0.4)
@@ -115,6 +122,6 @@ class TestOdom:
         r = RobotTruth.spawn(0, 0, 0, 0, 0)
         nxt = step(r, VelocityCommand(0.2, 0.0, 0.1), 0.05)
         noise = NoiseModel(sigma_odom_pos=0.02, sigma_odom_yaw=0.01)
-        d1 = measure_odom(r, nxt, noise, robot_rng(11, 3))
-        d2 = measure_odom(r, nxt, noise, robot_rng(11, 3))
-        assert np.array_equal(d1[0], d2[0]) and d1[1] == d2[1]
+        d1 = increment(r, nxt, noise, robot_rng(11, 3))
+        d2 = increment(r, nxt, noise, robot_rng(11, 3))
+        assert np.array_equal(d1[:3], d2[:3]) and d1[3] == d2[3]

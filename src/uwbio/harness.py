@@ -19,7 +19,8 @@ estimator, controller and physics state plus the true poses, one
 sensing, physics, `truth_feedback` and the unbroadcast leader odometry;
 afterwards `_score_truth` derives every truth error from the logs, all
 ticks at once.  Per-stream RNGs derived from (seed, stream tag) make a
-(config, seed) pair determine every logged byte.
+(config, seed) pair determine every logged byte.  `write_run` zips each
+per-tick CSV log from its columns, grouped by pair or robot, then by tick.
 """
 
 from __future__ import annotations
@@ -178,8 +179,9 @@ class Logs:
     """Per-tick logs on a leading tick axis, one row written per tick: per
     pair in `graph.ordered_pairs()` order, per robot with the leader at
     index 0 (its q0_hat rows hold its own zeros, its real-time rows stay
-    NaN).  Follower estimate rows are NaN until a leader estimate exists.  The per-robot logs are laid out robot
-    by robot in memory, so each robot's view in `RunResult` is contiguous."""
+    NaN).  Follower estimate rows are NaN until a leader estimate exists.
+    The per-robot logs are laid out robot by robot in memory, so each
+    robot's view in `RunResult` is contiguous."""
 
     truth: np.ndarray          # (rows, robots, 8): RobotTruth.as_row per tick
     theta: np.ndarray          # (rows, pairs, 7)
@@ -565,28 +567,21 @@ def _compute_metrics(res: RunResult) -> RunMetrics:
 
 # -- persistence -----------------------------------------------------------
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Rows of Python values: csv writes a float as its repr, None as "" and a bool as True."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows(rows)
 
 
 def write_run(res: RunResult, outdir: str | Path) -> Path:
     """Persist one run: manifest, summary and per-tick CSV logs."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    # Written only when the run has content for them: none survives a rerun.
+    for name in ("saturation.csv", "samples.csv"):
+        (outdir / name).unlink(missing_ok=True)
 
     manifest = {
         "tool_version": __version__,
@@ -605,39 +600,36 @@ def write_run(res: RunResult, outdir: str | Path) -> Path:
     row = res.summary_row()
     _write_csv(outdir / "summary.csv", list(row), [list(row.values())])
 
-    est_rows = []
-    for (i, j) in sorted(res.theta_log):
-        th = res.theta_log[(i, j)]
-        for k in range(res.n_ticks + 1):
-            est_rows.append([k, i, j, *th[k].tolist(),
-                             res.lam_min[(i, j)][k], res.lam_max[(i, j)][k],
-                             res.updated[(i, j)][k], res.theta_err[(i, j)][k]])
+    ticks = range(res.n_ticks + 1)
     _write_csv(outdir / "estimates.csv",
                ["tick", "i", "j"] + [f"theta{n}" for n in range(7)]
-               + ["lam_min", "lam_max", "updated", "theta_err"], est_rows)
+               + ["lam_min", "lam_max", "updated", "theta_err"],
+               (row for i, j in sorted(res.theta_log)
+                for row in zip(ticks, repeat(i), repeat(j), *res.theta_log[i, j].T.tolist(),
+                               res.lam_min[i, j].tolist(), res.lam_max[i, j].tolist(),
+                               res.updated[i, j].astype(int).tolist(),
+                               res.theta_err[i, j].tolist())))
 
-    trk_rows = []
-    for r in sorted(res.track_truth):
-        tt, te = res.track_truth[r], res.track_est[r]
-        for k in range(res.n_ticks + 1):
-            trk_rows.append([k, r, *tt[k].tolist(), *te[k].tolist(),
-                             res.q0_err[r][k], res.q_rt_err[r][k]])
     _write_csv(outdir / "tracking.csv",
                ["tick", "robot", "ex", "ey", "ez", "ec", "es",
                 "ex_hat", "ey_hat", "ez_hat", "ec_hat", "es_hat",
-                "q0_err", "q_rt_err"], trk_rows)
+                "q0_err", "q_rt_err"],
+               (row for r in sorted(res.track_truth)
+                for row in zip(ticks, repeat(r), *res.track_truth[r].T.tolist(),
+                               *res.track_est[r].T.tolist(), res.q0_err[r].tolist(),
+                               res.q_rt_err[r].tolist())))
 
-    cmd_rows = []
-    for r in sorted(res.commands):
-        c = res.commands[r]
-        for k in range(res.n_ticks):
-            cmd_rows.append([k, r, c[k, 0], c[k, 1], c[k, 2], int(res.stage2_flag[k]) + 1])
+    stage = (res.stage2_flag + 1).tolist()
     _write_csv(outdir / "commands.csv",
-               ["tick", "robot", "v_h", "v_z", "w", "stage"], cmd_rows)
+               ["tick", "robot", "v_h", "v_z", "w", "stage"],
+               (row for r in sorted(res.commands)
+                for row in zip(range(res.n_ticks), repeat(r), *res.commands[r].T.tolist(),
+                               stage)))
 
     _write_csv(outdir / "outliers.csv",
                ["tick", "i", "j", "d", "votes", "queue_size", "verdict", "injected"],
-               res.outlier_events)
+               ((k, i, j, d, votes, size, int(out), int(inj))
+                for k, i, j, d, votes, size, out, inj in res.outlier_events))
 
     if res.saturation_events:
         _write_csv(outdir / "saturation.csv",
@@ -711,21 +703,17 @@ def sweep(base: ScenarioConfig, axis: str, values, seeds: int,
             try:
                 cfg = _apply_axis(base, axis, value, run_seed)
                 res = run(cfg, seed=run_seed)
-                row = res.summary_row()
-                row["axis"] = axis
-                row["axis_value"] = value
-                rows.append(row)
+                rows.append({"axis": axis, "axis_value": value, **res.summary_row()})
             except Exception as exc:   # recorded, sweep continues
                 failures.append((value, run_seed, repr(exc)))
     result = SweepResult(axis, rows, failures)
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
+        for name in ("cells.csv", "sweep.csv", "failures.csv"):
+            (outdir / name).unlink(missing_ok=True)
         if rows:
-            header = ["axis", "axis_value"] + [k for k in rows[0] if k not in
-                                               ("axis", "axis_value")]
-            _write_csv(outdir / "cells.csv", header,
-                       [[r[h] for h in header] for r in rows])
+            _write_csv(outdir / "cells.csv", list(rows[0]), [list(r.values()) for r in rows])
             agg_rows = []
             for value, cell in result.by_value().items():
                 errs = [r["final_theta_err_mean"] for r in cell
@@ -750,25 +738,25 @@ def sweep(base: ScenarioConfig, axis: str, values, seeds: int,
 
 def report(outdir: str | Path, max_track_pos: float | None = None,
            require_convergence: bool = True) -> int:
-    """Print a human-readable summary of a run directory.
+    """Print a human-readable summary of a run or sweep directory.
 
     Returns a process exit code: 0 iff the configured thresholds hold
     (all estimators converged; final tracking under the bound if given).
     """
     outdir = Path(outdir)
     summary = outdir / "summary.csv"
-    sweep_csv = outdir / "sweep.csv"
-    if sweep_csv.exists():
+    sweep_csv, failures = outdir / "sweep.csv", outdir / "failures.csv"
+    if sweep_csv.exists() or failures.exists():
         print(f"sweep results in {outdir}:")
-        print(sweep_csv.read_text().rstrip())
-        failures = outdir / "failures.csv"
+        if sweep_csv.exists():
+            print(sweep_csv.read_text().rstrip())
         if failures.exists():
             print("failures:")
             print(failures.read_text().rstrip())
             return 1
         return 0
     if not summary.exists():
-        raise MissingLogs(f"no summary.csv or sweep.csv under {outdir}")
+        raise MissingLogs(f"no summary.csv, sweep.csv or failures.csv under {outdir}")
     with open(summary) as fh:
         rows = list(csv.DictReader(fh))
     code = 0

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import math
 import sys
@@ -221,6 +222,16 @@ class TestDeterminismAndLogs:
         assert report(tmp_path / "short") == 1
         capsys.readouterr()
 
+    def test_rerun_removes_stale_optional_logs(self, tmp_path):
+        from uwbio.config import Saturation
+        cfg = replace(two_robot_benchmark(duration_s=5.0), sample_dump=True,
+                      saturation=Saturation(0.1, 0.05, 0.3))
+        run_to_dir(cfg, tmp_path)
+        assert (tmp_path / "saturation.csv").exists() and (tmp_path / "samples.csv").exists()
+        run_to_dir(two_robot_benchmark(duration_s=5.0), tmp_path)
+        assert not (tmp_path / "saturation.csv").exists()
+        assert not (tmp_path / "samples.csv").exists()
+
     def test_report_missing_dir_raises(self, tmp_path):
         with pytest.raises(MissingLogs):
             report(tmp_path / "nothing")
@@ -309,6 +320,64 @@ class TestSweep:
         result = sweep(base, "noise", [0.0], seeds=1)
         assert len(result.failures) == 1
         assert "ExcitationTimeout" in result.failures[0][2]
+
+    def test_tables_read_back_as_the_result(self, tmp_path):
+        """Every field of cells.csv and sweep.csv reads back as its value:
+        a float by value, None as empty, an int or a string as its own
+        text; failures.csv holds each error's repr through csv quoting."""
+        def reads_back(text, value):
+            if value is None:
+                return text == ""
+            if type(value) is float:
+                return float(text) == value or math.isnan(value) and math.isnan(float(text))
+            return type(value) in (int, str) and text == str(value)
+
+        def read(name):
+            with open(tmp_path / name, newline="") as fh:
+                return list(csv.reader(fh))
+
+        base = chain_swarm(3, seed=1, duration_s=10.0)
+        result = sweep(base, "swarm_size", [2, 4.5], seeds=2, outdir=tmp_path)
+        assert len(result.rows) == 2 and len(result.failures) == 2
+        header, *cells = read("cells.csv")
+        assert len(cells) == len(result.rows)
+        for fields, row in zip(cells, result.rows):
+            assert sorted(header) == sorted(row)
+            assert all(reads_back(t, row[h]) for h, t in zip(header, fields)), fields
+        header, *table = read("sweep.csv")
+        assert header == ["axis", "value", "n_runs", "final_theta_err_mean",
+                          "final_theta_err_std", "theta_conv_mean_s", "n_not_converged"]
+        [(value, cell)] = result.by_value().items()
+        errs = [r["final_theta_err_mean"] for r in cell]
+        convs = [r["theta_conv_max_s"] for r in cell if r["theta_conv_max_s"] is not None]
+        expected = ["swarm_size", value, len(cell), float(np.mean(errs)), float(np.std(errs)),
+                    float(np.mean(convs)) if convs else None, len(cell) - len(convs)]
+        assert len(table) == 1 and len(table[0]) == len(expected)
+        assert all(reads_back(t, v) for t, v in zip(table[0], expected)), table
+        header, *failed = read("failures.csv")
+        assert header == ["value", "seed", "error"]
+        assert len(failed) == len(result.failures)
+        for fields, failure in zip(failed, result.failures):
+            assert all(reads_back(t, v) for t, v in zip(fields, failure)), fields
+            assert fields[2] == failure[2] and "," in fields[2]
+
+    def test_rerun_removes_stale_tables(self, tmp_path):
+        timeout = replace(two_robot_benchmark(duration_s=5.0), stage1_timeout_s=1.0)
+        sweep(two_robot_benchmark(duration_s=5.0), "noise", [0.0], seeds=1, outdir=tmp_path)
+        sweep(timeout, "noise", [0.0], seeds=1, outdir=tmp_path)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["failures.csv"]
+        sweep(two_robot_benchmark(duration_s=5.0), "noise", [0.0], seeds=1, outdir=tmp_path)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cells.csv", "sweep.csv"]
+        assert report(tmp_path) == 0
+
+    def test_report_prints_a_sweep_where_every_cell_failed(self, tmp_path, capsys):
+        timeout = replace(two_robot_benchmark(duration_s=5.0), stage1_timeout_s=1.0)
+        result = sweep(timeout, "noise", [0.0, 0.01], seeds=1, outdir=tmp_path)
+        assert not result.rows and len(result.failures) == 2
+        capsys.readouterr()
+        assert report(tmp_path) == 1
+        printed = capsys.readouterr().out
+        assert "failures:" in printed and printed.count("ExcitationTimeout") == 2
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError):

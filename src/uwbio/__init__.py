@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .geometry import Angle, DegenerateRotation, PlanarRotation, Rotation3Z, cross2
+from .geometry import Angle, DegenerateRotation, Rotation3Z, cross2
 from .world import Pose4, RobotTruth, VelocityCommand, relative_truth, step
 from .sensing import MeasurementTriplet, NoiseModel
 from .regression import (DataRecord, EmptyRecord, MotionProfile, RankDiagnosis,

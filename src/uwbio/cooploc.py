@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .estimation import RelativePoseEstimate
-from .geometry import Angle, PlanarRotation, Rotation3Z, unit_pair
+from .geometry import Angle, Rotation3Z, unit_pair
 
 
 class UnreachableNode(ValueError):
@@ -174,7 +174,7 @@ def leader_initial_estimate(robot: int, graph: TopologyGraph,
         inputs.append(((*rpe.p0_hat.tolist(), rpe.R0_hat.c, rpe.R0_hat.s),
                        (*lpe.q0_hat.tolist(), lpe.Q0_hat.c, lpe.Q0_hat.s)))
     row = _compose(graph.layers[robot] == 1, inputs)
-    return LeaderPoseEstimate(np.array(row[:3]), Rotation3Z(PlanarRotation(*row[3:])), t_k)
+    return LeaderPoseEstimate(np.array(row[:3]), Rotation3Z(*row[3:]), t_k)
 
 
 def leader_realtime_rows(lead: list, odom: list, leader_odom) -> list[list[float]]:

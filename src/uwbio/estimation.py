@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import NORM_TOL, DegenerateRotation, PlanarRotation, Rotation3Z, unit_pair
+from .geometry import NORM_TOL, DegenerateRotation, Rotation3Z, unit_pair
 from .regression import THETA_DIM, DataRecord, RecordBank, RegressorSample, pair_index
 
 RATE_VARIANTS = ("stated", "proof")
@@ -135,4 +135,4 @@ def reconstruct_pose(est: ThetaEstimate) -> RelativePoseEstimate:
     if pose is None:
         raise DegenerateRotation(f"trig pair {est.theta_hat[5:].tolist()} is shorter than "
                                  f"{NORM_TOL}")
-    return RelativePoseEstimate(np.array(pose[:3]), Rotation3Z(PlanarRotation(*pose[3:])))
+    return RelativePoseEstimate(np.array(pose[:3]), Rotation3Z(*pose[3:]))

@@ -1,10 +1,10 @@
-"""Planar rotations, yaw-only 3D rotations and angle bookkeeping.
+"""Yaw rotations and angle bookkeeping.
 
 Yaw rotations are carried as their (cos, sin) pair rather than as an angle,
 so that a scaled trig pair coming out of a linear estimator can be projected
 back onto the rotation group by plain normalization, without trig round
 trips.  Odometry headings are kept unwrapped (cumulative); a bounded angle
-is only ever read off a rotation (`PlanarRotation.angle`).
+is only ever read off a rotation (`Rotation3Z.yaw`).
 """
 
 from __future__ import annotations
@@ -30,36 +30,6 @@ class Angle:
     radians: float
 
 
-@dataclass(frozen=True)
-class PlanarRotation:
-    """Unit (cos, sin) pair: the horizontal block of a yaw rotation."""
-
-    c: float
-    s: float
-
-    @classmethod
-    def identity(cls) -> "PlanarRotation":
-        return cls(1.0, 0.0)
-
-    @classmethod
-    def from_angle(cls, radians: float) -> "PlanarRotation":
-        return cls(math.cos(radians), math.sin(radians))
-
-    def angle(self) -> float:
-        return math.atan2(self.s, self.c)
-
-    def apply(self, v) -> np.ndarray:
-        """Rotate a 2-vector."""
-        v = np.asarray(v, dtype=float)
-        return np.array([self.c * v[0] - self.s * v[1],
-                         self.s * v[0] + self.c * v[1]])
-
-    def apply_inverse(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return np.array([self.c * v[0] + self.s * v[1],
-                         -self.s * v[0] + self.c * v[1]])
-
-
 def unit_pair(c_raw: float, s_raw: float) -> tuple[float, float]:
     """Scale a (cos, sin) estimate onto the unit circle, as plain floats.
 
@@ -82,35 +52,31 @@ def cross2(a, b) -> float:
 
 @dataclass(frozen=True)
 class Rotation3Z:
-    """Yaw rotation embedded in 3D: planar block on x/y, identity on z."""
+    """Yaw rotation as its unit (cos, sin) pair: planar block on x/y, identity
+    on z.  `apply` and `apply_inverse` act on the last axis of a 3-vector or
+    a (rows, 3) stack; `c` and `s` are scalars or hold one value per row.
+    Both unpack the transposed input, so a 3-vector costs scalar arithmetic."""
 
-    planar: PlanarRotation
+    c: float
+    s: float
 
     @classmethod
     def identity(cls) -> "Rotation3Z":
-        return cls(PlanarRotation.identity())
+        return cls(1.0, 0.0)
 
     @classmethod
     def from_angle(cls, radians: float) -> "Rotation3Z":
-        return cls(PlanarRotation.from_angle(radians))
-
-    @property
-    def c(self) -> float:
-        return self.planar.c
-
-    @property
-    def s(self) -> float:
-        return self.planar.s
+        return cls(math.cos(radians), math.sin(radians))
 
     def yaw(self) -> float:
-        return self.planar.angle()
+        return math.atan2(self.s, self.c)
 
     def apply(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        h = self.planar.apply(v[:2])
-        return np.array([h[0], h[1], v[2]])
+        x, y, z = np.asarray(v, dtype=float).T
+        return np.ascontiguousarray(np.array([self.c * x - self.s * y,
+                                              self.s * x + self.c * y, z]).T)
 
     def apply_inverse(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        h = self.planar.apply_inverse(v[:2])
-        return np.array([h[0], h[1], v[2]])
+        x, y, z = np.asarray(v, dtype=float).T
+        return np.ascontiguousarray(np.array([self.c * x + self.s * y,
+                                              -self.s * x + self.c * y, z]).T)

@@ -42,7 +42,7 @@ from .control import (StageTracker, stage1_rows, stage2_rows, tracking_error_row
 from .cooploc import (LeaderPoseEstimate, TopologyGraph, assign_layers, compose_layers,
                       composition_plan, leader_realtime_rows)
 from .estimation import ThetaEstimate, cl_update_all, reconstruct_poses
-from .geometry import PlanarRotation, Rotation3Z
+from .geometry import Rotation3Z
 from .metrics import RunMetrics, convergence_time, detection_stats, smoothness, tail_mean
 from .outliers import JudgeBank
 from .regression import THETA_DIM, DataRecord, RecordBank, RegressorSample, ThetaTrue, \
@@ -470,11 +470,9 @@ def _result(state: SimState, seed: int) -> RunResult:
     estimators = {p: ThetaEstimate(state.theta[n], DataRecord(bank=state.bank, row=n),
                                    cfg.rate_variant)
                   for n, p in enumerate(state.pairs)}
-    final_lpe = {}
-    for r in followers:
-        x, y, z, c, s = state.lead[r]
-        final_lpe[r] = None if state.fresh[r] < 0 else LeaderPoseEstimate(
-            np.array([x, y, z]), Rotation3Z(PlanarRotation(c, s)), state.fresh[r])
+    final_lpe = {r: None if state.fresh[r] < 0 else LeaderPoseEstimate(
+        np.array(state.lead[r][:3]), Rotation3Z(*state.lead[r][3:]), state.fresh[r])
+        for r in followers}
     return RunResult(
         config=cfg, seed=seed, dt=cfg.dt, n_ticks=cfg.n_ticks, graph=state.graph,
         truth=logs.truth, theta_log=per_pair(logs.theta), lam_min=per_pair(logs.lam_min),
@@ -495,19 +493,14 @@ def _row_norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(d, d))
 
 
-def _rotate_inverse(c, s, v: np.ndarray) -> np.ndarray:
-    """Rows of v rotated by the inverse yaw (c, s), in Rotation3Z.apply_inverse's
-    operand order; c and s are scalars or one per row."""
-    return np.stack([c * v[:, 0] + s * v[:, 1], -s * v[:, 0] + c * v[:, 1], v[:, 2]], axis=1)
-
-
 def _score_truth(res: RunResult) -> None:
     """Fill the ground-truth fields of `res` from its logged truth and
     estimates.  Follower i's true leader-relative position at tick k is
     R(psi_i0)' (p_i(k) - p_0(k)), q0_true its tick-0 row; the true relative
-    yaw is the world yaw difference.  Every tick is scored at once, in the
-    operand order of the scalar formulas (`tracking_error_truth` for
-    track_truth); np.cos and np.sin equal math.cos and math.sin here."""
+    yaw is the world yaw difference.  Every tick is scored at once through
+    `Rotation3Z.apply_inverse` on (ticks, 3) stacks with one (c, s) per tick,
+    the operation `tracking_error_truth` applies per tick for track_truth;
+    np.cos and np.sin equal math.cos and math.sin here."""
     spec = res.config.formation_spec()
     truth = res.truth
     lead = truth[:, 0]
@@ -519,7 +512,7 @@ def _score_truth(res: RunResult) -> None:
     for i, rt in res.rt_hat.items():
         d = truth[:, i, :3] - lead[:, :3]
         psi_i0 = start[i].initial_world_yaw()
-        q_true = _rotate_inverse(math.cos(psi_i0), math.sin(psi_i0), d)
+        q_true = Rotation3Z.from_angle(psi_i0).apply_inverse(d)
         yaw = truth[:, i, 3] - lead[:, 3]
         cos_yaw, sin_yaw = np.cos(yaw), np.sin(yaw)
         res.q0_true[i] = q_true[0].copy()
@@ -527,9 +520,9 @@ def _score_truth(res: RunResult) -> None:
         res.q_rt_err[i] = _row_norms(rt[:, :3] - q_true)
         res.trig_rt_err[i] = np.array([math.hypot(c - cy, s - sy) for c, s, cy, sy in
                                        zip(rt[:, 3], rt[:, 4], cos_yaw, sin_yaw)])
-        p_i0 = _rotate_inverse(np.cos(psi_00), np.sin(psi_00), d)
+        p_i0 = Rotation3Z(np.cos(psi_00), np.sin(psi_00)).apply_inverse(d)
         ang = truth[:, i, 3] - psi_00
-        e_p = _rotate_inverse(np.cos(ang), np.sin(ang), p_i0 - spec.offset(i))
+        e_p = Rotation3Z(np.cos(ang), np.sin(ang)).apply_inverse(p_i0 - spec.offset(i))
         res.track_truth[i] = np.column_stack((e_p, 1.0 - cos_yaw, sin_yaw))
 
 
@@ -567,6 +560,21 @@ def _compute_metrics(res: RunResult) -> RunMetrics:
 
 # -- persistence -----------------------------------------------------------
 
+# Every file write_run or sweep writes.  Each writer removes all of them
+# first, so a directory holds one run's or one sweep's outputs, never a mix.
+_OUTPUTS = ("manifest.json", "summary.csv", "estimates.csv", "tracking.csv", "commands.csv",
+            "outliers.csv", "saturation.csv", "samples.csv",
+            "cells.csv", "sweep.csv", "failures.csv")
+
+
+def _clear_outputs(outdir: str | Path) -> Path:
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name in _OUTPUTS:
+        (outdir / name).unlink(missing_ok=True)
+    return outdir
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Rows of Python values: csv writes a float as its repr, None as "" and a bool as True."""
     with open(path, "w", newline="") as fh:
@@ -577,12 +585,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def write_run(res: RunResult, outdir: str | Path) -> Path:
     """Persist one run: manifest, summary and per-tick CSV logs."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    # Written only when the run has content for them: none survives a rerun.
-    for name in ("saturation.csv", "samples.csv"):
-        (outdir / name).unlink(missing_ok=True)
-
+    outdir = _clear_outputs(outdir)
     manifest = {
         "tool_version": __version__,
         "config_hash": res.config.config_hash(),
@@ -708,10 +711,7 @@ def sweep(base: ScenarioConfig, axis: str, values, seeds: int,
                 failures.append((value, run_seed, repr(exc)))
     result = SweepResult(axis, rows, failures)
     if outdir is not None:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name in ("cells.csv", "sweep.csv", "failures.csv"):
-            (outdir / name).unlink(missing_ok=True)
+        outdir = _clear_outputs(outdir)
         if rows:
             _write_csv(outdir / "cells.csv", list(rows[0]), [list(r.values()) for r in rows])
             agg_rows = []
@@ -736,31 +736,46 @@ def sweep(base: ScenarioConfig, axis: str, values, seeds: int,
 
 # -- reporting ---------------------------------------------------------------
 
+def _read_rows(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _breaks_thresholds(row: dict, max_track_pos: float | None,
+                       require_convergence: bool) -> bool:
+    """Whether one summary row, of a run or of a sweep cell, fails the report."""
+    pos = row["final_track_pos_max"]
+    return (require_convergence and int(row["theta_conv_missing"]) > 0) or \
+        (max_track_pos is not None and pos != "" and float(pos) > max_track_pos)
+
+
 def report(outdir: str | Path, max_track_pos: float | None = None,
            require_convergence: bool = True) -> int:
     """Print a human-readable summary of a run or sweep directory.
 
     Returns a process exit code: 0 iff the configured thresholds hold
-    (all estimators converged; final tracking under the bound if given).
+    (all estimators converged; final tracking under the bound if given)
+    for the run, or for every cell of the sweep and no sweep run failed.
     """
     outdir = Path(outdir)
     summary = outdir / "summary.csv"
     sweep_csv, failures = outdir / "sweep.csv", outdir / "failures.csv"
     if sweep_csv.exists() or failures.exists():
         print(f"sweep results in {outdir}:")
+        bad = 0
         if sweep_csv.exists():
             print(sweep_csv.read_text().rstrip())
+            cells = _read_rows(outdir / "cells.csv")
+            bad = sum(_breaks_thresholds(row, max_track_pos, require_convergence) for row in cells)
+            print(f"cells failing the thresholds: {bad} of {len(cells)}")
         if failures.exists():
             print("failures:")
             print(failures.read_text().rstrip())
-            return 1
-        return 0
+        return int(bad > 0 or failures.exists())
     if not summary.exists():
         raise MissingLogs(f"no summary.csv, sweep.csv or failures.csv under {outdir}")
-    with open(summary) as fh:
-        rows = list(csv.DictReader(fh))
     code = 0
-    for row in rows:
+    for row in _read_rows(summary):
         print(f"scenario {row['scenario']} (seed {row['seed']}, hash {row['config_hash']})")
         print(f"  ticks: {row['n_ticks']} at dt {row['dt']} s, "
               f"stage-2 from tick {row['transition_tick'] or 'never'}")
@@ -775,9 +790,6 @@ def report(outdir: str | Path, max_track_pos: float | None = None,
         if row["detect_success"] not in ("", None):
             print(f"  outlier detection: success {row['detect_success']}, "
                   f"false positives {row['detect_fp_rate']}, injected {row['n_injected']}")
-        if require_convergence and int(row["theta_conv_missing"]) > 0:
-            code = 1
-        if max_track_pos is not None and row["final_track_pos_max"] and \
-                float(row["final_track_pos_max"]) > max_track_pos:
+        if _breaks_thresholds(row, max_track_pos, require_convergence):
             code = 1
     return code

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import cross2
+from .geometry import Rotation3Z, cross2
 from .world import RobotTruth, VelocityCommand, step, world_distance
 
 THETA_DIM = 7
@@ -333,14 +333,11 @@ class ThetaTrue:
             if float(np.linalg.norm(t.odom_pose.position())) > 0 or t.odom_pose.yaw.radians != 0:
                 raise ValueError("ThetaTrue must be computed from initial states")
         psi_i0 = truth_i.initial_world_yaw()
-        psi_j0 = truth_j.initial_world_yaw()
-        theta0 = psi_j0 - psi_i0
+        theta0 = truth_j.initial_world_yaw() - psi_i0
         diff = truth_i.world_pose.position() - truth_j.world_pose.position()
-        c, s = np.cos(psi_i0), np.sin(psi_i0)
-        p0 = np.array([c * diff[0] + s * diff[1], -s * diff[0] + c * diff[1], diff[2]])
-        c0, s0 = np.cos(theta0), np.sin(theta0)
-        q0_h = np.array([c0 * p0[0] + s0 * p0[1], -s0 * p0[0] + c0 * p0[1]])
-        return cls(p0, q0_h, float(c0), float(s0))
+        p0 = Rotation3Z(np.cos(psi_i0), np.sin(psi_i0)).apply_inverse(diff)
+        r0 = Rotation3Z(float(np.cos(theta0)), float(np.sin(theta0)))
+        return cls(p0, r0.apply_inverse(p0)[:2], r0.c, r0.s)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from uwbio.geometry import DegenerateRotation, PlanarRotation, Rotation3Z, cross2, unit_pair
+from uwbio.geometry import DegenerateRotation, Rotation3Z, cross2, unit_pair
 from uwbio.world import RobotTruth, relative_truth
 
 angles = st.floats(-50.0, 50.0, allow_nan=False)
@@ -38,8 +38,8 @@ class TestNormProject:
     @given(angles, st.floats(1e-6, 1e6))
     def test_angle_preserved(self, ang, scale):
         c_raw, s_raw = scale * math.cos(ang), scale * math.sin(ang)
-        r = PlanarRotation(*unit_pair(c_raw, s_raw))
-        assert r.angle() == pytest.approx(math.atan2(s_raw, c_raw), abs=1e-12)
+        r = Rotation3Z(*unit_pair(c_raw, s_raw))
+        assert r.yaw() == pytest.approx(math.atan2(s_raw, c_raw), abs=1e-12)
 
     @given(angles, st.floats(1e-6, 1e6))
     def test_unit_norm(self, ang, scale):
@@ -63,34 +63,35 @@ class TestCross2:
 
 
 class TestRotateH:
-    """PlanarRotation.apply on horizontal 2-vectors."""
+    """Rotation3Z.apply on horizontal (x, y, 0) vectors."""
 
     def test_identity(self):
-        v = PlanarRotation.identity().apply((1.0, 2.0))
-        assert np.allclose(v, [1.0, 2.0], atol=0)
+        v = Rotation3Z.identity().apply((1.0, 2.0, 0.0))
+        assert np.allclose(v, [1.0, 2.0, 0.0], atol=0)
 
     def test_quarter_turn(self):
-        v = PlanarRotation.from_angle(math.pi / 2).apply((1.0, 0.0))
-        assert np.allclose(v, [0.0, 1.0], atol=1e-15)
+        v = Rotation3Z.from_angle(math.pi / 2).apply((1.0, 0.0, 0.0))
+        assert np.allclose(v, [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_matrix_oracle(self):
-        r = PlanarRotation.from_angle(0.3)
-        v = np.array([0.4, -0.2])
-        expected = np.array([[math.cos(0.3), -math.sin(0.3)],
-                             [math.sin(0.3), math.cos(0.3)]]) @ v
+        r = Rotation3Z.from_angle(0.3)
+        v = np.array([0.4, -0.2, 0.0])
+        expected = np.array([[math.cos(0.3), -math.sin(0.3), 0.0],
+                             [math.sin(0.3), math.cos(0.3), 0.0],
+                             [0.0, 0.0, 1.0]]) @ v
         assert np.allclose(r.apply(v), expected, atol=1e-15)
 
     @given(angles, coords, coords)
     def test_norm_preserved(self, ang, x, y):
-        v = np.array([x, y])
-        out = PlanarRotation.from_angle(ang).apply(v)
+        v = np.array([x, y, 0.0])
+        out = Rotation3Z.from_angle(ang).apply(v)
         assert abs(np.linalg.norm(out) - np.linalg.norm(v)) < 1e-12 * max(1, np.linalg.norm(v))
 
     @given(angles, coords, coords, coords, coords)
     def test_rotation_identity_pins_orientation(self, ang, ux, uy, px, py):
         # u' R(theta) p = cos(theta) (u.p) + sin(theta) cross2(p, u)
-        u, p = np.array([ux, uy]), np.array([px, py])
-        lhs = u @ PlanarRotation.from_angle(ang).apply(p)
+        u, p = np.array([ux, uy, 0.0]), np.array([px, py, 0.0])
+        lhs = u @ Rotation3Z.from_angle(ang).apply(p)
         rhs = math.cos(ang) * (u @ p) + math.sin(ang) * cross2(p, u)
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
 
@@ -99,7 +100,7 @@ class TestAngle:
     @given(angles)
     def test_wrapped_in_range(self, a):
         # The one bounded reading of an angle is a rotation's.
-        w = PlanarRotation.from_angle(a).angle()
+        w = Rotation3Z.from_angle(a).yaw()
         assert -math.pi < w <= math.pi
         # Same direction as the unwrapped angle.
         assert math.cos(w) == pytest.approx(math.cos(a), abs=1e-9)
@@ -136,3 +137,19 @@ class TestRotation3Z:
         m = np.column_stack([Rotation3Z.from_angle(0.77).apply(e) for e in np.eye(3)])
         assert np.allclose(m @ m.T, np.eye(3), atol=1e-15)
         assert np.linalg.det(m) == pytest.approx(1.0)
+
+    @given(st.lists(st.tuples(angles, coords, coords, coords), min_size=1, max_size=6), angles)
+    def test_row_stack_equals_per_row_bit_for_bit(self, rows, ang):
+        # A (rows, 3) stack with one (c, s) per row, or one shared (c, s),
+        # rotates every row exactly as the 3-vector call on that row does.
+        yaw = np.array([r[0] for r in rows])
+        v = np.array([r[1:] for r in rows])
+        per_row = Rotation3Z(np.cos(yaw), np.sin(yaw))
+        shared = Rotation3Z.from_angle(ang)
+        for name in ("apply", "apply_inverse"):
+            stacked, stacked_shared = getattr(per_row, name)(v), getattr(shared, name)(v)
+            assert stacked.shape == stacked_shared.shape == v.shape
+            for n, row in enumerate(v):
+                one = getattr(Rotation3Z(float(np.cos(yaw[n])), float(np.sin(yaw[n]))), name)(row)
+                assert stacked[n].tobytes() == one.tobytes()
+                assert stacked_shared[n].tobytes() == getattr(shared, name)(row).tobytes()

@@ -10,7 +10,7 @@ import pytest
 
 from uwbio import harness
 from uwbio.cli import main as cli_main
-from uwbio.config import ConfigError, RandomInit
+from uwbio.config import ConfigError, RandomInit, Saturation
 from uwbio.control import ExcitationTimeout, StageTracker
 from uwbio.harness import MissingLogs, _apply_axis, report, run, run_to_dir, sweep, write_run
 from uwbio.scenarios import chain_swarm, four_robot_formation, two_robot_benchmark
@@ -368,7 +368,36 @@ class TestSweep:
         assert sorted(f.name for f in tmp_path.iterdir()) == ["failures.csv"]
         sweep(two_robot_benchmark(duration_s=5.0), "noise", [0.0], seeds=1, outdir=tmp_path)
         assert sorted(f.name for f in tmp_path.iterdir()) == ["cells.csv", "sweep.csv"]
+        # The 5 s cell has not converged; only the stale failures.csv is under test.
+        assert report(tmp_path, require_convergence=False) == 0
+
+    def test_run_after_sweep_is_reported_as_the_run(self, tmp_path, capsys):
+        sweep(two_robot_benchmark(duration_s=5.0), "noise", [0.0], seeds=1, outdir=tmp_path)
+        run_to_dir(two_robot_benchmark(duration_s=10.0), tmp_path)
+        assert not {"cells.csv", "sweep.csv"} & {f.name for f in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert report(tmp_path) == 1          # the 10 s run has not converged
+        assert "estimator convergence" in capsys.readouterr().out
+
+    def test_sweep_after_run_leaves_only_the_sweep(self, tmp_path):
+        cfg = replace(two_robot_benchmark(duration_s=5.0), saturation=Saturation(0.1, 0.05, 0.3),
+                      sample_dump=True)
+        run_to_dir(cfg, tmp_path)
+        assert {"saturation.csv", "samples.csv"} <= {f.name for f in tmp_path.iterdir()}
+        sweep(two_robot_benchmark(duration_s=5.0), "noise", [0.0], seeds=1, outdir=tmp_path)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cells.csv", "sweep.csv"]
+
+    def test_report_applies_the_thresholds_to_every_cell(self, tmp_path, capsys):
+        # At 45 s the noiseless cell converges (40.8 s); at 5 s it does not.
+        sweep(two_robot_benchmark(duration_s=45.0), "noise", [0.0], seeds=1, outdir=tmp_path)
         assert report(tmp_path) == 0
+        assert report(tmp_path, max_track_pos=0.1) == 1
+        assert report(tmp_path, max_track_pos=10.0) == 0
+        sweep(two_robot_benchmark(duration_s=5.0), "noise", [0.0], seeds=1, outdir=tmp_path)
+        capsys.readouterr()
+        assert report(tmp_path) == 1
+        assert "cells failing the thresholds: 1 of 1" in capsys.readouterr().out
+        assert report(tmp_path, require_convergence=False) == 0
 
     def test_report_prints_a_sweep_where_every_cell_failed(self, tmp_path, capsys):
         timeout = replace(two_robot_benchmark(duration_s=5.0), stage1_timeout_s=1.0)
@@ -412,7 +441,9 @@ class TestCli:
                          "--values", "0.0,0.01", "--seeds", "1", "--out", str(out)])
         assert code == 0
         capsys.readouterr()
-        assert cli_main(["report", str(out)]) == 0
+        # Neither 10 s cell converges, so report passes only when allowed to.
+        assert cli_main(["report", str(out)]) == 1
+        assert cli_main(["report", str(out), "--allow-unconverged"]) == 0
         capsys.readouterr()
 
     def test_scenario_subcommand(self, tmp_path, capsys):

@@ -224,7 +224,7 @@ class SimState:
     theta: np.ndarray                   # (pairs, 7) estimates
     end_tick: list[int]                 # tick of each pair's last accepted measurement
     end: np.ndarray                     # (pairs, 7): its [d^2, z_i, z_j]
-    last_sample: dict
+    last_sample: dict                   # pair -> its last sample's (phi, y, t_k)
     # Per robot.
     truth: list[list[float]]            # (robots, 8): RobotTruth.as_row
     cum: list[list[float]]              # (robots, 4): cumulative odometry x, y, z, yaw
@@ -410,14 +410,13 @@ def _observe(state: SimState, k: int) -> None:
     if got:
         if len(got) < len(chain):
             phi, y = phi[valid], y[valid]
-        samples = [RegressorSample(row, yn, k - 1) for row, yn in zip(phi, y.tolist())]
-        bank.add_all(got, samples)
+        bank.add_all(got, phi, y, k - 1)
         cl_update_all(theta, bank, got, phi, y, cfg.rate_variant)
         logs.updated[k, pair_index(got, n_pairs)] = True
-        for n, s in zip(got, samples):
-            state.last_sample[pairs[n]] = s
+        for n, row, yn in zip(got, phi, y.tolist()):
+            state.last_sample[pairs[n]] = (row, yn, k - 1)
             if cfg.sample_dump:
-                logs.samples_dump.append((k - 1, *pairs[n], *s.phi.tolist(), s.y))
+                logs.samples_dump.append((k - 1, *pairs[n], *row.tolist(), yn))
     ix = pair_index(accepted, n_pairs)
     end[ix] = now[ix]
     for p in accepted:
@@ -484,7 +483,7 @@ def _result(state: SimState, seed: int) -> RunResult:
         outlier_events=logs.outlier_events, saturation_events=logs.saturation_events,
         samples_dump=logs.samples_dump, final_estimators=estimators, final_lpe=final_lpe,
         final_truths=[RobotTruth.from_row(r, row) for r, row in enumerate(state.truth)],
-        last_sample=state.last_sample,
+        last_sample={p: RegressorSample(*s) for p, s in state.last_sample.items()},
     )
 
 
@@ -695,10 +694,16 @@ def sweep(base: ScenarioConfig, axis: str, values, seeds: int,
 
     Seeds are base.seed + s for s in range(seeds), so cells along the axis
     are seed-matched.  Individual run failures are recorded and the sweep
-    continues.
+    continues.  An empty grid (no values, or seeds < 1) raises a
+    ConfigError before any run or file write.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
+    if isinstance(seeds, bool) or not isinstance(seeds, int) or seeds < 1:
+        raise ConfigError(f"seeds must be a whole number >= 1, got {seeds!r}")
+    values = list(values)
+    if not values:
+        raise ConfigError("values must hold at least one value")
     rows, failures = [], []
     for value in values:
         for s in range(seeds):

@@ -23,9 +23,11 @@ this end to end, so any sign or term error here cannot survive.
 
 Both the sample build and the record work on a leading pair axis:
 `build_samples` assembles the samples of all pairs of a tick at once, and a
-`RecordBank` holds the records of all pairs and takes one retention
-decision for them.  `build_sample`, `DataRecord` and `excitation_ratio`
-are their one-pair front ends.
+`RecordBank` holds the records of all pairs, as rows of (phi, y, t_k)
+arrays, and takes one retention decision for them.  `build_sample`,
+`DataRecord` and `excitation_ratio` are their one-pair front ends;
+`DataRecord.history` builds `RegressorSample`s from a pair's rows, a view
+valid until the pair's next sample.
 """
 
 from __future__ import annotations
@@ -141,8 +143,8 @@ class RecordBank:
     """The recorded-data matrices of several pairs, stacked on a leading
     pair axis, with one retention decision for all of them.
 
-    Pair p keeps its retained samples, oldest first, in `history[p]` and
-    their (phi, y) in rows 0..n[p]-1 of `phis[p]` and `ys[p]`, next to its
+    Pair p keeps each retained sample once, oldest first, as one of rows
+    0..n[p]-1 of `phis[p]`, `ys[p]` and `t_ks[p]`, next to its
     incrementally maintained information matrix S[p] = sum(phi phi') and
     the eigenvalue summary `lambda_min[p]`, `lambda_max[p]`.  The
     zero-innovation fixed point of the estimator stays exact because it
@@ -151,23 +153,24 @@ class RecordBank:
     eigenvalue summary and the retention decision use the remaining 6
     active dimensions; otherwise full rank could never be reached.
 
-    `add_all` takes one candidate for each of several pairs.  A pair below
-    `hist_cap` appends it; the pairs at capacity decide together, with one
-    stacked inverse and leverage evaluation, whether the candidate replaces
-    their lowest-leverage sample.  It does so only when the swap strictly
-    grows the information volume det(S + VOLUME_EPS I), by more than
+    `add_all` takes one candidate for each of several pairs, stacked as
+    `build_samples` returns them.  A pair below `hist_cap` appends it; the
+    pairs at capacity decide together, with one stacked inverse and
+    leverage evaluation, whether the candidate replaces their
+    lowest-leverage sample.  It does so only when the swap strictly grows
+    the information volume det(S + VOLUME_EPS I), by more than
     MIN_SWAP_GAIN relative to it; the criterion targets the weak directions
     first (the determinant gain of a sample is largest where the record is
     thinnest), so a rank-deficient record always accepts samples that open
     new directions.  An eviction shifts the rows after the evicted one up
-    and writes the new sample last, the row order of `history`.
+    and writes the new sample last, so the rows stay oldest first.
     """
 
     def __init__(self, pairs: int, planar: bool = False, hist_cap: int = HIST_CAP):
         self.hist_cap = hist_cap
-        self.history: list[list[RegressorSample]] = [[] for _ in range(pairs)]
         self.phis = np.zeros((pairs, hist_cap, THETA_DIM))
         self.ys = np.zeros((pairs, hist_cap))
+        self.t_ks = np.zeros((pairs, hist_cap), dtype=int)
         self.S = np.zeros((pairs, THETA_DIM, THETA_DIM))
         self.n = [0] * pairs
         self.lambda_min = np.zeros(pairs)
@@ -177,20 +180,21 @@ class RecordBank:
         self._act = self.active if planar else slice(None)
         self._block = (slice(None), self.active[:, None], self.active) if planar else ()
         self._eye = np.eye(len(self.active))
+        self._views: dict[int, list[RegressorSample]] = {}   # DataRecord.history
 
-    def add_all(self, rows: list[int], samples: list[RegressorSample]) -> list[bool]:
-        """Offer samples[m] to pair rows[m] (ascending pair rows); returns
-        which were kept."""
+    def add_all(self, rows: list[int], phi: np.ndarray, y: np.ndarray, t_k: int) -> list[bool]:
+        """Offer the sample (phi[m], y[m]) of tick t_k to pair rows[m]
+        (ascending pair rows); returns which were kept."""
         full = [m for m, r in enumerate(rows) if self.n[r] == self.hist_cap]
         # Candidate -> the row it replaces, or None, for the full records.
         swaps = dict(zip(full, self._retention([rows[m] for m in full],
-                                               [samples[m] for m in full])))
+                                               phi[pair_index(full, len(rows))])))
         kept = [swaps.get(m, m) is not None for m in range(len(rows))]
         new = [m for m, keep in enumerate(kept) if keep]
         if not new:
             return kept
-        rows_k = [rows[m] for m in new]
-        phi = np.array([samples[m].phi for m in new], dtype=float)
+        rows_k, sel = [rows[m] for m in new], pair_index(new, len(rows))
+        phi, y = phi[sel], y[sel]
         delta = phi[:, :, None] * phi[:, None, :]
         for j, (r, m) in enumerate(zip(rows_k, new)):
             e, slot = swaps.get(m), self.n[r]
@@ -198,14 +202,13 @@ class RecordBank:
                 self.n[r] += 1
             else:
                 delta[j] -= np.outer(self.phis[r, e], self.phis[r, e])
-                # Same row order as the history list: close the gap, append last.
-                del self.history[r][e]
+                # Keep the rows oldest first: close the gap, append last.
                 slot -= 1
                 self.phis[r, e:slot] = self.phis[r, e + 1:slot + 1]
                 self.ys[r, e:slot] = self.ys[r, e + 1:slot + 1]
-            self.history[r].append(samples[m])
-            self.phis[r, slot] = phi[j]
-            self.ys[r, slot] = samples[m].y
+                self.t_ks[r, e:slot] = self.t_ks[r, e + 1:slot + 1]
+            self.phis[r, slot], self.ys[r, slot], self.t_ks[r, slot] = phi[j], y[j], t_k
+            self._views.pop(r, None)
         ix = pair_index(rows_k, len(self.n))
         self.S[ix] += delta
         w = np.linalg.eigvalsh(self.S[ix][self._block])
@@ -214,20 +217,20 @@ class RecordBank:
             self.lambda_max[r] = max(hi, 0.0)
         return kept
 
-    def _retention(self, rows: list[int],
-                   samples: list[RegressorSample]) -> list[int | None]:
+    def _retention(self, rows: list[int], phi: np.ndarray) -> list[int | None]:
         """Volume criterion on the active block for pairs at capacity: the
-        row each candidate replaces, or None.  gain_add = phi' P phi is the
-        determinant ratio of adding the candidate; the leverage of each
-        retained sample under the grown matrix prices its removal."""
+        row candidate phi[m] replaces in pair rows[m], or None.  gain_add =
+        phi' P phi is the determinant ratio of adding the candidate; the
+        same quadratic form of each retained row, its leverage under the
+        grown matrix, prices its removal."""
         if not rows:
             return []
         ix = pair_index(rows, len(self.n))
-        phi_a = np.array([s.phi for s in samples], dtype=float)[:, self._act]
+        phi_a = phi[:, self._act]
         S_grown = self.S[ix][self._block] + phi_a[:, :, None] * phi_a[:, None, :]
         P = np.linalg.inv(S_grown + VOLUME_EPS * self._eye)
         hist_a = self.phis[ix][:, :, self._act]
-        leverages = np.einsum("pij,pjk,pik->pi", hist_a, P, hist_a)
+        leverages = np.vecdot(hist_a @ P, hist_a)
         cand = np.vecdot(np.matmul(phi_a[:, None, :], P)[:, 0], phi_a).tolist()
         out = []
         for lev, idx, cand_lev in zip(leverages, leverages.argmin(axis=1).tolist(), cand):
@@ -245,10 +248,11 @@ class DataRecord:
 
     A record made with `DataRecord(planar, hist_cap)` owns a bank of one
     pair; `DataRecord(bank=bank, row=p)` reads pair p of a shared bank and
-    has the bank's planar mode and hist_cap.  `history` lists the retained
-    samples oldest first, `phis`/`ys` are views of their rows (valid until
-    the next add), and `S`, `lambda_min` and `lambda_max` are the bank's
-    entries for the pair.
+    has the bank's planar mode and hist_cap.  `phis`/`ys` are views of the
+    retained rows, oldest first (valid until the next add), and `S`,
+    `lambda_min` and `lambda_max` are the bank's entries for the pair.
+    `history` lists them as `RegressorSample`s: the same list, edits
+    included, until the pair next takes a sample; edits never reach rows.
     """
 
     def __init__(self, planar: bool = False, hist_cap: int = HIST_CAP,
@@ -261,7 +265,11 @@ class DataRecord:
 
     @property
     def history(self) -> list[RegressorSample]:
-        return self._bank.history[self._row]
+        bank, row = self._bank, self._row
+        if row not in bank._views:
+            bank._views[row] = [RegressorSample(*s) for s in zip(
+                self.phis.copy(), self.ys.tolist(), bank.t_ks[row, :len(self)].tolist())]
+        return bank._views[row]
 
     @property
     def phis(self) -> np.ndarray:
@@ -295,7 +303,8 @@ class DataRecord:
 
     def add(self, sample: RegressorSample) -> bool:
         """Record a sample, enforcing the retention policy.  Returns True if kept."""
-        return self._bank.add_all([self._row], [sample])[0]
+        return self._bank.add_all([self._row], np.array([sample.phi], dtype=float),
+                                  np.array([sample.y]), sample.t_k)[0]
 
 
 def excitation_ratios(bank: RecordBank) -> list[float]:

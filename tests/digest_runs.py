@@ -17,8 +17,14 @@ label, then four sha256 digests:
 Running it on two commits and diffing the outputs checks that a change
 keeps every logged byte; a change to the config schema that keeps every
 logged value moves only the `config` and `header` columns.  A run that
-raises prints its exception in place of the digests.  pytest does not
-collect this file.
+raises prints its exception in place of the digests.
+
+    PYTHONPATH=src python3 tests/digest_runs.py --seed 1 --against digests.txt
+
+does the diff: it prints the digest lines as above and, on stderr, each
+operation whose digests differ from those in the file, with the columns
+that differ, and each operation present on one side only; it exits 1 if
+there is any such operation.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import workloads  # noqa: E402
 
 # The files that carry the config or its hash.
 HEADER_FILES = ("manifest.json", "summary.csv")
+COLUMNS = ("config", "result", "logs", "header")
 
 
 def result_digest(res) -> str:
@@ -65,23 +72,70 @@ def digests(res, outdir: Path) -> list[str]:
             files_digest(f for f in files if f.name in HEADER_FILES)]
 
 
+def operation_line(op) -> str:
+    """The digest line of one operation: its label, then its four digests
+    or the exception it raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = Path(tmp)
+        try:
+            res = op.execute(outdir)
+            if not op.writes_logs:
+                write_run(res, outdir)
+        except Exception as exc:   # reported in the digest line
+            return f"{op.label} raised {exc!r}"
+        return " ".join([op.label, *digests(res, outdir)])
+
+
+def parse(lines) -> dict[str, list[str]]:
+    """Label -> the four digests of each digest line, or [the exception
+    text] for an operation that raised."""
+    out = {}
+    for line in lines:
+        label, _, rest = line.strip().partition(" ")
+        if label:
+            out[label] = [rest] if rest.startswith("raised ") else rest.split()
+    return out
+
+
+def differences(want: dict, got: dict) -> list[str]:
+    """One line per operation whose digests differ, naming the columns
+    (or `raised` where one side raised), and per operation present on one
+    side only."""
+    out = [f"{label}: missing" for label in want.keys() - got.keys()]
+    out += [f"{label}: extra" for label in got.keys() - want.keys()]
+    for label in want.keys() & got.keys():
+        a, b = want[label], got[label]
+        if a == b:
+            continue
+        if len(a) == len(b) == len(COLUMNS):
+            cols = [c for c, x, y in zip(COLUMNS, a, b) if x != y]
+        else:
+            cols = ["raised"]
+        out.append(f"{label}: {', '.join(cols)} differ")
+    return sorted(out)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1, help="benchmark seed")
+    ap.add_argument("--against", type=Path, default=None,
+                    help="digest file to compare with, as this script printed it")
     args = ap.parse_args(argv)
+    want = parse(args.against.read_text().splitlines()) if args.against else None
+    lines = []
     for name in workloads.WORKLOADS:
         for op in workloads.build(name, args.seed):
-            with tempfile.TemporaryDirectory() as tmp:
-                outdir = Path(tmp)
-                try:
-                    res = op.execute(outdir)
-                    if not op.writes_logs:
-                        write_run(res, outdir)
-                except Exception as exc:   # reported in the digest line
-                    print(f"{op.label} raised {exc!r}", flush=True)
-                    continue
-                print(op.label, *digests(res, outdir), flush=True)
-    return 0
+            lines.append(operation_line(op))
+            print(lines[-1], flush=True)
+    if want is None:
+        return 0
+    got = parse(lines)
+    diff = differences(want, got)
+    for line in diff:
+        print(line, file=sys.stderr)
+    print(f"{len(diff)} of {len(want.keys() | got.keys())} operations differ from "
+          f"{args.against}", file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

@@ -412,6 +412,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(two_robot_benchmark(), "bogus", [1], seeds=1)
 
+    @pytest.mark.parametrize("values, seeds, name", [
+        ([], 2, "values"), ([0.0], 0, "seeds"), ([0.0], -3, "seeds"), ([0.0], 1.5, "seeds"),
+    ])
+    def test_empty_grid_raises_before_any_write(self, tmp_path, values, seeds, name):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=name):
+            sweep(two_robot_benchmark(duration_s=1.0), "noise", values, seeds, outdir=out)
+        assert not out.exists()
+
 
 class TestCli:
     def test_run_and_report(self, tmp_path, capsys):
@@ -445,6 +454,15 @@ class TestCli:
         assert cli_main(["report", str(out)]) == 1
         assert cli_main(["report", str(out), "--allow-unconverged"]) == 0
         capsys.readouterr()
+
+    def test_sweep_cli_without_seeds_raises(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        two_robot_benchmark(duration_s=1.0).save(cfg_path)
+        out = tmp_path / "sweepout"
+        with pytest.raises(ConfigError, match="seeds"):
+            cli_main(["sweep", "--config", str(cfg_path), "--axis", "noise",
+                      "--values", "0.0", "--seeds", "0", "--out", str(out)])
+        assert not out.exists()
 
     def test_scenario_subcommand(self, tmp_path, capsys):
         from uwbio.config import load_config

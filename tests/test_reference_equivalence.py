@@ -196,8 +196,8 @@ def test_data_record_matches_reference(hist_cap, n, seed, planar):
         assert bits(rec.ys) == bits(ref.ys)
         assert bits(rec.S) == bits(ref.S)
         assert (rec.lambda_min, rec.lambda_max) == (ref.lambda_min, ref.lambda_max)
-    assert len(rec.history) == len(ref.history)
-    assert all(a is b for a, b in zip(rec.history, ref.history))
+    assert [(bits(s.phi), s.y, s.t_k) for s in rec.history] == \
+        [(bits(s.phi), s.y, s.t_k) for s in ref.history]
 
 
 def test_data_record_streams_evict():
@@ -268,7 +268,7 @@ def check_pairs_against_reference(seed: int, n_pairs: int, planar: bool, hist_ca
     for p in range(n_pairs):
         for _ in range(int(rng.integers(0, 2 * hist_cap))):
             s = next(streams[p])
-            assert bank.add_all([p], [s]) == [refs[p].add(s)]
+            assert bank.add_all([p], s.phi[None], np.array([s.y]), s.t_k) == [refs[p].add(s)]
     prefilled, evictions = list(bank.n), 0
     judges = JudgeBank(n_pairs, int(rng.integers(1, 7)), float(rng.uniform(0.05, 0.95)))
     ref_judges = [ReferenceJudgeQueue(judges.capacity, judges.threshold) for _ in range(n_pairs)]
@@ -285,11 +285,11 @@ def check_pairs_against_reference(seed: int, n_pairs: int, planar: bool, hist_ca
                       rng.choice(n_pairs, int(rng.integers(1, n_pairs + 1)), replace=False))
         samples = [next(streams[p]) for p in rows]
         full = [bank.n[p] == hist_cap for p in rows]
-        kept = bank.add_all(rows, samples)
-        evictions += sum(k and f for k, f in zip(kept, full))
+        phi, y = np.array([s.phi for s in samples]), np.array([s.y for s in samples])
+        kept = bank.add_all(rows, phi, y, k)
+        evictions += sum(keep and f for keep, f in zip(kept, full))
         assert kept == [refs[p].add(s) for p, s in zip(rows, samples)]
-        cl_step(theta, bank, rows, np.array([s.phi for s in samples]),
-                np.array([s.y for s in samples]), variant)
+        cl_step(theta, bank, rows, phi, y, variant)
         for p, s in zip(rows, samples):
             ref_theta[p] = reference_cl_update(ref_theta[p], refs[p], s, variant)
         for p in range(n_pairs):

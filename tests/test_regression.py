@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import benchmark_pair, circle_cmd, filled_record
+from uwbio.harness import run
 from uwbio.regression import (DataRecord, EmptyRecord, MotionProfile, RegressorSample,
                               ThetaTrue, build_sample, excitation_ratio, observability_probe)
+from uwbio.scenarios import chain_swarm
+from uwbio.sensing import NoiseModel
 from uwbio.world import RobotTruth, VelocityCommand
 
 
@@ -129,6 +132,67 @@ class TestDataRecord:
             phi[k if k < 2 else k + 1] = 1.0
             rec.add(RegressorSample(phi, 0.0, k))
         assert excitation_ratio(rec) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestHistoryView:
+    """`history` is built from the record's rows and is the same list until
+    the record next takes a sample; a finished run's checks edit it in
+    place and read the edit back."""
+
+    def test_same_list_until_the_next_sample(self):
+        samples, _, _ = benchmark_pair(ticks=200)
+        rec = filled_record(samples[:20], cap=8)
+        view = rec.history
+        assert rec.history is view
+        view[0] = RegressorSample(view[0].phi * 2.0, view[0].y, view[0].t_k)
+        view.pop()
+        assert rec.history is view and len(rec.history) == len(rec) - 1
+        assert bits(rec.history[0].phi) == bits(rec.phis[0] * 2.0)
+        assert sum(rec.add(s) for s in samples[20:60]) > 0   # evictions included
+        fresh = rec.history
+        assert fresh is not view and len(fresh) == len(rec) == 8
+        assert [(bits(s.phi), s.y) for s in fresh] == \
+            [(bits(phi), y) for phi, y in zip(rec.phis, rec.ys.tolist())]
+        kept = [s.t_k for s in samples if any(bits(s.phi) == bits(phi) for phi in rec.phis)]
+        assert [s.t_k for s in fresh] == kept == sorted(kept)
+
+    def test_rejected_sample_keeps_the_list(self):
+        rec = DataRecord(hist_cap=7)
+        for k in range(7):
+            rec.add(RegressorSample(np.eye(7)[k], 0.0, k))
+        view = rec.history
+        assert not rec.add(RegressorSample(np.eye(7)[0], 0.0, 7))
+        assert rec.history is view
+
+    def test_run_history_matches_rows(self):
+        res = run(chain_swarm(3, seed=1, noise=NoiseModel(0.05, 0.002, 0.001),
+                              duration_s=20.0))
+        for est in res.final_estimators.values():
+            rec = est.data
+            assert len(rec.history) == len(rec) > 0
+            assert [(bits(s.phi), s.y) for s in rec.history] == \
+                [(bits(phi), y) for phi, y in zip(rec.phis, rec.ys.tolist())]
+            ticks = [s.t_k for s in rec.history]
+            assert ticks == sorted(set(ticks)) and ticks[-1] < res.n_ticks
+
+    def test_tick_builds_no_samples(self, monkeypatch):
+        # The tick hands stacked arrays from build_samples to the record and
+        # the estimator; only the run's result builds one last_sample per pair.
+        built = []
+        init = RegressorSample.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(RegressorSample, "__init__", counting)
+        res = run(chain_swarm(3, seed=1, noise=NoiseModel(0.05, 0.002, 0.001),
+                              duration_s=20.0))
+        assert len(res.last_sample) == len(res.theta_log) == 2
+        assert len(built) <= len(res.theta_log)
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
 
 
 def stationary(t):

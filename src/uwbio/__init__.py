@@ -2,6 +2,18 @@
 
 __version__ = "0.1.0"
 
+import os
+
+# Every matrix the pipeline multiplies, inverts or diagonalizes is at most
+# 7x7 per robot pair, which OpenBLAS never splits across threads; its worker
+# pool only spins, about 0.18 s of CPU per process on a 2-core host.  Pin it
+# to one thread before numpy is first imported, unless the caller chose a
+# thread count.  If numpy was imported before this package, it does nothing.
+if not any(os.environ.get(name) for name in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+del os
+
 from .geometry import Angle, DegenerateRotation, Rotation3Z, cross2
 from .world import Pose4, RobotTruth, VelocityCommand, relative_truth, step
 from .sensing import MeasurementTriplet, NoiseModel

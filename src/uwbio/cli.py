@@ -29,6 +29,15 @@ def _outdir(args) -> str:
     return out
 
 
+def _axis_values(text: str) -> list[float]:
+    """`--values`: comma-separated numbers, no field empty."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="uwbio",
                                      description="relative localization and formation "
@@ -43,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep = sub.add_parser("sweep", help="run a (value x seed) grid along one axis")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
-    p_sweep.add_argument("--values", required=True,
+    p_sweep.add_argument("--values", required=True, type=_axis_values,
                          help="comma-separated axis values, e.g. 0.01,0.05,0.1")
     p_sweep.add_argument("--seeds", type=int, default=20, help="seeds per value")
     p_sweep.add_argument("--out", default=None)
@@ -77,8 +86,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "sweep":
         config = load_config(args.config)
-        values = [float(v) for v in args.values.split(",")]
-        result = sweep(config, args.axis, values, args.seeds, _outdir(args))
+        result = sweep(config, args.axis, args.values, args.seeds, _outdir(args))
         print(f"sweep over {args.axis} complete: {len(result.rows)} runs, "
               f"{len(result.failures)} failures; logs in {_outdir(args)}")
         return 1 if result.failures else 0

@@ -39,8 +39,10 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "benchmarks"), str(HERE.parent / "src")]
 
-from test_golden import _feed  # noqa: E402
+# uwbio before test_golden, which imports numpy: the package's BLAS thread
+# pin acts only ahead of numpy, as it does in the uwbio entry points.
 from uwbio.harness import write_run  # noqa: E402
+from test_golden import _feed  # noqa: E402
 import workloads  # noqa: E402
 
 

@@ -464,6 +464,18 @@ class TestCli:
                       "--values", "0.0", "--seeds", "0", "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", ["0.0,", "", "a,0.1"])
+    def test_sweep_cli_bad_values_is_a_usage_error(self, tmp_path, capsys, values):
+        cfg_path = tmp_path / "cfg.json"
+        two_robot_benchmark(duration_s=1.0).save(cfg_path)
+        out = tmp_path / "sweepout"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--config", str(cfg_path), "--axis", "noise",
+                      "--values", values, "--seeds", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --values:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scenario_subcommand(self, tmp_path, capsys):
         from uwbio.config import load_config
         path = tmp_path / "four.json"

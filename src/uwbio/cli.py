@@ -11,8 +11,8 @@ import argparse
 import os
 import sys
 
-from .config import load_config
-from .harness import SWEEP_AXES, report, run_to_dir, sweep
+from .config import ConfigError, load_config
+from .harness import SWEEP_AXES, MissingLogs, report, run_to_dir, sweep
 from . import scenarios
 
 SCENARIOS = {
@@ -68,7 +68,14 @@ def main(argv: list[str] | None = None) -> int:
     p_scn.add_argument("path", help="destination JSON file")
 
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ConfigError, MissingLogs) as exc:
+        # Bad input is a usage error, as argparse reports its own.
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
+
+def _dispatch(args) -> int:
     if args.command == "scenario":
         SCENARIOS[args.name]().save(args.path)
         print(f"wrote {args.name} to {args.path}")

@@ -15,12 +15,15 @@ with their composition ticks), and each per-robot layer (cooperative
 composition, real-time estimate and tracking error, commands, physics,
 odometry) runs once per tick as one pass over float rows.  The loop logs
 estimator, controller and physics state plus the true poses, one
-(rows, pairs or robots, ...) array row per tick, and reads truth only for
-sensing, physics, `truth_feedback` and the unbroadcast leader odometry;
-afterwards `_score_truth` derives every truth error from the logs, all
-ticks at once.  Per-stream RNGs derived from (seed, stream tag) make a
-(config, seed) pair determine every logged byte.  `write_run` zips each
-per-tick CSV log from its columns, grouped by pair or robot, then by tick.
+(rows, pairs or robots, ...) array row per tick, the outlier screen
+included (drawn range, votes, queue size, verdict and injected flag, one
+(rows, pairs) array each), and reads truth only for sensing, physics,
+`truth_feedback` and the unbroadcast leader odometry; afterwards
+`_score_truth` derives every truth error from the logs, all ticks at once.
+Per-stream RNGs derived from (seed, stream tag) make a (config, seed) pair
+determine every logged byte.  `write_run` zips each per-tick CSV log from
+its columns, grouped by pair or robot, then by tick; `outliers.csv` alone
+is grouped by tick, then by pair.
 """
 
 from __future__ import annotations
@@ -78,7 +81,9 @@ class MissingLogs(FileNotFoundError):
 class RunResult:
     """All logs and terminal state of one simulation run.  Follower rows
     are NaN until a leader estimate exists; `_score_truth` fills the fields
-    after `last_sample`."""
+    after `last_sample`.  The screen log is held as the (rows, pairs) arrays
+    `ranges` to `injected`, with pairs in `graph.ordered_pairs()` order;
+    `outlier_events` is a list view of them, built on first read."""
 
     config: ScenarioConfig
     seed: int
@@ -97,7 +102,11 @@ class RunResult:
     commands: dict
     stage2_flag: np.ndarray
     transition_tick: Optional[int]
-    outlier_events: list
+    ranges: np.ndarray                    # (rows, pairs) drawn range
+    votes: np.ndarray                     # (rows, pairs) outlier votes; 0 unscreened
+    queue_size: np.ndarray                # (rows, pairs) judge queue size at voting time
+    verdict: np.ndarray                   # (rows, pairs) bool: screened out
+    injected: np.ndarray                  # (rows, pairs) bool: an injected outlier
     saturation_events: list
     samples_dump: list
     final_estimators: dict
@@ -112,6 +121,28 @@ class RunResult:
     trig_rt_err: dict = field(default_factory=dict)
     track_truth: dict = field(default_factory=dict)
     metrics: RunMetrics | None = None
+
+    @property
+    def outlier_events(self) -> list:
+        """The screen log as one (k, i, j, d, votes, queue_size, verdict,
+        injected) tuple per tick and pair, tick first: built from the
+        arrays on first read, then the same list, edits included; edits
+        never reach the arrays."""
+        if "_events" not in self.__dict__:
+            self._events = list(zip(*self._screen_columns(bool)))
+        return self._events
+
+    def _screen_columns(self, flag: type) -> list[list]:
+        """The screen log's columns, tick first, then pair in
+        `graph.ordered_pairs()` order, as Python values; verdict and
+        injected as `flag` (bool or int)."""
+        rows, n_pairs = self.verdict.shape
+        pairs = self.graph.ordered_pairs()
+        return [np.arange(rows).repeat(n_pairs).tolist(),
+                [i for i, _ in pairs] * rows, [j for _, j in pairs] * rows,
+                self.ranges.ravel().tolist(), self.votes.ravel().tolist(),
+                self.queue_size.ravel().tolist(), self.verdict.ravel().astype(flag).tolist(),
+                self.injected.ravel().astype(flag).tolist()]
 
     def summary_row(self) -> dict:
         m = self.metrics
@@ -181,7 +212,9 @@ class Logs:
     index 0 (its q0_hat rows hold its own zeros, its real-time rows stay
     NaN).  Follower estimate rows are NaN until a leader estimate exists.
     The per-robot logs are laid out robot by robot in memory, so each
-    robot's view in `RunResult` is contiguous."""
+    robot's view in `RunResult` is contiguous.  The screen's arrays hold
+    every range drawn; without screening, votes, queue sizes and verdicts
+    stay zero."""
 
     truth: np.ndarray          # (rows, robots, 8): RobotTruth.as_row per tick
     theta: np.ndarray          # (rows, pairs, 7)
@@ -194,7 +227,11 @@ class Logs:
     track_est: np.ndarray      # (rows, robots, 5) estimated tracking error
     commands: np.ndarray       # (ticks, robots, 3) v_h, v_z, w
     stage2: np.ndarray         # (ticks,) bool
-    outlier_events: list = field(default_factory=list)
+    ranges: np.ndarray         # (rows, pairs) drawn range
+    votes: np.ndarray          # (rows, pairs) outlier votes; 0 unscreened
+    queue_size: np.ndarray     # (rows, pairs) judge queue size at voting time
+    verdict: np.ndarray        # (rows, pairs) bool: screened out
+    injected: np.ndarray       # (rows, pairs) bool: an injected outlier
     saturation_events: list = field(default_factory=list)
     samples_dump: list = field(default_factory=list)
 
@@ -265,7 +302,12 @@ def _initial_state(config: ScenarioConfig, seed: int) -> SimState:
         rt_hat=_robot_major(rows, n_robots, 5, np.nan),
         track_est=_robot_major(rows, n_robots, 5, np.nan),
         commands=_robot_major(config.n_ticks, n_robots, 3, 0.0),
-        stage2=np.zeros(config.n_ticks, dtype=bool))
+        stage2=np.zeros(config.n_ticks, dtype=bool),
+        ranges=np.zeros((rows, n_pairs)),
+        votes=np.zeros((rows, n_pairs), dtype=np.int64),
+        queue_size=np.zeros((rows, n_pairs), dtype=np.int64),
+        verdict=np.zeros((rows, n_pairs), dtype=bool),
+        injected=np.zeros((rows, n_pairs), dtype=bool))
     return SimState(
         config=config, graph=graph, pairs=pairs,
         pair_ij=np.array(pairs, dtype=np.intp).reshape(n_pairs, 2),
@@ -385,22 +427,20 @@ def _observe(state: SimState, k: int) -> None:
     draws = [stream.draw(x) for stream, x in
              zip(state.ranges, np.sqrt(np.vecdot(diff, diff)).tolist())]
     d = [x for x, _ in draws]
-    injected = [inj for _, inj in draws]
-    pair_i = [i for i, _ in pairs]
-    pair_j = [j for _, j in pairs]
+    logs.ranges[k] = d
+    logs.injected[k] = [inj for _, inj in draws]
     now = np.empty((n_pairs, 7))
     # Python's float power, as the one-pair build_sample squares ranges.
     now[:, 0] = [x ** 2 for x in d]
     cum = state.cum
     now[:, 1:] = [cum[i][:3] + cum[j][:3] for i, j in pairs]
     if cfg.outlier_screening:
-        verdict, votes, qsize = state.judges.screen_all(np.array(d), now[:, 1:], k)
-        logs.outlier_events.extend(zip(repeat(k), pair_i, pair_j, d, votes, qsize, verdict,
-                                       injected))
+        verdict, votes, qsize = state.judges.screen_all(logs.ranges[k], now[:, 1:], k)
+        logs.votes[k] = votes
+        logs.queue_size[k] = qsize
+        logs.verdict[k] = verdict
         accepted = [p for p, out in enumerate(verdict) if not out]
-    else:
-        logs.outlier_events.extend(zip(repeat(k), pair_i, pair_j, d, repeat(0), repeat(0),
-                                       repeat(False), injected))
+    else:   # the votes, queue sizes and verdicts keep their zeros
         accepted = list(range(n_pairs))
     end, end_tick = state.end, state.end_tick
     chain = [p for p in accepted if end_tick[p] == k - 1]
@@ -480,7 +520,8 @@ def _result(state: SimState, seed: int) -> RunResult:
         rt_hat=per_follower(logs.rt_hat), track_est=per_follower(logs.track_est),
         commands={r: logs.commands[:, r] for r in range(cfg.n_robots)},
         stage2_flag=logs.stage2, transition_tick=state.stage.transition_tick,
-        outlier_events=logs.outlier_events, saturation_events=logs.saturation_events,
+        ranges=logs.ranges, votes=logs.votes, queue_size=logs.queue_size,
+        verdict=logs.verdict, injected=logs.injected, saturation_events=logs.saturation_events,
         samples_dump=logs.samples_dump, final_estimators=estimators, final_lpe=final_lpe,
         final_truths=[RobotTruth.from_row(r, row) for r, row in enumerate(state.truth)],
         last_sample={p: RegressorSample(*s) for p, s in state.last_sample.items()},
@@ -553,7 +594,7 @@ def _compute_metrics(res: RunResult) -> RunMetrics:
             m.smoothness_stage2[r] = smoothness(cmd[k0:], lead[k0:], res.dt)
     if res.config.outlier_screening:
         m.detection = detection_stats(
-            (ev[6], ev[7]) for ev in res.outlier_events)
+            zip(res.verdict.ravel().tolist(), res.injected.ravel().tolist()))
     return m
 
 
@@ -630,8 +671,7 @@ def write_run(res: RunResult, outdir: str | Path) -> Path:
 
     _write_csv(outdir / "outliers.csv",
                ["tick", "i", "j", "d", "votes", "queue_size", "verdict", "injected"],
-               ((k, i, j, d, votes, size, int(out), int(inj))
-                for k, i, j, d, votes, size, out, inj in res.outlier_events))
+               zip(*res._screen_columns(int)))
 
     if res.saturation_events:
         _write_csv(outdir / "saturation.csv",

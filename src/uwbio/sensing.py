@@ -71,10 +71,12 @@ class RangeStream:
     def draw(self, distance: float) -> tuple[float, bool]:
         """Noisy range for a true distance, and whether it is an injected outlier."""
         # One uniform + one normal per call regardless of the branch, so streams
-        # stay aligned between runs that differ only in noise settings.
-        injected = bool(self.rng.uniform() < self.noise.outlier_prob)
+        # stay aligned between runs that differ only in noise settings.  As
+        # in odom_step, random() and 0.0 + sigma*z are bit for bit the
+        # uniform() (0.0 + 1.0*x) and normal(0.0, sigma) they stand for.
+        injected = bool(self.rng.random() < self.noise.outlier_prob)
         sigma = self.noise.sigma_outlier if injected else self.noise.sigma_range
-        d = distance + self.rng.normal(0.0, sigma)
+        d = distance + (0.0 + sigma * self.rng.standard_normal())
         return max(d, 0.0), injected
 
 

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import math
+import pickle
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +14,7 @@ from uwbio.cli import main as cli_main
 from uwbio.config import ConfigError, RandomInit, Saturation
 from uwbio.control import ExcitationTimeout, StageTracker
 from uwbio.harness import MissingLogs, _apply_axis, report, run, run_to_dir, sweep, write_run
+from uwbio.metrics import detection_stats
 from uwbio.scenarios import chain_swarm, four_robot_formation, two_robot_benchmark
 from uwbio.regression import ThetaTrue
 from uwbio.sensing import NoiseModel
@@ -90,9 +92,7 @@ class TestRun:
         cfg = two_robot_benchmark(noise=NoiseModel(sigma_range=0.05), duration_s=10.0)
         a = run(cfg, seed=1)
         b = run(cfg, seed=2)
-        d_a = [ev[3] for ev in a.outlier_events]
-        d_b = [ev[3] for ev in b.outlier_events]
-        assert d_a != d_b
+        assert a.ranges.tolist() != b.ranges.tolist()
         assert not np.array_equal(a.theta_err[(1, 0)], b.theta_err[(1, 0)])
 
     def test_random_init_is_seed_deterministic(self):
@@ -144,7 +144,7 @@ class TestModes:
         cfg = replace(two_robot_benchmark(duration_s=10.0), outlier_screening=False)
         res = run(cfg)
         assert res.metrics.detection is None
-        assert all(not ev[6] for ev in res.outlier_events)
+        assert not res.verdict.any()
 
     def test_substepping_matches_single_step(self):
         # Exact arcs compose exactly, so sub-stepping only reshuffles rounding.
@@ -280,6 +280,64 @@ class TestDeterminismAndLogs:
         logged = run_to_dir(four_robot_formation(noise=noise, duration_s=30.0), tmp_path)
         checks.check_run(logged)
         checks.check_logs(logged, tmp_path)
+
+
+@pytest.fixture(scope="module")
+def screened_run():
+    noise = NoiseModel(sigma_range=0.05, sigma_odom_pos=0.002, outlier_prob=0.1)
+    return run(chain_swarm(3, seed=1, noise=noise, duration_s=10.0))
+
+
+class TestScreenLog:
+    """The screen is logged as (rows, pairs) arrays; `outlier_events` is a
+    list view of them."""
+
+    @pytest.mark.parametrize("screening", [True, False])
+    def test_view_is_the_arrays_tick_first(self, screened_run, screening):
+        res = screened_run if screening else run(
+            replace(screened_run.config, outlier_screening=False))
+        pairs = res.graph.ordered_pairs()
+        rebuilt = [(k, i, j, float(res.ranges[k, n]), int(res.votes[k, n]),
+                    int(res.queue_size[k, n]), bool(res.verdict[k, n]),
+                    bool(res.injected[k, n]))
+                   for k in range(res.n_ticks + 1) for n, (i, j) in enumerate(pairs)]
+        assert res.outlier_events == rebuilt
+        types = (int, int, int, float, int, int, bool, bool)
+        assert all(tuple(map(type, ev)) == types for ev in res.outlier_events)
+        assert res.injected.any()
+        assert res.verdict.any() == screening
+        if not screening:
+            assert not res.votes.any() and not res.queue_size.any()
+
+    def test_view_is_one_list_and_keeps_edits(self, screened_run):
+        res = pickle.loads(pickle.dumps(screened_run))
+        events = res.outlier_events
+        assert res.outlier_events is events
+        edited = (*events[0][:6], not events[0][6], events[0][7])
+        events[0] = edited
+        events.pop()
+        assert res.outlier_events[0] == edited
+        assert len(res.outlier_events) == res.verdict.size - 1
+        assert res.verdict.tolist() == screened_run.verdict.tolist()
+        with pytest.raises(AttributeError):
+            res.outlier_events = []
+
+    def test_run_to_dir_leaves_the_view_unbuilt(self, tmp_path, monkeypatch):
+        def unread(res):
+            pytest.fail("the outlier_events view was built")
+
+        monkeypatch.setattr(harness.RunResult, "outlier_events", property(unread))
+        noise = NoiseModel(sigma_range=0.05, outlier_prob=0.1)
+        res = run_to_dir(two_robot_benchmark(noise=noise, duration_s=5.0), tmp_path)
+        assert res.config.outlier_screening and res.verdict.any()
+        with open(tmp_path / "outliers.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == res.verdict.size + 1
+
+    def test_detection_stats_from_the_arrays(self, screened_run):
+        res = screened_run
+        tally = detection_stats((ev[6], ev[7]) for ev in res.outlier_events)
+        assert res.metrics.detection == tally
+        assert tally.true_positives > 0
 
 
 class TestSweep:
@@ -455,14 +513,50 @@ class TestCli:
         assert cli_main(["report", str(out), "--allow-unconverged"]) == 0
         capsys.readouterr()
 
-    def test_sweep_cli_without_seeds_raises(self, tmp_path):
+    @staticmethod
+    def usage_error(argv, capsys) -> str:
+        """The one stderr line of a command that exits 2 on bad input."""
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("uwbio: error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_run_config_without_dt_is_an_error(self, tmp_path, capsys):
+        import json
+        cfg_path = tmp_path / "cfg.json"
+        two_robot_benchmark(duration_s=1.0).save(cfg_path)
+        data = json.loads(cfg_path.read_text())
+        del data["dt"]
+        cfg_path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        err = self.usage_error(["run", "--config", str(cfg_path), "--out", str(out)], capsys)
+        assert "'dt'" in err
+        assert not out.exists()
+
+    def test_run_negative_seed_is_an_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        two_robot_benchmark(duration_s=1.0).save(cfg_path)
+        out = tmp_path / "out"
+        err = self.usage_error(["run", "--config", str(cfg_path), "--seed", "-1",
+                                "--out", str(out)], capsys)
+        assert "seed must be >= 0" in err
+        assert not out.exists()
+
+    def test_sweep_cli_without_seeds_is_an_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         two_robot_benchmark(duration_s=1.0).save(cfg_path)
         out = tmp_path / "sweepout"
-        with pytest.raises(ConfigError, match="seeds"):
-            cli_main(["sweep", "--config", str(cfg_path), "--axis", "noise",
-                      "--values", "0.0", "--seeds", "0", "--out", str(out)])
+        err = self.usage_error(["sweep", "--config", str(cfg_path), "--axis", "noise",
+                                "--values", "0.0", "--seeds", "0", "--out", str(out)], capsys)
+        assert "seeds" in err
         assert not out.exists()
+
+    def test_report_without_logs_is_an_error(self, tmp_path, capsys):
+        err = self.usage_error(["report", str(tmp_path)], capsys)
+        assert "no summary.csv" in err
 
     @pytest.mark.parametrize("values", ["0.0,", "", "a,0.1"])
     def test_sweep_cli_bad_values_is_a_usage_error(self, tmp_path, capsys, values):

@@ -12,7 +12,7 @@ import os
 import sys
 
 from .config import ConfigError, load_config
-from .harness import SWEEP_AXES, MissingLogs, report, run_to_dir, sweep
+from .harness import SWEEP_AXES, report, run_to_dir, sweep
 from . import scenarios
 
 SCENARIOS = {
@@ -70,8 +70,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, MissingLogs) as exc:
-        # Bad input is a usage error, as argparse reports its own.
+    except (ConfigError, OSError) as exc:
+        # Bad input, a missing or unwritable file included (MissingLogs is a
+        # FileNotFoundError), is a usage error, as argparse reports its own.
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

@@ -69,17 +69,30 @@ class TrackingError:
     e_s: float
 
 
+def tracking_error_truth_rows(robots, leader, offsets) -> np.ndarray:
+    """Ground-truth formation error of m robots from their (m, 8)
+    `RobotTruth.as_row` rows, the leader's row and the desired offsets (the
+    leader row and the offset each one for all or one per robot), as one
+    (e_p x, y, z, e_c, e_s) row per robot: truth scoring, and the controller
+    input of the truth_feedback ablation."""
+    robots = np.asarray(robots, dtype=float)
+    leader = np.asarray(leader, dtype=float)
+    psi_00 = leader[..., 3] - leader[..., 7]
+    p_i0 = Rotation3Z(np.cos(psi_00), np.sin(psi_00)).apply_inverse(
+        robots[:, :3] - leader[..., :3])
+    ang = robots[:, 3] - psi_00
+    e_p = Rotation3Z(np.cos(ang), np.sin(ang)).apply_inverse(
+        p_i0 - np.asarray(offsets, dtype=float))
+    theta = robots[:, 3] - leader[..., 3]
+    return np.column_stack((e_p, 1.0 - np.cos(theta), np.sin(theta)))
+
+
 def tracking_error_truth(robot: RobotTruth, leader: RobotTruth,
                          offset: np.ndarray) -> TrackingError:
-    """Ground-truth formation error: truth scoring, and the controller input
-    of the truth_feedback ablation."""
-    psi_00 = leader.initial_world_yaw()
-    psi_i = robot.world_pose.yaw.radians
-    p_i0 = Rotation3Z.from_angle(psi_00).apply_inverse(
-        robot.world_pose.position() - leader.world_pose.position())
-    e_p = Rotation3Z.from_angle(psi_i - psi_00).apply_inverse(p_i0 - np.asarray(offset, dtype=float))
-    theta = psi_i - leader.world_pose.yaw.radians
-    return TrackingError(e_p, 1.0 - math.cos(theta), math.sin(theta))
+    """One robot's true formation error: a front end to
+    `tracking_error_truth_rows`."""
+    row, = tracking_error_truth_rows([robot.as_row()], leader.as_row(), offset).tolist()
+    return TrackingError(np.array(row[:3]), row[3], row[4])
 
 
 def tracking_error_rows(rt: list, lead: list, odom: list, offsets: list) -> list[list[float]]:

@@ -18,8 +18,11 @@ estimator, controller and physics state plus the true poses, one
 (rows, pairs or robots, ...) array row per tick, the outlier screen
 included (drawn range, votes, queue size, verdict and injected flag, one
 (rows, pairs) array each), and reads truth only for sensing, physics,
-`truth_feedback` and the unbroadcast leader odometry; afterwards
-`_score_truth` derives every truth error from the logs, all ticks at once.
+`truth_feedback` and the unbroadcast leader odometry; truth feedback takes
+the followers' true tracking errors from the truth rows in one
+`tracking_error_truth_rows` call per tick, and afterwards `_score_truth`
+derives every truth error from the logs, all ticks at once, the tracking
+error through the same function.
 Per-stream RNGs derived from (seed, stream tag) make a (config, seed) pair
 determine every logged byte.  `write_run` zips each per-tick CSV log from
 its columns, grouped by pair or robot, then by tick; `outliers.csv` alone
@@ -41,7 +44,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ScenarioConfig, check_seed
 from .control import (StageTracker, stage1_rows, stage2_rows, tracking_error_rows,
-                      tracking_error_truth)
+                      tracking_error_truth_rows)
 from .cooploc import (LeaderPoseEstimate, TopologyGraph, assign_layers, compose_layers,
                       composition_plan, leader_realtime_rows)
 from .estimation import ThetaEstimate, cl_update_all, reconstruct_poses
@@ -51,16 +54,17 @@ from .outliers import JudgeBank
 from .regression import THETA_DIM, DataRecord, RecordBank, RegressorSample, ThetaTrue, \
     build_samples, excitation_ratios, pair_index
 from .sensing import RangeStream, odom_step, robot_rng
-from .world import RobotTruth, VelocityCommand, advance
+from .world import RobotTruth, advance
 
 # The tick runs the stacked stages and row passes (build_samples,
 # cl_update_all, excitation_ratios, reconstruct_poses, compose_layers,
-# leader_realtime_rows, tracking_error_rows, stage1_rows, stage2_rows,
-# advance).  benchmarks/tracing.py still wraps their one-pair and one-robot
-# front ends under these harness names and fails without them (a test in
-# tests/test_harness.py checks that they exist); they can go once it traces
-# the stacked entry points instead.
-from .control import stage1_command, stage2_command, tracking_error_estimated  # noqa: F401
+# leader_realtime_rows, tracking_error_rows, tracking_error_truth_rows,
+# stage1_rows, stage2_rows, advance).  benchmarks/tracing.py still wraps
+# their one-pair and one-robot front ends under these harness names and
+# fails without them (a test in tests/test_harness.py checks that they
+# exist); they can go once it traces the stacked entry points instead.
+from .control import (stage1_command, stage2_command, tracking_error_estimated,  # noqa: F401
+                      tracking_error_truth)
 from .cooploc import leader_initial_estimate, leader_realtime_estimate  # noqa: F401
 from .estimation import cl_update, reconstruct_pose  # noqa: F401
 from .regression import build_sample, excitation_ratio  # noqa: F401
@@ -183,12 +187,13 @@ class RunResult:
         }
 
 
-def _initial_truths(config: ScenarioConfig, seed: int) -> list[RobotTruth]:
-    truths = [RobotTruth.spawn(r.id, r.x, r.y, r.z, r.yaw) for r in config.robots]
+def _initial_truths(config: ScenarioConfig, seed: int) -> list[list[float]]:
+    """Every robot's `RobotTruth.as_row` at its start pose, odometry at zero."""
+    truths = [[r.x, r.y, r.z, r.yaw, 0.0, 0.0, 0.0, 0.0] for r in config.robots]
     if config.random_init is not None:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
         radius, min_sep = config.random_init.radius, config.random_init.min_sep
-        placed = [np.array([truths[0].world_pose.x, truths[0].world_pose.y])]
+        placed = [np.array(truths[0][:2])]
         for r in config.robots[1:]:
             for _ in range(_PLACEMENT_DRAWS):
                 pos = rng.uniform(-radius, radius, 2)
@@ -201,7 +206,7 @@ def _initial_truths(config: ScenarioConfig, seed: int) -> list[RobotTruth]:
                     f"({_PLACEMENT_DRAWS} draws)")
             placed.append(pos)
             yaw = float(rng.uniform(-math.pi, math.pi))
-            truths[r.id] = RobotTruth.spawn(r.id, float(pos[0]), float(pos[1]), 0.0, yaw)
+            truths[r.id] = [float(pos[0]), float(pos[1]), 0.0, yaw, 0.0, 0.0, 0.0, 0.0]
     return truths
 
 
@@ -288,10 +293,10 @@ def _initial_state(config: ScenarioConfig, seed: int) -> SimState:
     pairs = graph.ordered_pairs()
     n_pairs, n_robots, rows = len(pairs), config.n_robots, config.n_ticks + 1
     spec = config.formation_spec()
-    cruise = config.leader_cruise
-    if cruise is None:
-        lead = config.robots[0]
-        cruise = VelocityCommand(lead.r * lead.c_w, 0.0, lead.c_w)
+    lead = config.robots[0]
+    cruise = (lead.r * lead.c_w, 0.0, lead.c_w)
+    if config.leader_cruise is not None:
+        cruise = (config.leader_cruise.v_h, config.leader_cruise.v_z, config.leader_cruise.w)
     logs = Logs(
         truth=np.zeros((rows, n_robots, 8)),
         theta=np.full((rows, n_pairs, THETA_DIM), np.nan),
@@ -314,7 +319,7 @@ def _initial_state(config: ScenarioConfig, seed: int) -> SimState:
         out_pairs=[[pairs.index((r, j)) for j in graph.out_edges[r]] for r in range(n_robots)],
         plan=composition_plan(graph),
         offsets=[spec.offset(r).tolist() for r in range(n_robots)],
-        cruise=(cruise.v_h, cruise.v_z, cruise.w),
+        cruise=cruise,
         stage=StageTracker(range(n_robots), config.excitation_threshold,
                            config.stage1_timeout_ticks),
         logs=logs,
@@ -323,7 +328,7 @@ def _initial_state(config: ScenarioConfig, seed: int) -> SimState:
         bank=RecordBank(n_pairs, config.mode_2d, config.hist_cap),
         theta=np.zeros((n_pairs, THETA_DIM)),
         end_tick=[-2] * n_pairs, end=np.zeros((n_pairs, 7)), last_sample={},
-        truth=[list(t.as_row()) for t in _initial_truths(config, seed)],
+        truth=_initial_truths(config, seed),
         cum=[[0.0] * 4 for _ in range(n_robots)],
         odom_rngs=[robot_rng(seed, r) for r in range(n_robots)],
         # The leader's own estimate is LeaderPoseEstimate.leader_self.
@@ -380,12 +385,8 @@ def _commands(state: SimState, k: int) -> list[tuple[float, float, float]]:
     else:
         errors = state.errors
         if cfg.truth_feedback:
-            leader = RobotTruth.from_row(0, state.truth[0])
-            errors = []
-            for i in range(1, cfg.n_robots):
-                e = tracking_error_truth(RobotTruth.from_row(i, state.truth[i]), leader,
-                                         state.offsets[i])
-                errors.append((*e.e_p.tolist(), e.e_c, e.e_s))
+            errors = tracking_error_truth_rows(state.truth[1:], state.truth[0],
+                                               state.offsets[1:]).tolist()
         follow = stage2_rows(lead, errors, cfg.gains)
     cmds = [lead]
     pe = cfg.pe_excitation
@@ -537,10 +538,10 @@ def _score_truth(res: RunResult) -> None:
     """Fill the ground-truth fields of `res` from its logged truth and
     estimates.  Follower i's true leader-relative position at tick k is
     R(psi_i0)' (p_i(k) - p_0(k)), q0_true its tick-0 row; the true relative
-    yaw is the world yaw difference.  Every tick is scored at once through
-    `Rotation3Z.apply_inverse` on (ticks, 3) stacks with one (c, s) per tick,
-    the operation `tracking_error_truth` applies per tick for track_truth;
-    np.cos and np.sin equal math.cos and math.sin here."""
+    yaw is the world yaw difference.  Every tick is scored at once on
+    (ticks, 3) stacks with one (c, s) per tick; track_truth is
+    `tracking_error_truth_rows` over all ticks, the function truth feedback
+    applies per tick."""
     spec = res.config.formation_spec()
     truth = res.truth
     lead = truth[:, 0]
@@ -548,22 +549,16 @@ def _score_truth(res: RunResult) -> None:
     for (i, j), log in res.theta_log.items():
         res.theta_true[(i, j)] = ThetaTrue.from_truths(start[i], start[j]).vector
         res.theta_err[(i, j)] = _row_norms(log - res.theta_true[(i, j)])
-    psi_00 = lead[:, 3] - lead[:, 7]          # the leader's initial world yaw
     for i, rt in res.rt_hat.items():
-        d = truth[:, i, :3] - lead[:, :3]
         psi_i0 = start[i].initial_world_yaw()
-        q_true = Rotation3Z.from_angle(psi_i0).apply_inverse(d)
+        q_true = Rotation3Z.from_angle(psi_i0).apply_inverse(truth[:, i, :3] - lead[:, :3])
         yaw = truth[:, i, 3] - lead[:, 3]
-        cos_yaw, sin_yaw = np.cos(yaw), np.sin(yaw)
         res.q0_true[i] = q_true[0].copy()
         res.q0_err[i] = _row_norms(res.q0_hat[i] - res.q0_true[i])
         res.q_rt_err[i] = _row_norms(rt[:, :3] - q_true)
         res.trig_rt_err[i] = np.array([math.hypot(c - cy, s - sy) for c, s, cy, sy in
-                                       zip(rt[:, 3], rt[:, 4], cos_yaw, sin_yaw)])
-        p_i0 = Rotation3Z(np.cos(psi_00), np.sin(psi_00)).apply_inverse(d)
-        ang = truth[:, i, 3] - psi_00
-        e_p = Rotation3Z(np.cos(ang), np.sin(ang)).apply_inverse(p_i0 - spec.offset(i))
-        res.track_truth[i] = np.column_stack((e_p, 1.0 - cos_yaw, sin_yaw))
+                                       zip(rt[:, 3], rt[:, 4], np.cos(yaw), np.sin(yaw))])
+        res.track_truth[i] = tracking_error_truth_rows(truth[:, i], lead, spec.offset(i))
 
 
 def _compute_metrics(res: RunResult) -> RunMetrics:

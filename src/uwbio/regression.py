@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Rotation3Z, cross2
-from .world import RobotTruth, VelocityCommand, step, world_distance
+from .world import RobotTruth, VelocityCommand, advance
 
 THETA_DIM = 7
 
@@ -374,27 +374,25 @@ def observability_probe(profile: MotionProfile, ticks: int = 100,
                         dt: float = 0.05, zero_tol: float = 1e-12) -> RankDiagnosis:
     """Run a noise-free scripted pair and classify what the data can observe.
 
-    Accumulates the uncapped information matrix over the run and reports
-    its identically-zero rows and rank structure.  Degenerate relative
-    motion shows up as zero blocks: a stationary observer kills the
-    position and yaw rows, a stationary neighbor the yaw rows, matched
-    vertical motion the z row, and straight-line motion collapses the
-    position block to rank one.
+    Steps both robots with `world.advance`, builds every interval's sample
+    in one `build_samples` call, sums the uncapped information matrix over
+    them and reports its identically-zero rows and rank structure.
+    Degenerate relative motion shows up as zero blocks: a stationary
+    observer kills the position and yaw rows, a stationary neighbor the yaw
+    rows, matched vertical motion the z row, and straight-line motion
+    collapses the position block to rank one.
     """
-    ti, tj = profile.truth_i, profile.truth_j
-    S = np.zeros((THETA_DIM, THETA_DIM))
+    rows = [profile.truth_i.as_row(), profile.truth_j.as_row()]
+    truth = np.empty((ticks + 1, 2, 8))
+    truth[0] = rows
     for k in range(ticks):
-        t = k * dt
-        ni = step(ti, profile.command_i(t), dt)
-        nj = step(tj, profile.command_j(t), dt)
-        sample = build_sample(
-            world_distance(ti, tj), world_distance(ni, nj),
-            (ti.odom_pose.position(), ni.odom_pose.position() - ti.odom_pose.position()),
-            (tj.odom_pose.position(), nj.odom_pose.position() - tj.odom_pose.position()),
-            t_k=k)
-        if sample is not None:
-            S += np.outer(sample.phi, sample.phi)
-        ti, tj = ni, nj
+        cmds = [profile.command_i(k * dt), profile.command_j(k * dt)]
+        rows = truth[k + 1] = advance(rows, [(c.v_h, c.v_z, c.w) for c in cmds], dt)
+    diff = truth[:, 0, :3] - truth[:, 1, :3]
+    # [d^2, p_i, p_j] at every instant, each robot in its own odometry frame.
+    at = np.column_stack((np.vecdot(diff, diff), truth[:, 0, 4:7], truth[:, 1, 4:7]))
+    phi, _, valid = build_samples(at[:-1], np.diff(at, axis=0))
+    S = phi[valid].T @ phi[valid]
 
     row_mag = np.abs(S).max(axis=1)
     zero_rows = tuple(int(r) for r in np.flatnonzero(row_mag <= zero_tol))

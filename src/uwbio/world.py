@@ -112,15 +112,6 @@ def step(state: RobotTruth, cmd: VelocityCommand, dt: float) -> RobotTruth:
     return RobotTruth.from_row(state.id, row)
 
 
-def frame_rotation(a: RobotTruth, b: RobotTruth) -> Rotation3Z:
-    """Rotation taking b's odometry-frame coordinates into a's.
-
-    The rotation angle is psi_b(0) - psi_a(0): the yaw of frame O_b
-    measured in frame O_a.
-    """
-    return Rotation3Z.from_angle(b.initial_world_yaw() - a.initial_world_yaw())
-
-
 def relative_truth(a: RobotTruth, b: RobotTruth) -> tuple[np.ndarray, Angle]:
     """Ground-truth relative position of (a minus b) in frame O_a, and
     the relative orientation of b's body frame measured in a's.

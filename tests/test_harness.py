@@ -558,6 +558,35 @@ class TestCli:
         err = self.usage_error(["report", str(tmp_path)], capsys)
         assert "no summary.csv" in err
 
+    def test_run_missing_config_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        err = self.usage_error(["run", "--config", str(tmp_path / "missing.json"),
+                                "--out", str(out)], capsys)
+        assert "No such file or directory" in err and "missing.json" in err
+        assert not out.exists()
+
+    def test_run_config_directory_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        err = self.usage_error(["run", "--config", str(tmp_path), "--out", str(out)], capsys)
+        assert "Is a directory" in err
+        assert not out.exists()
+
+    def test_scenario_into_missing_directory_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "nonexistent" / "x.json"
+        err = self.usage_error(["scenario", "two_robot_benchmark", str(path)], capsys)
+        assert "No such file or directory" in err
+        assert not path.parent.exists()
+
+    def test_run_out_under_a_file_is_an_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        two_robot_benchmark(duration_s=1.0).save(cfg_path)
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        err = self.usage_error(["run", "--config", str(cfg_path),
+                                "--out", str(afile / "sub")], capsys)
+        assert "Not a directory" in err
+        assert afile.read_text() == "not a directory\n"
+
     @pytest.mark.parametrize("values", ["0.0,", "", "a,0.1"])
     def test_sweep_cli_bad_values_is_a_usage_error(self, tmp_path, capsys, values):
         cfg_path = tmp_path / "cfg.json"

@@ -14,34 +14,39 @@ estimates.  The reference classes are copies of the implementations the
 array versions replaced, without their argument checks and docstrings.
 Truth scoring likewise takes the row norms of a whole log at once, where
 the tick loop once took them one row at a time, and the tracking errors of
-all ticks at once, where it once called `tracking_error_truth` per tick.
+all ticks at once, where it once called the one-robot truth error per tick.
 The per-robot layers (physics and odometry, layered composition, real-time
-estimate and tracking error, commands) run as one pass over float rows per
-tick, against copies of the one-robot object code they replaced.
+estimate and tracking error, commands, truth feedback) run as one pass over
+float rows per tick, against copies of the one-robot object code they
+replaced, and the observability probe steps and samples its pair with the
+same passes, against its per-tick loop.
 """
 
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_dag
-from uwbio import harness
-from uwbio.config import Saturation
-from uwbio.control import TrackingError, tracking_error_rows, tracking_error_truth
+from conftest import circle_cmd, random_dag
+from uwbio import control, harness, regression, world
+from uwbio.config import RandomInit, Saturation
+from uwbio.control import TrackingError, tracking_error_rows
 from uwbio.cooploc import assign_layers, compose_layers, composition_plan, leader_realtime_rows
 from uwbio.estimation import cl_update, cl_update_all, learning_rate, reconstruct_poses
-from uwbio.geometry import NORM_TOL, Angle, DegenerateRotation
+from uwbio.geometry import NORM_TOL, Angle, DegenerateRotation, Rotation3Z
 from uwbio.harness import _row_norms, run
 from uwbio.outliers import JudgeBank, JudgeQueue, ScreenResult
-from uwbio.regression import (MIN_SWAP_GAIN, THETA_DIM, VOLUME_EPS, DataRecord, RecordBank,
-                              RegressorSample)
+from uwbio.regression import (MIN_SWAP_GAIN, THETA_DIM, VOLUME_EPS, DataRecord, MotionProfile,
+                              RankDiagnosis, RecordBank, RegressorSample, build_sample,
+                              observability_probe)
 from uwbio.scenarios import chain_swarm, four_robot_formation
 from uwbio.sensing import MeasurementTriplet, NoiseModel, odom_step
-from uwbio.world import OMEGA_EPS, Pose4, RobotTruth, VelocityCommand, advance
+from uwbio.world import OMEGA_EPS, Pose4, RobotTruth, VelocityCommand, advance, step, \
+    world_distance
 
 
 class ReferenceJudgeQueue:
@@ -355,20 +360,34 @@ def test_zero_padded_cl_fails_the_reference():
     assert failures > 0
 
 
+def reference_tracking_error_truth(robot: RobotTruth, leader: RobotTruth,
+                                   offset: np.ndarray) -> TrackingError:
+    """One robot's ground-truth formation error through Rotation3Z.from_angle
+    and math.cos/math.sin."""
+    psi_00 = leader.initial_world_yaw()
+    psi_i = robot.world_pose.yaw.radians
+    p_i0 = Rotation3Z.from_angle(psi_00).apply_inverse(
+        robot.world_pose.position() - leader.world_pose.position())
+    e_p = Rotation3Z.from_angle(psi_i - psi_00).apply_inverse(p_i0 - np.asarray(offset, dtype=float))
+    theta = psi_i - leader.world_pose.yaw.radians
+    return TrackingError(e_p, 1.0 - math.cos(theta), math.sin(theta))
+
+
 @pytest.mark.parametrize("config", [
     chain_swarm(3, seed=1, noise=NoiseModel(0.05, 0.002, 0.001), duration_s=10.0),
     four_robot_formation(noise=NoiseModel(0.05, 0.002, 0.001), seed=2, duration_s=10.0),
 ], ids=["chain3d", "formation_planar"])
 def test_track_truth_equals_tracking_error_truth(config):
     """Truth scoring computes the tracking error of every tick at once; each
-    row must equal tracking_error_truth on that tick's logged true poses."""
+    row must equal the one-robot truth error on that tick's logged true
+    poses."""
     res = run(config)
     spec = config.formation_spec()
     for i, track in res.track_truth.items():
         want = []
         for row in res.truth:
-            e = tracking_error_truth(RobotTruth.from_row(i, row[i]),
-                                     RobotTruth.from_row(0, row[0]), spec.offset(i))
+            e = reference_tracking_error_truth(RobotTruth.from_row(i, row[i]),
+                                               RobotTruth.from_row(0, row[0]), spec.offset(i))
             want.append([e.e_p[0], e.e_p[1], e.e_p[2], e.e_c, e.e_s])
         assert track.tobytes() == np.array(want).tobytes()
 
@@ -628,7 +647,7 @@ def reference_commands(cfg, k, truths, errors, stage2_active, events):
             cmd = stage1(cfg.robots[i])
         else:
             if cfg.truth_feedback:
-                e = tracking_error_truth(truths[i], truths[0], spec.offset(i))
+                e = reference_tracking_error_truth(truths[i], truths[0], spec.offset(i))
             else:
                 e = errors[i - 1] or TrackingError(np.zeros(3), 0.0, 0.0)
             cmd = VelocityCommand(
@@ -679,3 +698,137 @@ def test_commands_match_reference(seed, n, k, saturated, pe_baseline, truth_feed
                               errors, stage2, events)
     assert bits(harness._commands(state, k)) == bits(want)
     assert bits(state.logs.saturation_events) == bits(events)
+
+
+@contextmanager
+def forbidden(*targets):
+    """Make each (owner, attribute) of `targets` raise when called."""
+    def forbid(*args, **kwargs):
+        raise AssertionError("a row pass called a one-pair or one-robot front end")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name in targets:
+            mp.setattr(owner, name, forbid)
+        yield
+
+
+# What the tick's passes replaced, under every name the program could reach
+# them by.
+FRONT_ENDS = ((control, "tracking_error_truth"), (harness, "tracking_error_truth"),
+              (world, "step"), (harness, "step"), (regression, "build_sample"),
+              (harness, "build_sample"), (world, "world_distance"),
+              (RobotTruth, "spawn"), (RobotTruth, "from_row"))
+
+
+@pytest.mark.parametrize("planar", [False, True], ids=["3d", "planar"])
+@pytest.mark.parametrize("cruise", [None, VelocityCommand(0.3, 0.05, -0.2)],
+                         ids=["default_cruise", "cruise"])
+def test_truth_feedback_tick_builds_no_one_robot_objects(planar, cruise):
+    """Truth feedback from tick 0 (stage two from the start under the PE
+    baseline), from a random start: the initial state, the observation and
+    the ticks build no RobotTruth or VelocityCommand and call no one-robot
+    or one-pair front end, and feed back the one-robot truth error."""
+    cfg = replace(chain_swarm(4, seed=3, duration_s=2.0), truth_feedback=True,
+                  pe_baseline=True, mode_2d=planar, leader_cruise=cruise,
+                  random_init=RandomInit(4.0, 1.0))
+    ticks = 30
+    with forbidden(*FRONT_ENDS, (VelocityCommand, "__init__")):
+        state = harness._initial_state(cfg, 5)
+        harness._observe(state, 0)
+        for k in range(ticks):
+            harness.tick(state, k)
+    assert state.logs.stage2[:ticks].all()
+    for k in range(ticks):
+        truths = [RobotTruth.from_row(r, row) for r, row in enumerate(state.logs.truth[k])]
+        assert bits(state.logs.commands[k]) == bits(reference_commands(cfg, k, truths, None,
+                                                                       False, []))
+
+
+def reference_observability_probe(profile: MotionProfile, ticks: int = 100,
+                                  dt: float = 0.05, zero_tol: float = 1e-12) -> RankDiagnosis:
+    """The probe as a per-tick loop: one-robot `step`s, one `build_sample`
+    per interval from `world_distance`, S summed one outer product at a
+    time."""
+    ti, tj = profile.truth_i, profile.truth_j
+    S = np.zeros((THETA_DIM, THETA_DIM))
+    for k in range(ticks):
+        t = k * dt
+        ni = step(ti, profile.command_i(t), dt)
+        nj = step(tj, profile.command_j(t), dt)
+        sample = build_sample(
+            world_distance(ti, tj), world_distance(ni, nj),
+            (ti.odom_pose.position(), ni.odom_pose.position() - ti.odom_pose.position()),
+            (tj.odom_pose.position(), nj.odom_pose.position() - tj.odom_pose.position()),
+            t_k=k)
+        if sample is not None:
+            S += np.outer(sample.phi, sample.phi)
+        ti, tj = ni, nj
+    row_mag = np.abs(S).max(axis=1)
+    zero_rows = tuple(int(r) for r in np.flatnonzero(row_mag <= zero_tol))
+    eig = np.linalg.eigvalsh(S)
+    rank = int(np.sum(eig > 1e-9 * max(eig[-1], 1.0)))
+    pos_eig = np.linalg.eigvalsh(S[:3, :3])
+    pos_rank = int(np.sum(pos_eig > 1e-9 * max(pos_eig[-1], 1.0)))
+    return RankDiagnosis(zero_rows, rank, pos_rank,
+                         max(float(eig[0]), 0.0), max(float(eig[-1]), 0.0))
+
+
+def check_probe_against_reference(profile: MotionProfile, **kwargs) -> None:
+    """The probe, run with the front ends forbidden, against the loop: the
+    same zero rows and ranks, and eigenvalues to 1e-12 relative.  S summed
+    at once may round differently from the per-tick sum, which moves every
+    eigenvalue by up to the rounding of S's largest (Weyl), so a singular
+    S's lambda_min, rounding noise of either sign (0 once clipped), agrees
+    only to 1e-12 of lambda_max."""
+    with forbidden(*FRONT_ENDS):
+        got = observability_probe(profile, **kwargs)
+    want = reference_observability_probe(profile, **kwargs)
+    assert (got.zero_rows, got.rank, got.position_block_rank) == \
+        (want.zero_rows, want.rank, want.position_block_rank)
+    assert got.lambda_min == pytest.approx(want.lambda_min, rel=1e-12,
+                                           abs=1e-12 * want.lambda_max)
+    assert got.lambda_max == pytest.approx(want.lambda_max, rel=1e-12, abs=0.0)
+
+
+def still(t: float) -> VelocityCommand:
+    return VelocityCommand(0.0, 0.0, 0.0)
+
+
+_OBS, _NBR = RobotTruth.spawn(1, 0, 0, 0, 0.3), RobotTruth.spawn(0, 2, 1, 0, 1.0)
+_SAME = circle_cmd(0.4, 0.2, 0.5)
+
+
+@pytest.mark.parametrize("profile, kwargs", [
+    (MotionProfile(_OBS, _NBR, still, circle_cmd(0.4, 0.0, 0.5)), {"ticks": 100}),
+    (MotionProfile(_OBS, _NBR, circle_cmd(0.4, 0.2, 0.5), still), {"ticks": 100}),
+    (MotionProfile(_OBS, _NBR, _SAME, _SAME), {"ticks": 100}),
+    (MotionProfile(_OBS, _NBR, lambda t: VelocityCommand(0.3, 0.05, 0.0),
+                   lambda t: VelocityCommand(0.2, -0.03, 0.0)), {"ticks": 100}),
+    (MotionProfile(RobotTruth.spawn(1, 1.5, 1.0, 0, 2.0), RobotTruth.spawn(0, 0, 0, 0, 0),
+                   circle_cmd(0.5, 0.3, 0.4), circle_cmd(0.3, 0.1, -0.5)),
+     {"ticks": 400, "dt": 0.1}),
+], ids=["observer_still", "neighbor_still", "matched_motion", "straight_lines", "excited"])
+def test_criterion_10_profiles_match_reference_probe(profile, kwargs):
+    check_probe_against_reference(profile, **kwargs)
+
+
+def drawn_command(v_h: float, c_v: float, w: float):
+    """Forward speed v_h, yaw rate w (0 for a straight line), vertical
+    speed c_v * sin(c_v * t)."""
+    return lambda t: VelocityCommand(v_h, c_v * math.sin(c_v * t), w)
+
+
+command = st.one_of(st.just((0.0, 0.0, 0.0)),
+                    st.tuples(st.floats(-0.6, 0.6), st.floats(-0.4, 0.4),
+                              st.one_of(st.just(0.0), st.floats(-1.0, 1.0))))
+start = st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-1, 1), st.floats(-3.2, 3.2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(start_i=start, start_j=start, cmd_i=command, cmd_j=command, same=st.booleans(),
+       ticks=st.integers(0, 200), dt=st.floats(0.01, 0.2))
+def test_drawn_profiles_match_reference_probe(start_i, start_j, cmd_i, cmd_j, same, ticks, dt):
+    """Still, straight, circling and matched motion from random starts."""
+    profile = MotionProfile(RobotTruth.spawn(1, *start_i), RobotTruth.spawn(0, *start_j),
+                            drawn_command(*cmd_i), drawn_command(*(cmd_i if same else cmd_j)))
+    check_probe_against_reference(profile, ticks=ticks, dt=dt)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from uwbio.geometry import Angle
-from uwbio.world import (Pose4, RobotTruth, VelocityCommand, frame_rotation,
-                         relative_truth, step, world_distance)
+from uwbio.geometry import Angle, Rotation3Z
+from uwbio.world import Pose4, RobotTruth, VelocityCommand, relative_truth, step, world_distance
 
 yaws = st.floats(-3.0, 3.0, allow_nan=False)
 coords = st.floats(-10.0, 10.0, allow_nan=False)
@@ -84,7 +83,9 @@ class TestRelativeTruth:
                        math.sin(-0.3) * 0.4 + math.cos(-0.3) * -0.2, 0.9])
         vb = np.array([math.cos(-1.0) * 0.4 - math.sin(-1.0) * -0.2,
                        math.sin(-1.0) * 0.4 + math.cos(-1.0) * -0.2, 0.9])
-        assert np.allclose(frame_rotation(a, b).apply(vb), va, atol=1e-12)
+        # The rotation taking b's odometry-frame coordinates into a's.
+        R = Rotation3Z.from_angle(b.initial_world_yaw() - a.initial_world_yaw())
+        assert np.allclose(R.apply(vb), va, atol=1e-12)
 
 
 class TestFrameConsistency:
@@ -94,7 +95,7 @@ class TestFrameConsistency:
         a = RobotTruth.spawn(0, 0.5, -0.4, 0.0, 0.9)
         b = RobotTruth.spawn(1, 2.0, 1.0, 0.5, -1.7)
         p0, _ = relative_truth(a, b)
-        R = frame_rotation(a, b)
+        R = Rotation3Z.from_angle(b.initial_world_yaw() - a.initial_world_yaw())
         dt = 0.05
         for k in range(400):
             t = k * dt
@@ -107,7 +108,7 @@ class TestFrameConsistency:
     def test_relative_yaw_composition(self):
         a = RobotTruth.spawn(0, 0, 0, 0, 0.9)
         b = RobotTruth.spawn(1, 2, 1, 0, -1.7)
-        theta0 = frame_rotation(a, b).yaw()
+        theta0 = Rotation3Z.from_angle(b.initial_world_yaw() - a.initial_world_yaw()).yaw()
         for _ in range(200):
             a = step(a, VelocityCommand(0.1, 0, 0.3), 0.05)
             b = step(b, VelocityCommand(0.2, 0, -0.2), 0.05)

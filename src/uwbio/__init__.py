@@ -15,11 +15,11 @@ if not any(os.environ.get(name) for name in
 del os
 
 from .geometry import Angle, DegenerateRotation, Rotation3Z, cross2
-from .world import Pose4, RobotTruth, VelocityCommand, relative_truth, step
+from .world import Pose4, RobotTruth, VelocityCommand, frame_offset, step
 from .sensing import MeasurementTriplet, NoiseModel
 from .regression import (DataRecord, EmptyRecord, MotionProfile, RankDiagnosis,
-                         RegressorSample, ThetaTrue, build_sample, excitation_ratio,
-                         observability_probe)
+                         RegressorSample, build_sample, excitation_ratio,
+                         observability_probe, true_thetas)
 from .estimation import (RelativePoseEstimate, ThetaEstimate,
                          cl_update, reconstruct_pose)
 from .cooploc import (LeaderPoseEstimate, MissingNeighborEstimate, TopologyGraph,

@@ -150,6 +150,8 @@ class ScenarioConfig:
         ids = [r.id for r in self.robots]
         if ids != list(range(len(self.robots))) or not ids:
             raise ConfigError("robot ids must be contiguous 0..N with the leader first")
+        if len(ids) < 2:
+            raise ConfigError("robots must hold a leader and at least one follower to pair")
         if not 0 < self.excitation_threshold < 1:
             raise ConfigError("excitation_threshold must be in (0, 1)")
         if self.hist_cap < 7:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .geometry import Angle, Rotation3Z
-from .world import RobotTruth, VelocityCommand
+from .world import RobotTruth, VelocityCommand, frame_offset, frame_yaw
 
 if TYPE_CHECKING:
     from .config import RobotConfig
@@ -77,10 +77,8 @@ def tracking_error_truth_rows(robots, leader, offsets) -> np.ndarray:
     input of the truth_feedback ablation."""
     robots = np.asarray(robots, dtype=float)
     leader = np.asarray(leader, dtype=float)
-    psi_00 = leader[..., 3] - leader[..., 7]
-    p_i0 = Rotation3Z(np.cos(psi_00), np.sin(psi_00)).apply_inverse(
-        robots[:, :3] - leader[..., :3])
-    ang = robots[:, 3] - psi_00
+    p_i0 = frame_offset(robots, leader, leader)
+    ang = robots[:, 3] - frame_yaw(leader)
     e_p = Rotation3Z(np.cos(ang), np.sin(ang)).apply_inverse(
         p_i0 - np.asarray(offsets, dtype=float))
     theta = robots[:, 3] - leader[..., 3]

@@ -45,6 +45,13 @@ def unit_pair(c_raw: float, s_raw: float) -> tuple[float, float]:
     return c_raw / n, s_raw / n
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis.  vecdot reduces each row with
+    the same BLAS dot product np.linalg.norm takes on one vector, so each
+    norm is bit-equal to np.linalg.norm of its row (its axis= form is not)."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 def cross2(a, b) -> float:
     """Planar scalar cross product a_x*b_y - a_y*b_x (antisymmetric)."""
     return float(a[0]) * float(b[1]) - float(a[1]) * float(b[0])

@@ -21,8 +21,10 @@ included (drawn range, votes, queue size, verdict and injected flag, one
 `truth_feedback` and the unbroadcast leader odometry; truth feedback takes
 the followers' true tracking errors from the truth rows in one
 `tracking_error_truth_rows` call per tick, and afterwards `_score_truth`
-derives every truth error from the logs, all ticks at once, the tracking
-error through the same function.
+derives every truth error from the logged truth rows, all ticks at once:
+the offsets through `world.frame_offset` (the pairs' Theta through
+`true_thetas`), the tracking error through the function truth feedback
+uses.
 Per-stream RNGs derived from (seed, stream tag) make a (config, seed) pair
 determine every logged byte.  `write_run` zips each per-tick CSV log from
 its columns, grouped by pair or robot, then by tick; `outliers.csv` alone
@@ -48,13 +50,13 @@ from .control import (StageTracker, stage1_rows, stage2_rows, tracking_error_row
 from .cooploc import (LeaderPoseEstimate, TopologyGraph, assign_layers, compose_layers,
                       composition_plan, leader_realtime_rows)
 from .estimation import ThetaEstimate, cl_update_all, reconstruct_poses
-from .geometry import Rotation3Z
+from .geometry import Rotation3Z, row_norms
 from .metrics import RunMetrics, convergence_time, detection_stats, smoothness, tail_mean
 from .outliers import JudgeBank
-from .regression import THETA_DIM, DataRecord, RecordBank, RegressorSample, ThetaTrue, \
-    build_samples, excitation_ratios, pair_index
+from .regression import THETA_DIM, DataRecord, RecordBank, RegressorSample, build_samples, \
+    excitation_ratios, pair_index, true_thetas
 from .sensing import RangeStream, odom_step, robot_rng
-from .world import RobotTruth, advance
+from .world import RobotTruth, advance, frame_offset
 
 # The tick runs the stacked stages and row passes (build_samples,
 # cl_update_all, excitation_ratios, reconstruct_poses, compose_layers,
@@ -425,8 +427,7 @@ def _observe(state: SimState, k: int) -> None:
     logs.truth[k] = state.truth
     ends = logs.truth[k].take(state.pair_ij, axis=0)
     diff = ends[:, 0, :3] - ends[:, 1, :3]
-    draws = [stream.draw(x) for stream, x in
-             zip(state.ranges, np.sqrt(np.vecdot(diff, diff)).tolist())]
+    draws = [stream.draw(x) for stream, x in zip(state.ranges, row_norms(diff).tolist())]
     d = [x for x, _ in draws]
     logs.ranges[k] = d
     logs.injected[k] = [inj for _, inj in draws]
@@ -529,33 +530,26 @@ def _result(state: SimState, seed: int) -> RunResult:
     )
 
 
-def _row_norms(d: np.ndarray) -> np.ndarray:
-    """Row norms, bit-equal to np.linalg.norm per row (its axis=1 form is not)."""
-    return np.sqrt(np.vecdot(d, d))
-
-
 def _score_truth(res: RunResult) -> None:
-    """Fill the ground-truth fields of `res` from its logged truth and
-    estimates.  Follower i's true leader-relative position at tick k is
-    R(psi_i0)' (p_i(k) - p_0(k)), q0_true its tick-0 row; the true relative
-    yaw is the world yaw difference.  Every tick is scored at once on
-    (ticks, 3) stacks with one (c, s) per tick; track_truth is
-    `tracking_error_truth_rows` over all ticks, the function truth feedback
-    applies per tick."""
+    """Fill the ground-truth fields of `res` from its truth log, every tick
+    at once: theta_true from the tick-0 rows (`true_thetas`); follower i's
+    true offset from the leader in its initial odometry frame, read off its
+    tick-0 row (`frame_offset`; q0_true is its tick-0 value); the true
+    relative yaw as the world yaw difference; and track_truth through
+    `tracking_error_truth_rows`, which truth feedback applies per tick."""
     spec = res.config.formation_spec()
     truth = res.truth
     lead = truth[:, 0]
-    start = [RobotTruth.from_row(r, row) for r, row in enumerate(truth[0])]
-    for (i, j), log in res.theta_log.items():
-        res.theta_true[(i, j)] = ThetaTrue.from_truths(start[i], start[j]).vector
-        res.theta_err[(i, j)] = _row_norms(log - res.theta_true[(i, j)])
+    for (pair, log), theta in zip(res.theta_log.items(),
+                                  true_thetas(truth[0], list(res.theta_log))):
+        res.theta_true[pair] = theta
+        res.theta_err[pair] = row_norms(log - theta)
     for i, rt in res.rt_hat.items():
-        psi_i0 = start[i].initial_world_yaw()
-        q_true = Rotation3Z.from_angle(psi_i0).apply_inverse(truth[:, i, :3] - lead[:, :3])
+        q_true = frame_offset(truth[:, i], lead, truth[0, i])
         yaw = truth[:, i, 3] - lead[:, 3]
         res.q0_true[i] = q_true[0].copy()
-        res.q0_err[i] = _row_norms(res.q0_hat[i] - res.q0_true[i])
-        res.q_rt_err[i] = _row_norms(rt[:, :3] - q_true)
+        res.q0_err[i] = row_norms(res.q0_hat[i] - res.q0_true[i])
+        res.q_rt_err[i] = row_norms(rt[:, :3] - q_true)
         res.trig_rt_err[i] = np.array([math.hypot(c - cy, s - sy) for c, s, cy, sy in
                                        zip(rt[:, 3], rt[:, 4], np.cos(yaw), np.sin(yaw))])
         res.track_truth[i] = tracking_error_truth_rows(truth[:, i], lead, spec.offset(i))
@@ -681,6 +675,10 @@ def write_run(res: RunResult, outdir: str | Path) -> Path:
 
 
 def run_to_dir(config: ScenarioConfig, outdir: str | Path, seed: int | None = None) -> RunResult:
+    """Run and write the logs to `outdir`, checking the seed and making and
+    clearing `outdir` first: a bad seed or path fails before the run."""
+    seed = check_seed(config.seed if seed is None else seed)
+    _clear_outputs(outdir)
     res = run(config, seed)
     write_run(res, outdir)
     return res
@@ -730,7 +728,8 @@ def sweep(base: ScenarioConfig, axis: str, values, seeds: int,
     Seeds are base.seed + s for s in range(seeds), so cells along the axis
     are seed-matched.  Individual run failures are recorded and the sweep
     continues.  An empty grid (no values, or seeds < 1) raises a
-    ConfigError before any run or file write.
+    ConfigError before any run or file write; `outdir` is made and cleared
+    of earlier outputs before the first run.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
@@ -739,6 +738,8 @@ def sweep(base: ScenarioConfig, axis: str, values, seeds: int,
     values = list(values)
     if not values:
         raise ConfigError("values must hold at least one value")
+    if outdir is not None:
+        outdir = _clear_outputs(outdir)
     rows, failures = [], []
     for value in values:
         for s in range(seeds):
@@ -751,7 +752,6 @@ def sweep(base: ScenarioConfig, axis: str, values, seeds: int,
                 failures.append((value, run_seed, repr(exc)))
     result = SweepResult(axis, rows, failures)
     if outdir is not None:
-        outdir = _clear_outputs(outdir)
         if rows:
             _write_csv(outdir / "cells.csv", list(rows[0]), [list(r.values()) for r in rows])
             agg_rows = []

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import row_norms
 from .sensing import MeasurementTriplet
 
 
@@ -76,10 +77,8 @@ class JudgeBank:
         """
         pairs, cap = self.ring.shape[:2]
         disp = (z[:, None, :] - self.ring[:, :, 1:7]).reshape(pairs, cap, 2, 3)
-        # vecdot reduces each 3-vector with the same BLAS dot product
-        # np.linalg.norm uses, so every slack is bit-equal to the
-        # per-entry norm(z_i - z_i') + norm(z_j - z_j').
-        dist = np.sqrt(np.vecdot(disp, disp))
+        # Every slack is the per-entry norm(z_i - z_i') + norm(z_j - z_j').
+        dist = row_norms(disp)
         against = np.abs(d[:, None] - self.ring[:, :, 0]) >= dist[..., 0] + dist[..., 1]
         votes = against.sum(axis=1).tolist()
         size = self.size

@@ -27,7 +27,8 @@ Both the sample build and the record work on a leading pair axis:
 arrays, and takes one retention decision for them.  `build_sample`,
 `DataRecord` and `excitation_ratio` are their one-pair front ends;
 `DataRecord.history` builds `RegressorSample`s from a pair's rows, a view
-valid until the pair's next sample.
+valid until the pair's next sample.  `true_thetas` gives the Theta each
+pair is scored against, from tick-0 truth rows via `world.frame_offset`.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Rotation3Z, cross2
-from .world import RobotTruth, VelocityCommand, advance
+from .geometry import Rotation3Z, cross2, row_norms
+from .world import RobotTruth, VelocityCommand, advance, frame_offset, frame_yaw
 
 THETA_DIM = 7
 
@@ -106,7 +107,7 @@ def build_samples(prev: np.ndarray,
         ybar.append(0.5 * (ddsq - uiui - ujuj) - uipi - ujpj
                     + uiz * pjz + piz * ujz + uiz * ujz)
     psi = np.array(psi).reshape(-1, THETA_DIM)
-    norm = np.sqrt(np.vecdot(psi, psi))
+    norm = row_norms(psi)
     # Rows below PSI_EPS are no sample; dividing them by PSI_EPS instead
     # keeps them finite.
     scale = np.maximum(norm, PSI_EPS)
@@ -321,32 +322,22 @@ def excitation_ratio(data: DataRecord) -> float:
     return excitation_ratios(data._bank)[data._row]
 
 
-@dataclass(frozen=True)
-class ThetaTrue:
-    """Ground-truth parameter vector for one ordered pair (test/metrics only)."""
-
-    p0: np.ndarray          # initial relative position in frame O_i
-    q0_h: np.ndarray        # R(theta0)' applied to the horizontal part of p0
-    c0: float
-    s0: float
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.p0[0], self.p0[1], self.p0[2],
-                         self.q0_h[0], self.q0_h[1], self.c0, self.s0])
-
-    @classmethod
-    def from_truths(cls, truth_i: RobotTruth, truth_j: RobotTruth) -> "ThetaTrue":
-        """Built from the robots' initial states (odometry must still be zero)."""
-        for t in (truth_i, truth_j):
-            if float(np.linalg.norm(t.odom_pose.position())) > 0 or t.odom_pose.yaw.radians != 0:
-                raise ValueError("ThetaTrue must be computed from initial states")
-        psi_i0 = truth_i.initial_world_yaw()
-        theta0 = truth_j.initial_world_yaw() - psi_i0
-        diff = truth_i.world_pose.position() - truth_j.world_pose.position()
-        p0 = Rotation3Z(np.cos(psi_i0), np.sin(psi_i0)).apply_inverse(diff)
-        r0 = Rotation3Z(float(np.cos(theta0)), float(np.sin(theta0)))
-        return cls(p0, r0.apply_inverse(p0)[:2], r0.c, r0.s)
+def true_thetas(start, pairs) -> np.ndarray:
+    """Ground-truth parameter vector of every ordered pair (i, j) of
+    `pairs`, one (pairs, 7) row each, from the robots' truth rows `start`
+    (`RobotTruth.as_row`) at tick 0: p0 is i's offset from j in i's
+    initial odometry frame, theta0 the yaw of j's frame in i's (test and
+    metrics path only).  Raises ValueError unless those robots' odometry is
+    still zero."""
+    start = np.asarray(start, dtype=float)
+    a, b = start[[i for i, _ in pairs]], start[[j for _, j in pairs]]
+    if np.any(a[:, 4:] != 0) or np.any(b[:, 4:] != 0):
+        raise ValueError("true_thetas must be computed from initial states")
+    p0 = frame_offset(a, b, a)
+    theta0 = frame_yaw(b) - frame_yaw(a)
+    c0, s0 = np.cos(theta0), np.sin(theta0)
+    q0_h = Rotation3Z(c0, s0).apply_inverse(p0)[:, :2]
+    return np.column_stack((p0, q0_h, c0, s0))
 
 
 @dataclass(frozen=True)

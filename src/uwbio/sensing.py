@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import RobotTruth, world_distance
+from .world import RobotTruth
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,9 @@ class RangeStream:
         self.rng = pair_rng(master_seed, i, j)
 
     def sample(self, truth_i: RobotTruth, truth_j: RobotTruth) -> tuple[float, bool]:
-        return self.draw(world_distance(truth_i, truth_j))
+        """One draw for two robots' truths: a front end to `draw`."""
+        return self.draw(float(np.linalg.norm(truth_i.world_pose.position()
+                                              - truth_j.world_pose.position())))
 
     def draw(self, distance: float) -> tuple[float, bool]:
         """Noisy range for a true distance, and whether it is an injected outlier."""

@@ -5,7 +5,8 @@ only to synthesize sensor data and to score estimates, and the odometry
 pose, i.e. the cumulative displacement in the frame fixed at the robot's
 own start pose (x-axis along the initial heading).  Integration uses exact
 circular arcs so that frame-consistency identities hold to near machine
-precision over long runs.
+precision over long runs.  Every ground truth is computed from truth rows
+(`RobotTruth.as_row`) by `frame_offset`.
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ class RobotTruth:
         w, o = self.world_pose, self.odom_pose
         return (w.x, w.y, w.z, w.yaw.radians, o.x, o.y, o.z, o.yaw.radians)
 
-    def initial_world_yaw(self) -> float:
-        """World yaw of the odometry frame's x-axis."""
-        return self.world_pose.yaw.radians - self.odom_pose.yaw.radians
-
 
 def advance(rows: list, cmds: list, dt: float) -> list[list[float]]:
     """Integrate the unicycle kinematics of every robot over one step.
@@ -112,18 +109,18 @@ def step(state: RobotTruth, cmd: VelocityCommand, dt: float) -> RobotTruth:
     return RobotTruth.from_row(state.id, row)
 
 
-def relative_truth(a: RobotTruth, b: RobotTruth) -> tuple[np.ndarray, Angle]:
-    """Ground-truth relative position of (a minus b) in frame O_a, and
-    the relative orientation of b's body frame measured in a's.
-
-    Test/metrics path only; estimators never see this.
-    """
-    psi_a0 = a.initial_world_yaw()
-    diff = a.world_pose.position() - b.world_pose.position()
-    p = Rotation3Z.from_angle(psi_a0).apply_inverse(diff)
-    theta = b.world_pose.yaw.radians - a.world_pose.yaw.radians
-    return p, Angle(theta)
+def frame_yaw(rows) -> np.ndarray:
+    """World yaw of the initial odometry frame of truth rows
+    (`RobotTruth.as_row`, one or a stack): yaw minus odometry yaw."""
+    rows = np.asarray(rows, dtype=float)
+    return rows[..., 3] - rows[..., 7]
 
 
-def world_distance(a: RobotTruth, b: RobotTruth) -> float:
-    return float(np.linalg.norm(a.world_pose.position() - b.world_pose.position()))
+def frame_offset(a, b, frame) -> np.ndarray:
+    """World position offset a - b of truth rows (one each, or (m, 8)
+    stacks) in the initial odometry frame of the truth row `frame`, one
+    for all rows or one per row.  Truth scoring and truth feedback only;
+    estimators never see this."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    psi0 = frame_yaw(frame)
+    return Rotation3Z(np.cos(psi0), np.sin(psi0)).apply_inverse(a[..., :3] - b[..., :3])

@@ -9,8 +9,8 @@ import pytest
 
 from uwbio.estimation import RelativePoseEstimate
 from uwbio.geometry import Rotation3Z
-from uwbio.regression import DataRecord, RegressorSample, ThetaTrue, build_sample
-from uwbio.world import RobotTruth, VelocityCommand, step, world_distance
+from uwbio.regression import DataRecord, RegressorSample, build_sample, true_thetas
+from uwbio.world import RobotTruth, VelocityCommand, frame_offset, frame_yaw, step
 
 
 def circle_cmd(r: float, c_v: float, c_w: float):
@@ -20,23 +20,29 @@ def circle_cmd(r: float, c_v: float, c_w: float):
     return cmd
 
 
+def distance(a: RobotTruth, b: RobotTruth) -> float:
+    """World distance between two robots, as `RangeStream.sample` takes it."""
+    return float(np.linalg.norm(a.world_pose.position() - b.world_pose.position()))
+
+
 def run_pair(cmd_i, cmd_j, ticks: int, dt: float = 0.05,
              pose_i=(1.5, 1.0, 0.0, 2.0), pose_j=(0.0, 0.0, 0.0, 0.0)):
-    """Noise-free scripted pair: returns (samples, theta_true, trajectories).
+    """Noise-free scripted pair: returns (samples, theta_true, trajectories),
+    theta_true the pair's 7-vector.
 
     Robot i observes robot j; samples are built from consecutive exact
     measurements, skipping degenerate intervals.
     """
     ti = RobotTruth.spawn(1, *pose_i)
     tj = RobotTruth.spawn(0, *pose_j)
-    theta = ThetaTrue.from_truths(ti, tj)
+    theta, = true_thetas([ti.as_row(), tj.as_row()], [(0, 1)])
     samples = []
     truths = [(ti, tj)]
     for k in range(ticks):
         t = k * dt
         ni, nj = step(ti, cmd_i(t), dt), step(tj, cmd_j(t), dt)
         s = build_sample(
-            world_distance(ti, tj), world_distance(ni, nj),
+            distance(ti, tj), distance(ni, nj),
             (ti.odom_pose.position(), ni.odom_pose.position() - ti.odom_pose.position()),
             (tj.odom_pose.position(), nj.odom_pose.position() - tj.odom_pose.position()),
             t_k=k)
@@ -84,11 +90,9 @@ def random_world_poses(rng: np.random.Generator, n: int) -> list[RobotTruth]:
 
 def truth_pairwise(truths, i: int, j: int) -> RelativePoseEstimate:
     """Exact pairwise initial relative pose for ground-truth composition tests."""
-    psi_i = truths[i].initial_world_yaw()
-    psi_j = truths[j].initial_world_yaw()
-    diff = truths[i].world_pose.position() - truths[j].world_pose.position()
-    p0 = Rotation3Z.from_angle(psi_i).apply_inverse(diff)
-    return RelativePoseEstimate(p0, Rotation3Z.from_angle(psi_j - psi_i))
+    ti, tj = truths[i].as_row(), truths[j].as_row()
+    p0 = frame_offset(ti, tj, ti)
+    return RelativePoseEstimate(p0, Rotation3Z.from_angle(frame_yaw(tj) - frame_yaw(ti)))
 
 
 def random_dag(rng: np.random.Generator, max_layers: int = 4):

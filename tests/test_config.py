@@ -83,6 +83,18 @@ class TestValidation:
         with pytest.raises(Exception):
             config_from_dict(d)
 
+    def test_one_robot_rejected(self):
+        # A lone leader has no pair to estimate; the run would fail at once.
+        cfg = two_robot_benchmark()
+        with pytest.raises(ConfigError, match="robots"):
+            replace(cfg, robots=cfg.robots[:1], edges=(), formation={})
+
+    def test_one_robot_rejected_at_load(self):
+        d = two_robot_benchmark().to_dict()
+        d.update(robots=d["robots"][:1], edges=[], formation={})
+        with pytest.raises(ConfigError, match="robots"):
+            config_from_dict(d)
+
     def test_bad_dt(self):
         d = two_robot_benchmark().to_dict()
         d["dt"] = -0.1

@@ -70,7 +70,7 @@ class TestClUpdate:
                                 phis.T @ ys + current.phi * current.y)
         assert np.linalg.norm(est.theta_hat - batch) < 1e-6
         # Noise-free, so the least-squares solution is the truth itself.
-        assert np.linalg.norm(batch - theta_true.vector) < 1e-9
+        assert np.linalg.norm(batch - theta_true) < 1e-9
 
     def test_per_step_contraction_bound(self, rng):
         # With the proof-variant rate every update satisfies both the norm
@@ -78,7 +78,7 @@ class TestClUpdate:
         samples, theta_true, _ = benchmark_pair(ticks=1200)
         rec = filled_record(samples)
         est = est_from(rec, variant="proof")
-        truth = theta_true.vector
+        truth = theta_true
         lam_min, lam_max = rec.lambda_min, rec.lambda_max
         rho = math.sqrt(1.0 - lam_min ** 2 / (1.0 + lam_max) ** 2)
         current = samples[-1]
@@ -95,7 +95,7 @@ class TestClUpdate:
         samples, theta_true, _ = benchmark_pair(ticks=1200)
         rec = filled_record(samples)
         est = est_from(rec)
-        truth = theta_true.vector
+        truth = theta_true
         prev = np.linalg.norm(est.theta_hat - truth)
         for s in samples[-200:]:
             est = cl_update(est, s)
@@ -130,8 +130,8 @@ class TestReconstructPose:
         for s in samples[-1000:]:
             est = cl_update(est, s)
         pose = reconstruct_pose(est)
-        assert np.linalg.norm(pose.p0_hat - theta_true.p0) < 1e-4
-        true_yaw = math.atan2(theta_true.s0, theta_true.c0)
+        assert np.linalg.norm(pose.p0_hat - theta_true[:3]) < 1e-4
+        true_yaw = math.atan2(theta_true[6], theta_true[5])
         assert abs(pose.R0_hat.yaw() - true_yaw) < 1e-4
 
 
@@ -139,10 +139,10 @@ class TestRealtimeRelativePose:
     """The real-time pose of a layer-1 robot i relative to the leader j:
     `leader_realtime_rows` on the leader estimate row that `reconstruct_poses`
     makes of the pair's theta.  Its trig pair is of the yaw of i's body
-    frame in j's, the negative of the relative yaw `relative_truth` gives."""
+    frame in j's, the negative of the yaw of j's body frame in i's."""
 
     def _realtime(self, theta_true, odom_i, odom_j):
-        (q0_x, q0_y, q0_z, c, s), = reconstruct_poses(theta_true.vector[None])
+        (q0_x, q0_y, q0_z, c, s), = reconstruct_poses(theta_true[None])
         (x, y, z, c_hat, s_hat), = leader_realtime_rows([(q0_x, q0_y, q0_z, c, s)], [odom_i],
                                                          odom_j)
         return np.array([x, y, z]), c_hat, s_hat
@@ -150,19 +150,20 @@ class TestRealtimeRelativePose:
     def test_at_start_returns_initials(self):
         samples, theta_true, _ = benchmark_pair(ticks=10)
         p, c, s = self._realtime(theta_true, (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
-        assert np.allclose(p, theta_true.p0, atol=1e-12)
-        assert math.atan2(-s, c) == pytest.approx(math.atan2(theta_true.s0, theta_true.c0))
+        assert np.allclose(p, theta_true[:3], atol=1e-12)
+        assert math.atan2(-s, c) == pytest.approx(math.atan2(theta_true[6], theta_true[5]))
 
     def test_matches_truth_along_trajectory(self):
-        from uwbio.world import relative_truth
+        from uwbio.world import frame_offset
         samples, theta_true, truths = benchmark_pair(ticks=400)
         for k in (50, 200, 399):
             ti, tj = truths[k]
             p, c, s = self._realtime(theta_true, ti.as_row()[4:], tj.as_row()[4:])
-            p_true, theta_true_t = relative_truth(ti, tj)
+            p_true = frame_offset(ti.as_row(), tj.as_row(), ti.as_row())
+            theta_true_t = tj.world_pose.yaw.radians - ti.world_pose.yaw.radians
             assert np.allclose(p, p_true, atol=1e-9)
-            assert c == pytest.approx(math.cos(theta_true_t.radians), abs=1e-9)
-            assert -s == pytest.approx(math.sin(theta_true_t.radians), abs=1e-9)
+            assert c == pytest.approx(math.cos(theta_true_t), abs=1e-9)
+            assert -s == pytest.approx(math.sin(theta_true_t), abs=1e-9)
 
     @pytest.mark.slow
     def test_bounded_noise_error_scales_linearly(self):
@@ -202,4 +203,4 @@ class TestRealtimeRelativePose:
         for s_a, s_b in zip(base[0], alt[0]):
             assert np.allclose(s_a.phi, s_b.phi, atol=1e-9)
             assert s_a.y == pytest.approx(s_b.y, abs=1e-9)
-        assert np.allclose(base[1].vector, alt[1].vector, atol=1e-9)
+        assert np.allclose(base[1], alt[1], atol=1e-9)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uwbio.geometry import DegenerateRotation, Rotation3Z, cross2, unit_pair
-from uwbio.world import RobotTruth, relative_truth
+from uwbio.world import RobotTruth
 
 angles = st.floats(-50.0, 50.0, allow_nan=False)
 coords = st.floats(-100.0, 100.0, allow_nan=False)
@@ -110,7 +110,8 @@ class TestAngle:
         a = RobotTruth.spawn(0, 0.0, 0.0, 0.0, 4.0)
         b = RobotTruth.spawn(1, 0.0, 0.0, 0.0, 7.0)
         assert b.world_pose.yaw.radians == 7.0   # unwrapped storage
-        assert relative_truth(b, a)[1].radians == -3.0
+        # The relative yaw of a's body frame measured in b's.
+        assert a.world_pose.yaw.radians - b.world_pose.yaw.radians == -3.0
 
 
 class TestRotation3Z:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import circle_cmd
+from conftest import circle_cmd, distance
 from uwbio.outliers import JudgeBank, JudgeQueue, ScreenResult
 from uwbio.sensing import MeasurementTriplet
-from uwbio.world import RobotTruth, step, world_distance
+from uwbio.world import RobotTruth, step
 
 
 def triplet(d, zi, zj, t_k=0):
@@ -87,7 +87,7 @@ class TestScreen:
         q = JudgeQueue()
         dt = 0.05
         for k in range(500):
-            res = q.screen(triplet(world_distance(ti, tj),
+            res = q.screen(triplet(distance(ti, tj),
                                    ti.odom_pose.position(), tj.odom_pose.position(), k))
             assert not res.is_outlier
             ti, tj = step(ti, ci(k * dt), dt), step(tj, cj(k * dt), dt)
@@ -105,7 +105,7 @@ class TestScreen:
         zj = np.zeros(3)
         prev_i, prev_j = ti, tj
         for k in range(10_000):
-            d = world_distance(ti, tj) + rng.normal(0, 0.05)
+            d = distance(ti, tj) + rng.normal(0, 0.05)
             zi = zi + (ti.odom_pose.position() - prev_i.odom_pose.position()) \
                 + rng.normal(0, 0.05, 3)
             zj = zj + (tj.odom_pose.position() - prev_j.odom_pose.position()) \

@@ -19,7 +19,9 @@ The per-robot layers (physics and odometry, layered composition, real-time
 estimate and tracking error, commands, truth feedback) run as one pass over
 float rows per tick, against copies of the one-robot object code they
 replaced, and the observability probe steps and samples its pair with the
-same passes, against its per-tick loop.
+same passes, against its per-tick loop.  Every ground truth goes through
+`world.frame_offset` and `regression.true_thetas`, against copies of the
+one-robot and one-pair truth code they replaced.
 """
 
 import math
@@ -29,24 +31,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import circle_cmd, random_dag
+from conftest import circle_cmd, distance, random_dag
 from uwbio import control, harness, regression, world
 from uwbio.config import RandomInit, Saturation
 from uwbio.control import TrackingError, tracking_error_rows
 from uwbio.cooploc import assign_layers, compose_layers, composition_plan, leader_realtime_rows
 from uwbio.estimation import cl_update, cl_update_all, learning_rate, reconstruct_poses
-from uwbio.geometry import NORM_TOL, Angle, DegenerateRotation, Rotation3Z
-from uwbio.harness import _row_norms, run
+from uwbio.geometry import NORM_TOL, Angle, DegenerateRotation, Rotation3Z, row_norms
+from uwbio.harness import run
 from uwbio.outliers import JudgeBank, JudgeQueue, ScreenResult
 from uwbio.regression import (MIN_SWAP_GAIN, THETA_DIM, VOLUME_EPS, DataRecord, MotionProfile,
                               RankDiagnosis, RecordBank, RegressorSample, build_sample,
-                              observability_probe)
+                              observability_probe, true_thetas)
 from uwbio.scenarios import chain_swarm, four_robot_formation
-from uwbio.sensing import MeasurementTriplet, NoiseModel, odom_step
-from uwbio.world import OMEGA_EPS, Pose4, RobotTruth, VelocityCommand, advance, step, \
-    world_distance
+from uwbio.sensing import MeasurementTriplet, NoiseModel, RangeStream, odom_step
+from uwbio.world import OMEGA_EPS, Pose4, RobotTruth, VelocityCommand, advance, frame_offset, \
+    step
 
 
 class ReferenceJudgeQueue:
@@ -225,7 +227,7 @@ def test_row_norms_equal_per_row_norm(width, rows, nan_rows):
     before an estimate exists) included, must equal np.linalg.norm of it."""
     d = np.array(rows, dtype=float).reshape(-1, 7)[:, :width]
     d[[i for i, nan in enumerate(nan_rows[:len(d)]) if nan]] = np.nan
-    got = _row_norms(d)
+    got = row_norms(d)
     want = np.array([np.linalg.norm(row) for row in d])
     assert got.tobytes() == want.tobytes()
 
@@ -364,7 +366,7 @@ def reference_tracking_error_truth(robot: RobotTruth, leader: RobotTruth,
                                    offset: np.ndarray) -> TrackingError:
     """One robot's ground-truth formation error through Rotation3Z.from_angle
     and math.cos/math.sin."""
-    psi_00 = leader.initial_world_yaw()
+    psi_00 = leader.world_pose.yaw.radians - leader.odom_pose.yaw.radians
     psi_i = robot.world_pose.yaw.radians
     p_i0 = Rotation3Z.from_angle(psi_00).apply_inverse(
         robot.world_pose.position() - leader.world_pose.position())
@@ -390,6 +392,143 @@ def test_track_truth_equals_tracking_error_truth(config):
                                                RobotTruth.from_row(0, row[0]), spec.offset(i))
             want.append([e.e_p[0], e.e_p[1], e.e_p[2], e.e_c, e.e_s])
         assert track.tobytes() == np.array(want).tobytes()
+
+
+# -- ground truth ----------------------------------------------------------------
+#
+# Every truth the program scores against is an offset between truth rows in
+# some robot's initial odometry frame, computed by `world.frame_offset`.  The
+# references below are copies of the one-robot and one-pair code it
+# replaced: `relative_truth`, `ThetaTrue.from_truths` and the lines of
+# `_score_truth` that took each follower's frame from its tick-0 truth.
+
+
+def reference_relative_truth(a: RobotTruth, b: RobotTruth) -> tuple[np.ndarray, Angle]:
+    """Ground-truth relative position of (a minus b) in frame O_a, and
+    the relative orientation of b's body frame measured in a's."""
+    psi_a0 = a.world_pose.yaw.radians - a.odom_pose.yaw.radians
+    diff = a.world_pose.position() - b.world_pose.position()
+    p = Rotation3Z.from_angle(psi_a0).apply_inverse(diff)
+    theta = b.world_pose.yaw.radians - a.world_pose.yaw.radians
+    return p, Angle(theta)
+
+
+def reference_theta_true(truth_i: RobotTruth, truth_j: RobotTruth) -> np.ndarray:
+    """The ground-truth parameter vector of one pair from the robots'
+    initial states (odometry must still be zero)."""
+    for t in (truth_i, truth_j):
+        if float(np.linalg.norm(t.odom_pose.position())) > 0 or t.odom_pose.yaw.radians != 0:
+            raise ValueError("ThetaTrue must be computed from initial states")
+    psi_i0 = truth_i.world_pose.yaw.radians - truth_i.odom_pose.yaw.radians
+    theta0 = (truth_j.world_pose.yaw.radians - truth_j.odom_pose.yaw.radians) - psi_i0
+    diff = truth_i.world_pose.position() - truth_j.world_pose.position()
+    p0 = Rotation3Z(np.cos(psi_i0), np.sin(psi_i0)).apply_inverse(diff)
+    r0 = Rotation3Z(float(np.cos(theta0)), float(np.sin(theta0)))
+    q0_h = r0.apply_inverse(p0)[:2]
+    return np.array([p0[0], p0[1], p0[2], q0_h[0], q0_h[1], r0.c, r0.s])
+
+
+def reference_follower_truth(truth: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Follower i's true leader-relative position at every tick, in the
+    frame of its tick-0 truth, and its true yaw relative to the leader."""
+    lead = truth[:, 0]
+    start = RobotTruth.from_row(i, truth[0, i])
+    psi_i0 = start.world_pose.yaw.radians - start.odom_pose.yaw.radians
+    q_true = Rotation3Z.from_angle(psi_i0).apply_inverse(truth[:, i, :3] - lead[:, :3])
+    yaw = truth[:, i, 3] - lead[:, 3]
+    return q_true, yaw
+
+
+# Truth rows: yaws well past +-pi, and nonzero odometry (a frame yaw other
+# than the world yaw) unless `still`.
+wide_yaw = st.floats(-12.0, 12.0, allow_nan=False)
+planar_coord = st.floats(-50, 50, allow_nan=False)
+
+
+def truth_row(still: bool = False):
+    pos = st.tuples(planar_coord, planar_coord, st.floats(-3, 3))
+    odom = st.just((0.0, 0.0, 0.0, 0.0)) if still else \
+        st.tuples(planar_coord, planar_coord, st.floats(-3, 3), wide_yaw)
+    return st.builds(lambda p, yaw, o: (*p, yaw, *o), pos, wide_yaw, odom)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.lists(truth_row(), min_size=1, max_size=6), data=st.data())
+def test_frame_offset_matches_reference(a, data):
+    """`frame_offset` against `relative_truth`, per row with one frame row
+    per row and as one stack, and against `_score_truth`'s lines with one
+    frame row for all rows."""
+    b = data.draw(st.lists(truth_row(), min_size=len(a), max_size=len(a)))
+    frame = data.draw(truth_row())
+    objs = [(RobotTruth.from_row(0, ra), RobotTruth.from_row(1, rb)) for ra, rb in zip(a, b)]
+    want = [reference_relative_truth(ta, tb)[0] for ta, tb in objs]
+    for ra, rb, w in zip(a, b, want):
+        assert bits(frame_offset(ra, rb, ra)) == bits(w)
+    assert bits(frame_offset(a, b, a)) == bits(np.array(want))
+    ft = RobotTruth.from_row(2, frame)
+    psi = ft.world_pose.yaw.radians - ft.odom_pose.yaw.radians
+    want_one = Rotation3Z.from_angle(psi).apply_inverse(np.array(a)[:, :3] - np.array(b)[:, :3])
+    assert bits(frame_offset(a, b, frame)) == bits(want_one)
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.lists(truth_row(still=True), min_size=2, max_size=6), data=st.data())
+def test_true_thetas_match_reference(start, data):
+    """`true_thetas` over any list of ordered pairs against
+    `ThetaTrue.from_truths(...).vector` per pair."""
+    n = len(start)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda p: p[0] != p[1]), min_size=1, max_size=8))
+    truths = [RobotTruth.from_row(r, row) for r, row in enumerate(start)]
+    got = true_thetas(start, pairs)
+    assert got.shape == (len(pairs), THETA_DIM)
+    assert bits(got) == bits(np.array([reference_theta_true(truths[i], truths[j])
+                                       for i, j in pairs]))
+
+
+@given(rows=st.lists(truth_row(), min_size=2, max_size=2))
+def test_true_thetas_guard_matches_reference(rows):
+    """Both raise ValueError on nonzero odometry of either robot.  (An
+    odometry position whose squares underflow, 1e-200 say, has norm 0 and
+    passed the reference's guard; `true_thetas` rejects it too.)"""
+    assume(any(abs(v) > 1e-100 for row in rows for v in row[4:]))
+    truths = [RobotTruth.from_row(r, row) for r, row in enumerate(rows)]
+    with pytest.raises(ValueError):
+        reference_theta_true(*truths)
+    with pytest.raises(ValueError):
+        true_thetas(rows, [(0, 1)])
+
+
+@pytest.mark.parametrize("config", [
+    chain_swarm(4, seed=2, noise=NoiseModel(0.05, 0.002, 0.001), duration_s=20.0),
+    four_robot_formation(noise=NoiseModel(0.05, 0.002, 0.001), seed=2, duration_s=10.0),
+], ids=["chain3d", "formation_planar"])
+def test_score_truth_matches_reference(config):
+    """Every truth field of a run against the reference truth of its logged
+    truth rows, bit for bit: theta_true per pair, and q0_true, q0_err,
+    q_rt_err and trig_rt_err per follower, each follower's frame read off
+    its tick-0 row.  Its frame yaw read per tick would move q_rt_err: yaw
+    minus odometry yaw drifts in its last bit over a run."""
+    res = run(config)
+    start = [RobotTruth.from_row(r, row) for r, row in enumerate(res.truth[0])]
+    for (i, j), theta in res.theta_true.items():
+        assert bits(theta) == bits(reference_theta_true(start[i], start[j]))
+        assert bits(res.theta_err[i, j]) == bits(np.array(
+            [np.linalg.norm(row - theta) for row in res.theta_log[i, j]]))
+    drift = False
+    for i, rt in res.rt_hat.items():
+        q_true, yaw = reference_follower_truth(res.truth, i)
+        assert bits(res.q0_true[i]) == bits(q_true[0])
+        assert bits(res.q0_err[i]) == bits(np.array(
+            [np.linalg.norm(row - q_true[0]) for row in res.q0_hat[i]]))
+        assert bits(res.q_rt_err[i]) == bits(np.array(
+            [np.linalg.norm(row - q) for row, q in zip(rt[:, :3], q_true)]))
+        assert bits(res.trig_rt_err[i]) == bits(np.array(
+            [math.hypot(c - math.cos(y), s - math.sin(y))
+             for c, s, y in zip(rt[:, 3], rt[:, 4], yaw)]))
+        per_tick = frame_offset(res.truth[:, i], res.truth[:, 0], res.truth[:, i])
+        drift |= bits(per_tick) != bits(q_true)
+    assert drift, "no follower's frame yaw drifts: the tick-0 frame is untested"
 
 
 # -- per-robot layers ----------------------------------------------------------
@@ -716,7 +855,7 @@ def forbidden(*targets):
 # them by.
 FRONT_ENDS = ((control, "tracking_error_truth"), (harness, "tracking_error_truth"),
               (world, "step"), (harness, "step"), (regression, "build_sample"),
-              (harness, "build_sample"), (world, "world_distance"),
+              (harness, "build_sample"), (RangeStream, "sample"),
               (RobotTruth, "spawn"), (RobotTruth, "from_row"))
 
 
@@ -747,8 +886,8 @@ def test_truth_feedback_tick_builds_no_one_robot_objects(planar, cruise):
 def reference_observability_probe(profile: MotionProfile, ticks: int = 100,
                                   dt: float = 0.05, zero_tol: float = 1e-12) -> RankDiagnosis:
     """The probe as a per-tick loop: one-robot `step`s, one `build_sample`
-    per interval from `world_distance`, S summed one outer product at a
-    time."""
+    per interval from the robots' world distance, S summed one outer
+    product at a time."""
     ti, tj = profile.truth_i, profile.truth_j
     S = np.zeros((THETA_DIM, THETA_DIM))
     for k in range(ticks):
@@ -756,7 +895,7 @@ def reference_observability_probe(profile: MotionProfile, ticks: int = 100,
         ni = step(ti, profile.command_i(t), dt)
         nj = step(tj, profile.command_j(t), dt)
         sample = build_sample(
-            world_distance(ti, tj), world_distance(ni, nj),
+            distance(ti, tj), distance(ni, nj),
             (ti.odom_pose.position(), ni.odom_pose.position() - ti.odom_pose.position()),
             (tj.odom_pose.position(), nj.odom_pose.position() - tj.odom_pose.position()),
             t_k=k)

@@ -6,7 +6,7 @@ import pytest
 from conftest import benchmark_pair, circle_cmd, filled_record
 from uwbio.harness import run
 from uwbio.regression import (DataRecord, EmptyRecord, MotionProfile, RegressorSample,
-                              ThetaTrue, build_sample, excitation_ratio, observability_probe)
+                              build_sample, excitation_ratio, observability_probe, true_thetas)
 from uwbio.scenarios import chain_swarm
 from uwbio.sensing import NoiseModel
 from uwbio.world import RobotTruth, VelocityCommand
@@ -42,7 +42,7 @@ class TestBuildSample:
         # y = theta' phi.  This pins the whole derivation end to end.
         samples, theta, _ = benchmark_pair(ticks=800)
         assert len(samples) > 700
-        worst = max(abs(s.phi @ theta.vector - s.y) for s in samples)
+        worst = max(abs(s.phi @ theta - s.y) for s in samples)
         assert worst < 1e-9
 
 
@@ -54,18 +54,25 @@ class TestThetaTrue:
                                  rng.uniform(-3, 3))
             b = RobotTruth.spawn(1, *rng.uniform(-5, 5, 2), rng.uniform(0, 2),
                                  rng.uniform(-3, 3))
-            th = ThetaTrue.from_truths(a, b)
-            c, s = th.c0, th.s0
+            th, = true_thetas([a.as_row(), b.as_row()], [(0, 1)])
+            c, s = th[5], th[6]
             assert c ** 2 + s ** 2 == pytest.approx(1.0, abs=1e-12)
             rot_t = np.array([[c, s], [-s, c]])   # R(theta0)^T
-            assert np.allclose(th.q0_h, rot_t @ th.p0[:2], atol=1e-12)
+            assert np.allclose(th[3:5], rot_t @ th[:2], atol=1e-12)
 
     def test_requires_initial_state(self):
         from uwbio.world import step
         a = RobotTruth.spawn(0, 0, 0, 0, 0)
         moved = step(a, VelocityCommand(1, 0, 0), 1.0)
         with pytest.raises(ValueError):
-            ThetaTrue.from_truths(moved, a)
+            true_thetas([moved.as_row(), a.as_row()], [(0, 1)])
+
+    def test_requires_initial_state_of_the_neighbor(self):
+        from uwbio.world import step
+        a = RobotTruth.spawn(0, 0, 0, 0, 0)
+        turned = step(a, VelocityCommand(0, 0, 1), 1.0)
+        with pytest.raises(ValueError):
+            true_thetas([a.as_row(), turned.as_row()], [(0, 1)])
 
 
 class TestDataRecord:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import distance
 from uwbio.geometry import Angle, Rotation3Z
-from uwbio.world import Pose4, RobotTruth, VelocityCommand, relative_truth, step, world_distance
+from uwbio.world import Pose4, RobotTruth, VelocityCommand, frame_offset, frame_yaw, step
 
 yaws = st.floats(-3.0, 3.0, allow_nan=False)
 coords = st.floats(-10.0, 10.0, allow_nan=False)
@@ -51,26 +52,33 @@ class TestStep:
             assert a.odom_pose == b.odom_pose
 
 
+def relative_yaw(a: RobotTruth, b: RobotTruth) -> float:
+    """Yaw of b's body frame measured in a's."""
+    return b.world_pose.yaw.radians - a.world_pose.yaw.radians
+
+
 class TestRelativeTruth:
+    """`frame_offset` gives a - b in a's initial odometry frame."""
+
     def test_identical_poses(self):
         a = RobotTruth.spawn(0, 1, 2, 3, 0.7)
         b = RobotTruth.spawn(1, 1, 2, 3, 0.7)
-        p, theta = relative_truth(a, b)
+        p, theta = frame_offset(a.as_row(), b.as_row(), a.as_row()), relative_yaw(a, b)
         assert np.allclose(p, 0.0, atol=0)
-        assert theta.radians == 0.0
+        assert theta == 0.0
 
     def test_sign_convention(self):
         # p_ab = p_a - p_b expressed in a's odometry frame.
         a = RobotTruth.spawn(0, 0, 0, 0, 0)
         b = RobotTruth.spawn(1, 1, 0, 0, 0)
-        p, _ = relative_truth(a, b)
+        p = frame_offset(a.as_row(), b.as_row(), a.as_row())
         assert np.allclose(p, [-1, 0, 0], atol=0)
 
     @given(coords, coords, yaws, coords, coords, yaws)
     def test_distance_matches_world_norm(self, ax, ay, ayaw, bx, by, byaw):
         a = RobotTruth.spawn(0, ax, ay, 0.5, ayaw)
         b = RobotTruth.spawn(1, bx, by, -0.3, byaw)
-        p, _ = relative_truth(a, b)
+        p = frame_offset(a.as_row(), b.as_row(), a.as_row())
         brute = np.linalg.norm([ax - bx, ay - by, 0.8])
         assert np.linalg.norm(p) == pytest.approx(brute, abs=1e-12 * max(1, brute))
 
@@ -84,7 +92,7 @@ class TestRelativeTruth:
         vb = np.array([math.cos(-1.0) * 0.4 - math.sin(-1.0) * -0.2,
                        math.sin(-1.0) * 0.4 + math.cos(-1.0) * -0.2, 0.9])
         # The rotation taking b's odometry-frame coordinates into a's.
-        R = Rotation3Z.from_angle(b.initial_world_yaw() - a.initial_world_yaw())
+        R = Rotation3Z.from_angle(frame_yaw(b.as_row()) - frame_yaw(a.as_row()))
         assert np.allclose(R.apply(vb), va, atol=1e-12)
 
 
@@ -94,8 +102,8 @@ class TestFrameConsistency:
         # bookkeeping equals the world-frame distance at every tick.
         a = RobotTruth.spawn(0, 0.5, -0.4, 0.0, 0.9)
         b = RobotTruth.spawn(1, 2.0, 1.0, 0.5, -1.7)
-        p0, _ = relative_truth(a, b)
-        R = Rotation3Z.from_angle(b.initial_world_yaw() - a.initial_world_yaw())
+        p0 = frame_offset(a.as_row(), b.as_row(), a.as_row())
+        R = Rotation3Z.from_angle(frame_yaw(b.as_row()) - frame_yaw(a.as_row()))
         dt = 0.05
         for k in range(400):
             t = k * dt
@@ -103,18 +111,18 @@ class TestFrameConsistency:
             cb = VelocityCommand(0.2, -0.04 * math.sin(0.2 * t), 0.4)
             a, b = step(a, ca, dt), step(b, cb, dt)
             p_ij = p0 + a.odom_pose.position() - R.apply(b.odom_pose.position())
-            assert abs(np.linalg.norm(p_ij) - world_distance(a, b)) < 1e-9
+            assert abs(np.linalg.norm(p_ij) - distance(a, b)) < 1e-9
 
     def test_relative_yaw_composition(self):
         a = RobotTruth.spawn(0, 0, 0, 0, 0.9)
         b = RobotTruth.spawn(1, 2, 1, 0, -1.7)
-        theta0 = Rotation3Z.from_angle(b.initial_world_yaw() - a.initial_world_yaw()).yaw()
+        theta0 = Rotation3Z.from_angle(frame_yaw(b.as_row()) - frame_yaw(a.as_row())).yaw()
         for _ in range(200):
             a = step(a, VelocityCommand(0.1, 0, 0.3), 0.05)
             b = step(b, VelocityCommand(0.2, 0, -0.2), 0.05)
-        _, theta = relative_truth(a, b)
+        theta = relative_yaw(a, b)
         composed = theta0 + b.odom_pose.yaw.radians - a.odom_pose.yaw.radians
-        assert theta.radians == pytest.approx(composed, abs=1e-12)
+        assert theta == pytest.approx(composed, abs=1e-12)
 
 
 def test_pose4_accessors():

@@ -15,20 +15,16 @@ if not any(os.environ.get(name) for name in
 del os
 
 from .geometry import Angle, DegenerateRotation, Rotation3Z, cross2
-from .world import Pose4, RobotTruth, VelocityCommand, frame_offset, step
-from .sensing import MeasurementTriplet, NoiseModel
-from .regression import (DataRecord, EmptyRecord, MotionProfile, RankDiagnosis,
-                         RegressorSample, build_sample, excitation_ratio,
-                         observability_probe, true_thetas)
-from .estimation import (RelativePoseEstimate, ThetaEstimate,
-                         cl_update, reconstruct_pose)
-from .cooploc import (LeaderPoseEstimate, MissingNeighborEstimate, TopologyGraph,
-                      UnreachableNode, assign_layers, leader_initial_estimate,
-                      leader_realtime_estimate)
+from .world import Pose4, RobotTruth, VelocityCommand, advance, frame_offset
+from .sensing import NoiseModel, RangeStream, odom_step
+from .regression import (DataRecord, MotionProfile, RankDiagnosis, RecordBank, RegressorSample,
+                         build_samples, excitation_ratios, observability_probe, true_thetas)
+from .estimation import ThetaEstimate, cl_update_all, reconstruct_poses
+from .cooploc import (LeaderPoseEstimate, TopologyGraph, UnreachableNode, assign_layers,
+                      compose_layers, leader_realtime_rows)
 from .control import (ControlGains, ExcitationTimeout, FormationSpec, StageTracker,
-                      TrackingError, stage1_command, stage2_command,
-                      tracking_error_estimated, tracking_error_truth)
-from .outliers import JudgeQueue, ScreenResult
+                      stage1_rows, stage2_rows, tracking_error_rows, tracking_error_truth_rows)
+from .outliers import JudgeBank
 from .metrics import DetectionStats, convergence_time, detection_stats, smoothness
 from .config import (ConfigError, PEBaselineConfig, RandomInit, RobotConfig,
                      ScenarioConfig, config_from_dict, load_config)

@@ -329,7 +329,7 @@ class _Record:
 
 
 class _Formation:
-    """Robot id -> offset; the JSON keys are robot ids as strings."""
+    """Robot id -> offset; the JSON keys are robot ids as `str(id)` writes them."""
 
     _OFFSET = _List(_REAL, 3)
 
@@ -341,6 +341,8 @@ class _Formation:
         for rid, offset in _object(raw, key).items():
             try:
                 robot = int(_STR.load(rid, key))
+                if robot < 0 or rid != str(robot):     # " 1", "+1", "01", "\uff11", ...
+                    raise ValueError
             except ValueError:
                 raise ConfigError(f"formation key {rid!r} is not a robot id") from None
             formation[robot] = self._OFFSET.load(offset, f"formation offset for robot {rid!r}")
@@ -411,9 +413,19 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     return ScenarioConfig(**values)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; raises on a repeated key, where json.loads
+    would keep its last value."""
+    keys = [k for k, _ in pairs]
+    for k in keys:
+        if keys.count(k) > 1:
+            raise ConfigError(f"key {k!r} appears twice in one object")
+    return dict(pairs)
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)

@@ -5,7 +5,10 @@ sinusoid in 3D) purely to excite the pair estimators.  Once every robot's
 recorded data is sufficiently excited, the whole swarm switches to the
 tracking law, which feeds the estimated formation error back around the
 leader's command.  The y error enters only through the w0-coupled term;
-that asymmetry is part of the control law, not an omission.
+that asymmetry is part of the control law, not an omission.  The front ends
+`stage1_command`, `stage2_command`, `tracking_error_estimated` and
+`tracking_error_truth` of the `*_rows` passes, and their `TrackingError`,
+are kept for `benchmarks/tracing.py` until ROADMAP item 1.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ in layer 1 takes its pairwise estimate to the leader directly; a deeper
 robot averages, over its remaining neighbors, the composition of its
 pairwise estimate with the neighbor's own leader estimate, renormalizing
 the averaged rotation.  Real-time leader-relative quantities then follow
-from the two cumulative odometries.
+from the two cumulative odometries.  The front ends `leader_initial_estimate`
+and `leader_realtime_estimate` are kept for `benchmarks/tracing.py` until
+ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -96,10 +98,6 @@ class LeaderPoseEstimate:
     Q0_hat: Rotation3Z
     fresh: int = 0          # tick of last update
 
-    @classmethod
-    def leader_self(cls) -> "LeaderPoseEstimate":
-        return cls(np.zeros(3), Rotation3Z.identity(), 0)
-
 
 def composition_plan(graph: TopologyGraph) -> list[tuple[int, bool, list[tuple[int, int]]]]:
     """The order `compose_layers` visits the followers in, layer by layer
@@ -168,7 +166,8 @@ def leader_initial_estimate(robot: int, graph: TopologyGraph,
         rpe = pairwise.get((robot, j))
         if rpe is None:
             raise MissingNeighborEstimate(f"pair ({robot}, {j}) estimate unavailable")
-        lpe = LeaderPoseEstimate.leader_self() if j == 0 else leader_estimates.get(j)
+        lpe = LeaderPoseEstimate(np.zeros(3), Rotation3Z.identity()) if j == 0 \
+            else leader_estimates.get(j)
         if lpe is None:
             raise MissingNeighborEstimate(f"robot {j} leader estimate unavailable")
         inputs.append(((*rpe.p0_hat.tolist(), rpe.R0_hat.c, rpe.R0_hat.s),

@@ -15,7 +15,9 @@ no-op, so the estimate simply waits for sufficient excitation.
 
 The estimates of all pairs are rows of one (pairs, 7) array, and
 `cl_update_all` steps every pair that got a sample in a tick at once, one
-stacked product per record length; `cl_update` is its one-pair front end.
+stacked product per record length.  The one-pair front ends `cl_update`,
+`reconstruct_pose` and its `RelativePoseEstimate` are kept for
+`benchmarks/tracing.py` until ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -103,10 +105,9 @@ def cl_update(est: ThetaEstimate, current: RegressorSample) -> ThetaEstimate:
     data = est.data
     if len(data) == 0:
         raise ValueError("cl_update requires a non-empty record")
-    # The record may be one row of a bank of several pairs (a run's final
-    # estimators are); the estimate goes into the same row of a bank-sized
-    # theta.
-    bank, row = data._bank, data._row
+    # The record is one row of a bank, maybe of several pairs; the estimate
+    # goes into the same row of a bank-sized theta.
+    bank, row = data.bank, data.row
     theta = np.zeros((len(bank.n), THETA_DIM))
     theta[row] = est.theta_hat
     moved = cl_update_all(theta, bank, [row], current.phi[None],

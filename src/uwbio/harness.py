@@ -58,13 +58,8 @@ from .regression import THETA_DIM, DataRecord, RecordBank, RegressorSample, buil
 from .sensing import RangeStream, odom_step, robot_rng
 from .world import RobotTruth, advance, frame_offset
 
-# The tick runs the stacked stages and row passes (build_samples,
-# cl_update_all, excitation_ratios, reconstruct_poses, compose_layers,
-# leader_realtime_rows, tracking_error_rows, tracking_error_truth_rows,
-# stage1_rows, stage2_rows, advance).  benchmarks/tracing.py still wraps
-# their one-pair and one-robot front ends under these harness names and
-# fails without them (a test in tests/test_harness.py checks that they
-# exist); they can go once it traces the stacked entry points instead.
+# Front ends of the tick's passes, uncalled: benchmarks/tracing.py wraps them
+# under these names until ROADMAP item 1 (tests/test_harness.py checks them).
 from .control import (stage1_command, stage2_command, tracking_error_estimated,  # noqa: F401
                       tracking_error_truth)
 from .cooploc import leader_initial_estimate, leader_realtime_estimate  # noqa: F401
@@ -333,7 +328,7 @@ def _initial_state(config: ScenarioConfig, seed: int) -> SimState:
         truth=_initial_truths(config, seed),
         cum=[[0.0] * 4 for _ in range(n_robots)],
         odom_rngs=[robot_rng(seed, r) for r in range(n_robots)],
-        # The leader's own estimate is LeaderPoseEstimate.leader_self.
+        # The leader's own estimate: its own origin, unrotated.
         lead=[[0.0, 0.0, 0.0, 1.0, 0.0]] + [[math.nan] * 5 for _ in range(n_robots - 1)],
         fresh=[0] + [-1] * (n_robots - 1), errors=[])
 
@@ -508,7 +503,7 @@ def _result(state: SimState, seed: int) -> RunResult:
         return {r: log[:, r] for r in followers}
 
     # One-pair views of the stacked estimator state; they hold none of their own.
-    estimators = {p: ThetaEstimate(state.theta[n], DataRecord(bank=state.bank, row=n),
+    estimators = {p: ThetaEstimate(state.theta[n], DataRecord(state.bank, n),
                                    cfg.rate_variant)
                   for n, p in enumerate(state.pairs)}
     final_lpe = {r: None if state.fresh[r] < 0 else LeaderPoseEstimate(
@@ -564,9 +559,8 @@ def _compute_metrics(res: RunResult) -> RunMetrics:
         m.theta_convergence_s[p] = convergence_time(err, mag, 0.05, res.dt)
     for r, err in res.q0_err.items():
         mag = float(np.linalg.norm(res.q0_true[r]))
-        if np.any(np.isnan(err)):
-            # Never-estimated prefix counts as not converged until it ends.
-            err = np.where(np.isnan(err), np.inf, err)
+        # Never-estimated prefix counts as not converged until it ends.
+        err = np.where(np.isnan(err), np.inf, err)
         m.q0_convergence_s[r] = convergence_time(err, mag, 0.05, res.dt) if mag > 0 else None
     for r, tr in res.track_truth.items():
         pos = np.linalg.norm(tr[:, :3], axis=1)

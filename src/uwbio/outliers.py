@@ -11,7 +11,8 @@ The queues of all pairs are stacked on a leading pair axis (`JudgeBank`):
 each is a fixed ring of `capacity` rows, one per accepted triplet laid out
 as [d, z_i (3), z_j (3), t_k]; at capacity the next triplet overwrites the
 oldest row.  All votes of all pairs in a tick come from one array
-expression over the rings.  `JudgeQueue` is the one-pair front end.
+expression over the rings.  The front end `JudgeQueue.screen` and its
+`ScreenResult` are kept for `benchmarks/tracing.py` until ROADMAP item 1.
 """
 
 from __future__ import annotations

@@ -24,11 +24,13 @@ this end to end, so any sign or term error here cannot survive.
 Both the sample build and the record work on a leading pair axis:
 `build_samples` assembles the samples of all pairs of a tick at once, and a
 `RecordBank` holds the records of all pairs, as rows of (phi, y, t_k)
-arrays, and takes one retention decision for them.  `build_sample`,
-`DataRecord` and `excitation_ratio` are their one-pair front ends;
-`DataRecord.history` builds `RegressorSample`s from a pair's rows, a view
+arrays, and takes one retention decision for them.  A `DataRecord` views
+one pair's rows; its `history` builds `RegressorSample`s from them, a list
 valid until the pair's next sample.  `true_thetas` gives the Theta each
 pair is scored against, from tick-0 truth rows via `world.frame_offset`.
+The one-pair front ends `build_sample`, `DataRecord.add` and
+`excitation_ratio` are kept for `benchmarks/tracing.py` until ROADMAP
+item 1.
 """
 
 from __future__ import annotations
@@ -245,28 +247,22 @@ class RecordBank:
 
 
 class DataRecord:
-    """One pair's recorded samples: a view of one row of a RecordBank.
+    """One pair's recorded samples: a view of row `row` of the RecordBank `bank`.
+    `phis`/`ys` view the retained rows, oldest first (valid until the pair's
+    next sample); `S`, `lambda_min` and `lambda_max` are the bank's entries
+    for the pair.  `history` lists them as `RegressorSample`s: the same list,
+    edits included, until the pair next takes a sample; edits never reach rows."""
 
-    A record made with `DataRecord(planar, hist_cap)` owns a bank of one
-    pair; `DataRecord(bank=bank, row=p)` reads pair p of a shared bank and
-    has the bank's planar mode and hist_cap.  `phis`/`ys` are views of the
-    retained rows, oldest first (valid until the next add), and `S`,
-    `lambda_min` and `lambda_max` are the bank's entries for the pair.
-    `history` lists them as `RegressorSample`s: the same list, edits
-    included, until the pair next takes a sample; edits never reach rows.
-    """
-
-    def __init__(self, planar: bool = False, hist_cap: int = HIST_CAP,
-                 bank: RecordBank | None = None, row: int = 0):
-        self._bank = RecordBank(1, planar, hist_cap) if bank is None else bank
-        self._row = row
+    def __init__(self, bank: RecordBank, row: int):
+        self.bank = bank
+        self.row = row
 
     def __len__(self) -> int:
-        return self._bank.n[self._row]
+        return self.bank.n[self.row]
 
     @property
     def history(self) -> list[RegressorSample]:
-        bank, row = self._bank, self._row
+        bank, row = self.bank, self.row
         if row not in bank._views:
             bank._views[row] = [RegressorSample(*s) for s in zip(
                 self.phis.copy(), self.ys.tolist(), bank.t_ks[row, :len(self)].tolist())]
@@ -274,37 +270,33 @@ class DataRecord:
 
     @property
     def phis(self) -> np.ndarray:
-        return self._bank.phis[self._row, :len(self)]
+        return self.bank.phis[self.row, :len(self)]
 
     @property
     def ys(self) -> np.ndarray:
-        return self._bank.ys[self._row, :len(self)]
+        return self.bank.ys[self.row, :len(self)]
 
     @property
     def S(self) -> np.ndarray:
-        return self._bank.S[self._row]
-
-    @property
-    def active(self) -> np.ndarray:
-        return self._bank.active
+        return self.bank.S[self.row]
 
     @property
     def lambda_min(self) -> float:
-        return float(self._bank.lambda_min[self._row])
+        return float(self.bank.lambda_min[self.row])
 
     # Writable so the benchmark's self-test can corrupt a finished run's
     # eigenvalue and see its checks catch it.
     @lambda_min.setter
     def lambda_min(self, value: float) -> None:
-        self._bank.lambda_min[self._row] = value
+        self.bank.lambda_min[self.row] = value
 
     @property
     def lambda_max(self) -> float:
-        return float(self._bank.lambda_max[self._row])
+        return float(self.bank.lambda_max[self.row])
 
     def add(self, sample: RegressorSample) -> bool:
-        """Record a sample, enforcing the retention policy.  Returns True if kept."""
-        return self._bank.add_all([self._row], np.array([sample.phi], dtype=float),
+        """Offer the pair one sample; returns whether it was kept (`RecordBank.add_all`)."""
+        return self.bank.add_all([self.row], np.array([sample.phi], dtype=float),
                                   np.array([sample.y]), sample.t_k)[0]
 
 
@@ -316,10 +308,11 @@ def excitation_ratios(bank: RecordBank) -> list[float]:
 
 
 def excitation_ratio(data: DataRecord) -> float:
-    """lambda_min / lambda_max of one record, in [0, 1]."""
+    """lambda_min / lambda_max of one record, in [0, 1]: a front end to
+    `excitation_ratios`, which reads 0 where this raises EmptyRecord."""
     if len(data) == 0:
         raise EmptyRecord("no recorded samples")
-    return excitation_ratios(data._bank)[data._row]
+    return excitation_ratios(data.bank)[data.row]
 
 
 def true_thetas(start, pairs) -> np.ndarray:

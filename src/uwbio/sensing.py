@@ -4,7 +4,9 @@ Noise is injected on per-step displacements, not on cumulative positions,
 so dead-reckoned odometry drifts like a random walk, which is what real
 integrated odometry does.  Every sensor stream owns its own generator
 derived from (master seed, stream tag), so adding a stream never perturbs
-the draws of existing ones.
+the draws of existing ones.  The front ends `RangeStream.sample` and
+`OdomStream.update`, and `MeasurementTriplet`, are kept for
+`benchmarks/tracing.py` until ROADMAP item 1.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ pose, i.e. the cumulative displacement in the frame fixed at the robot's
 own start pose (x-axis along the initial heading).  Integration uses exact
 circular arcs so that frame-consistency identities hold to near machine
 precision over long runs.  Every ground truth is computed from truth rows
-(`RobotTruth.as_row`) by `frame_offset`.
+(`RobotTruth.as_row`) by `frame_offset`.  The one-robot front end `step`
+of `advance` is kept for `benchmarks/tracing.py` until ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ class Pose4:
     y: float
     z: float
     yaw: Angle
-
-    @classmethod
-    def zero(cls) -> "Pose4":
-        return cls(0.0, 0.0, 0.0, Angle(0.0))
 
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
@@ -59,7 +56,7 @@ class RobotTruth:
     @classmethod
     def spawn(cls, id: int, x: float, y: float, z: float, yaw: float) -> "RobotTruth":
         """New robot at a world pose; odometry starts exactly at zero."""
-        return cls(id, Pose4(x, y, z, Angle(yaw)), Pose4.zero())
+        return cls(id, Pose4(x, y, z, Angle(yaw)), Pose4(0.0, 0.0, 0.0, Angle(0.0)))
 
     @classmethod
     def from_row(cls, id: int, row) -> "RobotTruth":

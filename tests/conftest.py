@@ -3,14 +3,23 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from uwbio.estimation import RelativePoseEstimate
+from uwbio.cooploc import compose_layers, composition_plan
 from uwbio.geometry import Rotation3Z
-from uwbio.regression import DataRecord, RegressorSample, build_sample, true_thetas
-from uwbio.world import RobotTruth, VelocityCommand, frame_offset, frame_yaw, step
+from uwbio.regression import DataRecord, RecordBank, RegressorSample, build_samples, true_thetas
+from uwbio.world import RobotTruth, VelocityCommand, advance, frame_offset, frame_yaw
+
+
+class Verdict(NamedTuple):
+    """One screened candidate, as the screen logs it."""
+
+    is_outlier: bool
+    votes: int
+    queue_size: int     # queue size at voting time
 
 
 def circle_cmd(r: float, c_v: float, c_w: float):
@@ -20,9 +29,15 @@ def circle_cmd(r: float, c_v: float, c_w: float):
     return cmd
 
 
-def distance(a: RobotTruth, b: RobotTruth) -> float:
-    """World distance between two robots, as `RangeStream.sample` takes it."""
-    return float(np.linalg.norm(a.world_pose.position() - b.world_pose.position()))
+def distance(a, b) -> float:
+    """World distance between two truth rows (`RobotTruth.as_row`)."""
+    return float(np.linalg.norm(np.subtract(a[:3], b[:3])))
+
+
+def stepped(truth: RobotTruth, cmd, dt: float) -> RobotTruth:
+    """`truth` after one `advance` under the command (v_h, v_z, w)."""
+    row, = advance([truth.as_row()], [cmd], dt)
+    return RobotTruth.from_row(truth.id, row)
 
 
 def run_pair(cmd_i, cmd_j, ticks: int, dt: float = 0.05,
@@ -30,26 +45,25 @@ def run_pair(cmd_i, cmd_j, ticks: int, dt: float = 0.05,
     """Noise-free scripted pair: returns (samples, theta_true, trajectories),
     theta_true the pair's 7-vector.
 
-    Robot i observes robot j; samples are built from consecutive exact
-    measurements, skipping degenerate intervals.
+    Robot i observes robot j.  The pair steps with `advance`, and one
+    `build_samples` call builds the samples of all consecutive exact
+    measurements, skipping degenerate intervals, as `observability_probe`
+    does.
     """
     ti = RobotTruth.spawn(1, *pose_i)
     tj = RobotTruth.spawn(0, *pose_j)
     theta, = true_thetas([ti.as_row(), tj.as_row()], [(0, 1)])
-    samples = []
-    truths = [(ti, tj)]
+    rows = [ti.as_row(), tj.as_row()]
+    truth = np.empty((ticks + 1, 2, 8))
+    truth[0] = rows
     for k in range(ticks):
-        t = k * dt
-        ni, nj = step(ti, cmd_i(t), dt), step(tj, cmd_j(t), dt)
-        s = build_sample(
-            distance(ti, tj), distance(ni, nj),
-            (ti.odom_pose.position(), ni.odom_pose.position() - ti.odom_pose.position()),
-            (tj.odom_pose.position(), nj.odom_pose.position() - tj.odom_pose.position()),
-            t_k=k)
-        if s is not None:
-            samples.append(s)
-        ti, tj = ni, nj
-        truths.append((ti, tj))
+        cmds = [cmd_i(k * dt), cmd_j(k * dt)]
+        rows = truth[k + 1] = advance(rows, [(c.v_h, c.v_z, c.w) for c in cmds], dt)
+    diff = truth[:, 0, :3] - truth[:, 1, :3]
+    at = np.column_stack((np.vecdot(diff, diff), truth[:, 0, 4:7], truth[:, 1, 4:7]))
+    phi, y, valid = build_samples(at[:-1], np.diff(at, axis=0))
+    samples = [RegressorSample(phi[k], float(y[k]), k) for k in np.flatnonzero(valid).tolist()]
+    truths = [(RobotTruth.from_row(1, ri), RobotTruth.from_row(0, rj)) for ri, rj in truth]
     return samples, theta, truths
 
 
@@ -58,11 +72,17 @@ def benchmark_pair(ticks: int = 1600, dt: float = 0.05):
     return run_pair(circle_cmd(0.5, 0.3, 0.4), circle_cmd(0.3, 0.1, -0.5), ticks, dt)
 
 
+def offer(bank: RecordBank, sample: RegressorSample, row: int = 0) -> bool:
+    """Offer one sample to pair `row` of a bank; returns whether it was kept."""
+    return bank.add_all([row], sample.phi[None], np.array([sample.y]), sample.t_k)[0]
+
+
 def filled_record(samples, cap: int = 64, planar: bool = False) -> DataRecord:
-    rec = DataRecord(planar=planar, hist_cap=cap)
+    """A one-row bank offered every sample, as a view of its row."""
+    bank = RecordBank(1, planar, cap)
     for s in samples:
-        rec.add(s)
-    return rec
+        offer(bank, s)
+    return DataRecord(bank, 0)
 
 
 def synthetic_record(rng: np.random.Generator, n: int = 20,
@@ -70,12 +90,12 @@ def synthetic_record(rng: np.random.Generator, n: int = 20,
     """Record of random unit regressors with exactly consistent observations."""
     if theta is None:
         theta = rng.normal(size=7)
-    rec = DataRecord()
+    bank = RecordBank(1)
     for k in range(n):
         phi = rng.normal(size=7)
         phi /= np.linalg.norm(phi)
-        rec.add(RegressorSample(phi, float(phi @ theta), k))
-    return rec, theta
+        offer(bank, RegressorSample(phi, float(phi @ theta), k))
+    return DataRecord(bank, 0), theta
 
 
 def random_world_poses(rng: np.random.Generator, n: int) -> list[RobotTruth]:
@@ -88,11 +108,27 @@ def random_world_poses(rng: np.random.Generator, n: int) -> list[RobotTruth]:
     return out
 
 
-def truth_pairwise(truths, i: int, j: int) -> RelativePoseEstimate:
-    """Exact pairwise initial relative pose for ground-truth composition tests."""
+def truth_pairwise(truths, i: int, j: int) -> tuple[float, ...]:
+    """Exact pairwise initial relative pose for ground-truth composition
+    tests, as the (x, y, z, c, s) row `reconstruct_poses` gives."""
     ti, tj = truths[i].as_row(), truths[j].as_row()
     p0 = frame_offset(ti, tj, ti)
-    return RelativePoseEstimate(p0, Rotation3Z.from_angle(frame_yaw(tj) - frame_yaw(ti)))
+    R0 = Rotation3Z.from_angle(frame_yaw(tj) - frame_yaw(ti))
+    return (*p0.tolist(), float(R0.c), float(R0.s))
+
+
+def compose(graph, pairwise: dict, t_k: int = 0, lead=None, fresh=None):
+    """`compose_layers` over `graph` from the pose rows of `pairwise` (a pair
+    left out has none) and each robot's leader estimate row in `lead` with
+    its tick in `fresh` (by default none but the leader's own); returns the
+    updated (lead, fresh)."""
+    n = graph.n_robots
+    if lead is None:
+        lead = [[0.0, 0.0, 0.0, 1.0, 0.0]] + [[math.nan] * 5 for _ in range(n - 1)]
+    fresh = [0] + [-1] * (n - 1) if fresh is None else fresh
+    compose_layers(composition_plan(graph), [pairwise.get(p) for p in graph.ordered_pairs()],
+                   lead, fresh, t_k)
+    return lead, fresh
 
 
 def random_dag(rng: np.random.Generator, max_layers: int = 4):

@@ -10,10 +10,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import circle_cmd, random_dag, random_world_poses, truth_pairwise
+from conftest import circle_cmd, compose, random_dag, random_world_poses, truth_pairwise
 from uwbio.config import RandomInit
-from uwbio.cooploc import assign_layers, leader_initial_estimate
-from uwbio.estimation import ThetaEstimate, cl_update
+from uwbio.cooploc import assign_layers
+from uwbio.estimation import cl_update_all
 from uwbio.harness import run, run_to_dir
 from uwbio.metrics import convergence_time, smoothness
 from uwbio.regression import MotionProfile, observability_probe
@@ -69,12 +69,14 @@ def test_criterion_02_estimator_equals_least_squares(two_robot_clean):
     """Iterated update lands on the batch normal-equation solution."""
     rec = two_robot_clean.final_estimators[PAIR].data
     current = two_robot_clean.last_sample[PAIR]
-    est = ThetaEstimate(np.zeros(7), rec)
+    # The run's record is one row of its bank; the estimate, one row of an
+    # array on the bank's pair axis.
+    theta = np.zeros((len(rec.bank.n), 7))
     for it in range(5000):
-        est = cl_update(est, current)
+        cl_update_all(theta, rec.bank, [rec.row], current.phi[None], np.array([current.y]))
     batch = np.linalg.solve(rec.phis.T @ rec.phis + np.outer(current.phi, current.phi),
                             rec.phis.T @ rec.ys + current.phi * current.y)
-    gap = float(np.linalg.norm(est.theta_hat - batch))
+    gap = float(np.linalg.norm(theta[rec.row] - batch))
     assert gap < 1e-6
     truth_gap = float(np.linalg.norm(batch - two_robot_clean.theta_true[PAIR]))
     assert truth_gap < 1e-9   # noise-free: least squares is the truth
@@ -162,16 +164,13 @@ def test_criterion_06_cooperative_exactness(rng):
         g = assign_layers(edges, n)
         truths = random_world_poses(rng, n)
         pw = {(i, j): truth_pairwise(truths, i, j) for (i, j) in g.ordered_pairs()}
-        lpe = {}
-        for layer in range(1, g.max_layer + 1):
-            for i in g.nodes_in_layer(layer):
-                lpe[i] = leader_initial_estimate(i, g, pw, lpe, 0)
+        lead, fresh = compose(g, pw)
+        assert min(fresh) == 0
         for i in range(1, n):
             direct = truth_pairwise(truths, i, 0)
             worst = max(worst,
-                        float(np.linalg.norm(lpe[i].q0_hat - direct.p0_hat)),
-                        math.hypot(lpe[i].Q0_hat.c - direct.R0_hat.c,
-                                   lpe[i].Q0_hat.s - direct.R0_hat.s))
+                        float(np.linalg.norm(np.subtract(lead[i][:3], direct[:3]))),
+                        math.hypot(lead[i][3] - direct[3], lead[i][4] - direct[4]))
     assert worst < 1e-9
     _ok(6, f"composition error over 100 random DAGs: {worst:.2e}")
 

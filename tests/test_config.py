@@ -221,6 +221,25 @@ class TestStrictValues:
         with pytest.raises(ConfigError, match="formation key '1.0'"):
             config_from_dict(d)
 
+    @pytest.mark.parametrize("key", [" 1", "+1", "01", "\uff11", "-1", "1 ", "1" * 5000],
+                             ids=["space", "plus", "zero", "full_width", "minus", "trailing",
+                                  "too_long_for_int"])
+    def test_non_canonical_formation_key_rejected(self, key):
+        # Each of these names robot 1 (or -1) to int(), or is too long for
+        # it; only str(id) is a key.
+        d = four_robot_formation().to_dict()
+        d["formation"][key] = d["formation"].pop("1")
+        with pytest.raises(ConfigError, match="formation key"):
+            config_from_dict(d)
+
+    def test_two_keys_for_one_robot_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        four_robot_formation().save(path)
+        text = path.read_text().replace('"formation": {', '"formation": {"01": [9.0, 9.0, 0.0], ')
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="formation key '01'"):
+            load_config(path)
+
     def test_short_formation_offset_rejected(self):
         d = four_robot_formation().to_dict()
         d["formation"]["2"] = [0.0, 1.0]
@@ -316,3 +335,29 @@ class TestSchemaV1:
         d = {**two_robot_benchmark().to_dict(), "broadcast_horizon": 0}
         with pytest.raises(ConfigError, match="broadcast_horizon"):
             config_from_dict(d)
+
+
+class TestRepeatedKeys:
+    """json.loads keeps the last of two equal keys; the loader rejects them."""
+
+    @pytest.mark.parametrize("key, old, new", [
+        ("dt", '"dt": 0.1,', '"dt": 0.05, "dt": 0.1,'),
+        ("k1", '"gains": {', '"gains": {"k1": 2.0, '),
+        ("x", '"robots": [{', '"robots": [{"x": 0.5, '),
+        ("1", '"formation": {', '"formation": {"1": [0.0, 0.0, 0.0], '),
+    ], ids=["top", "nested", "in_a_list", "formation"])
+    def test_repeated_key_rejected_naming_it(self, tmp_path, key, old, new):
+        path = tmp_path / "cfg.json"
+        four_robot_formation().save(path)
+        text = path.read_text().replace("\n", "").replace("  ", "")
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ConfigError, match=f"key '{key}' appears twice"):
+            load_config(path)
+
+    def test_valid_configs_keep_their_hash(self, tmp_path):
+        for cfg in (two_robot_benchmark(), four_robot_formation(), chain_swarm(5, seed=3)):
+            path = tmp_path / f"{cfg.name}.json"
+            cfg.save(path)
+            loaded = load_config(path)
+            assert loaded == cfg and loaded.config_hash() == cfg.config_hash()

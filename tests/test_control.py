@@ -5,10 +5,28 @@ import pytest
 
 from uwbio.config import RobotConfig
 from uwbio.control import (ControlGains, ExcitationTimeout, FormationSpec, StageTracker,
-                           TrackingError, stage1_command, stage2_command,
-                           tracking_error_estimated, tracking_error_truth)
-from uwbio.geometry import Angle, Rotation3Z
+                           stage1_rows, stage2_rows, tracking_error_rows,
+                           tracking_error_truth_rows)
+from uwbio.geometry import Rotation3Z
 from uwbio.world import RobotTruth, VelocityCommand
+
+
+def truth_error(robot: RobotTruth, leader: RobotTruth, offset):
+    """`tracking_error_truth_rows` of one robot, as (e_p, e_c, e_s)."""
+    row, = tracking_error_truth_rows([robot.as_row()], leader.as_row(), offset).tolist()
+    return np.array(row[:3]), row[3], row[4]
+
+
+def stage1(robot, t: float) -> VelocityCommand:
+    return VelocityCommand(*stage1_rows([robot], t)[0])
+
+
+def stage2(lead: VelocityCommand, e_p, e_c: float, e_s: float,
+           gains: ControlGains) -> VelocityCommand:
+    """`stage2_rows` of one robot's error row around the leader command."""
+    return VelocityCommand(*stage2_rows((lead.v_h, lead.v_z, lead.w),
+                                        [(*np.asarray(e_p, dtype=float).tolist(), e_c, e_s)],
+                                        gains)[0])
 
 
 class TestGains:
@@ -45,10 +63,10 @@ class TestTrackingErrorTruth:
         rx = c * off[0] - s * off[1]
         ry = s * off[0] + c * off[1]
         robot = RobotTruth.spawn(1, rx, ry, 0.0, 0.6)
-        e = tracking_error_truth(robot, leader, off)
-        assert np.allclose(e.e_p, 0.0, atol=1e-12)
-        assert e.e_c == pytest.approx(0.0, abs=1e-12)
-        assert e.e_s == pytest.approx(0.0, abs=1e-12)
+        e_p, e_c, e_s = truth_error(robot, leader, off)
+        assert np.allclose(e_p, 0.0, atol=1e-12)
+        assert e_c == pytest.approx(0.0, abs=1e-12)
+        assert e_s == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_brute_force_frame_chase(self, rng):
         for _ in range(30):
@@ -57,22 +75,22 @@ class TestTrackingErrorTruth:
             off = rng.uniform(-1, 1, 3)
             leader = RobotTruth.spawn(0, lx, ly, 0.2, lyaw)
             robot = RobotTruth.spawn(1, x, y, 0.5, yaw)
-            e = tracking_error_truth(robot, leader, off)
+            e_p, e_c, e_s = truth_error(robot, leader, off)
 
             def rz(a):
                 return np.array([[math.cos(a), -math.sin(a), 0],
                                  [math.sin(a), math.cos(a), 0], [0, 0, 1]])
             p_i0_o0 = rz(lyaw).T @ (robot.world_pose.position() - leader.world_pose.position())
             expected = rz(yaw - lyaw).T @ (p_i0_o0 - off)
-            assert np.allclose(e.e_p, expected, atol=1e-10)
-            assert e.e_c == pytest.approx(1 - math.cos(yaw - lyaw), abs=1e-12)
-            assert e.e_s == pytest.approx(math.sin(yaw - lyaw), abs=1e-12)
+            assert np.allclose(e_p, expected, atol=1e-10)
+            assert e_c == pytest.approx(1 - math.cos(yaw - lyaw), abs=1e-12)
+            assert e_s == pytest.approx(math.sin(yaw - lyaw), abs=1e-12)
 
     def test_yaw_error_recovered(self):
         # The relative yaw is recoverable from the trig error pair.
         leader = RobotTruth.spawn(0, 0.0, 0.0, 0.0, 0.2)
-        e = tracking_error_truth(RobotTruth.spawn(1, 1.0, 0.0, 0.0, 0.5), leader, np.zeros(3))
-        assert math.atan2(e.e_s, 1.0 - e.e_c) == pytest.approx(0.3)
+        _, e_c, e_s = truth_error(RobotTruth.spawn(1, 1.0, 0.0, 0.0, 0.5), leader, np.zeros(3))
+        assert math.atan2(e_s, 1.0 - e_c) == pytest.approx(0.3)
 
 
 class TestTrackingErrorEstimated:
@@ -85,7 +103,7 @@ class TestTrackingErrorEstimated:
             off = rng.uniform(-1, 1, 3)
             leader = RobotTruth.spawn(0, lx, ly, 0.0, lyaw)
             robot = RobotTruth.spawn(1, x, y, 0.4, yaw)
-            truth = tracking_error_truth(robot, leader, off)
+            truth_p, truth_c, truth_s = truth_error(robot, leader, off)
 
             # Ground-truth leader-relative quantities in robot's odometry frame.
             psi_i0, psi_00 = yaw, lyaw
@@ -93,17 +111,18 @@ class TestTrackingErrorEstimated:
                 robot.world_pose.position() - leader.world_pose.position())
             Q0 = Rotation3Z.from_angle(psi_00 - psi_i0)
             theta_rel = yaw - lyaw     # both odometries still zero
-            est = tracking_error_estimated(q, Q0, math.cos(theta_rel),
-                                           math.sin(theta_rel), Angle(0.0), off)
-            assert np.allclose(est.e_p, truth.e_p, atol=1e-10)
-            assert est.e_c == pytest.approx(truth.e_c, abs=1e-12)
-            assert est.e_s == pytest.approx(truth.e_s, abs=1e-12)
+            est, = tracking_error_rows(
+                [(*q.tolist(), math.cos(theta_rel), math.sin(theta_rel))],
+                [(0.0, 0.0, 0.0, Q0.c, Q0.s)], [(0.0, 0.0, 0.0, 0.0)], [off.tolist()])
+            assert np.allclose(est[:3], truth_p, atol=1e-10)
+            assert est[3] == pytest.approx(truth_c, abs=1e-12)
+            assert est[4] == pytest.approx(truth_s, abs=1e-12)
 
 
 class TestStageCommands:
     def test_stage1_values(self):
         g = RobotConfig(1, r=2.0, c_v=0.2, c_w=0.1)
-        cmd = stage1_command(g, t=0.0)
+        cmd = stage1(g, t=0.0)
         assert cmd.v_h == pytest.approx(0.2)
         assert cmd.w == pytest.approx(0.1)
         assert cmd.v_z == 0.0
@@ -111,26 +130,25 @@ class TestStageCommands:
     def test_stage1_zero_vertical_in_2d(self):
         g = RobotConfig(1, r=0.3, c_v=0.0, c_w=0.5)
         for t in (0.0, 1.7, 9.2):
-            assert stage1_command(g, t).v_z == 0.0
+            assert stage1(g, t).v_z == 0.0
 
     def test_stage1_is_bounded(self):
         g = RobotConfig(1, r=0.5, c_v=0.3, c_w=-0.4)
         for t in np.linspace(0, 50, 300):
-            cmd = stage1_command(g, t)
+            cmd = stage1(g, t)
             assert abs(cmd.v_h) == pytest.approx(abs(g.r * g.c_w))
             assert abs(cmd.v_z) <= abs(g.c_v) + 1e-12
 
     def test_stage2_zero_error_passthrough(self):
         lead = VelocityCommand(0.15, 0.0, 0.5)
         g = ControlGains(1.0, 0.5, 0.4, 0.2)
-        cmd = stage2_command(lead, TrackingError(np.zeros(3), 0.0, 0.0), g)
+        cmd = stage2(lead, np.zeros(3), 0.0, 0.0, g)
         assert cmd == lead
 
     def test_stage2_gain_wiring(self):
         lead = VelocityCommand(0.2, 0.1, 0.5)
         g = ControlGains(1.0, 0.5, 0.4, 0.2)
-        e = TrackingError(np.array([0.3, -0.2, 0.4]), 0.1, 0.6)
-        cmd = stage2_command(lead, e, g)
+        cmd = stage2(lead, [0.3, -0.2, 0.4], 0.1, 0.6, g)
         assert cmd.v_h == pytest.approx(0.2 - 1.0 * 0.3 + 0.5 * 0.5 * -0.2)
         assert cmd.v_z == pytest.approx(0.1 - 0.2 * 0.4)
         assert cmd.w == pytest.approx(0.5 - 0.4 * 0.6)
@@ -139,7 +157,7 @@ class TestStageCommands:
         # Ahead of target (positive forward error) means slow down.
         lead = VelocityCommand(0.2, 0.0, 0.5)
         g = ControlGains(1.0, 0.5, 0.4, 0.2)
-        cmd = stage2_command(lead, TrackingError(np.array([0.3, 0.0, 0.0]), 0, 0), g)
+        cmd = stage2(lead, [0.3, 0.0, 0.0], 0, 0, g)
         assert cmd.v_h < lead.v_h
 
 

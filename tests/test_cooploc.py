@@ -3,12 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_dag, random_world_poses, truth_pairwise
-from uwbio.cooploc import (LeaderPoseEstimate, MissingNeighborEstimate, UnreachableNode,
-                           assign_layers, leader_initial_estimate,
-                           leader_realtime_estimate)
-from uwbio.estimation import RelativePoseEstimate
-from uwbio.geometry import Angle, Rotation3Z
+from conftest import compose, random_dag, random_world_poses, truth_pairwise
+from uwbio.cooploc import UnreachableNode, assign_layers, leader_realtime_rows
+from uwbio.geometry import Rotation3Z
 
 
 class TestAssignLayers:
@@ -53,43 +50,45 @@ class TestLeaderInitialEstimate:
         truths = random_world_poses(rng, 2)
         g = assign_layers([(1, 0)], 2)
         pw = {(1, 0): truth_pairwise(truths, 1, 0)}
-        lpe = leader_initial_estimate(1, g, pw, {}, t_k=3)
-        assert np.allclose(lpe.q0_hat, pw[(1, 0)].p0_hat, atol=0)
-        assert lpe.fresh == 3
+        lead, fresh = compose(g, pw, t_k=3)
+        assert np.allclose(lead[1][:3], pw[(1, 0)][:3], atol=0)
+        assert fresh[1] == 3
 
     def test_chain_composition_exact(self, rng):
         truths = random_world_poses(rng, 3)
         g = assign_layers([(2, 1), (1, 0)], 3)
         pw = {(1, 0): truth_pairwise(truths, 1, 0), (2, 1): truth_pairwise(truths, 2, 1)}
-        lpe1 = leader_initial_estimate(1, g, pw, {}, 0)
-        lpe2 = leader_initial_estimate(2, g, pw, {1: lpe1}, 0)
+        lead, _ = compose(g, pw)
         direct = truth_pairwise(truths, 2, 0)
-        assert np.allclose(lpe2.q0_hat, direct.p0_hat, atol=1e-9)
-        assert abs(lpe2.Q0_hat.c - direct.R0_hat.c) < 1e-9
-        assert abs(lpe2.Q0_hat.s - direct.R0_hat.s) < 1e-9
+        assert np.allclose(lead[2][:3], direct[:3], atol=1e-9)
+        assert abs(lead[2][3] - direct[3]) < 1e-9
+        assert abs(lead[2][4] - direct[4]) < 1e-9
 
     def test_single_neighbor_average_is_composition(self, rng):
         truths = random_world_poses(rng, 3)
         g = assign_layers([(2, 1), (1, 0)], 3)
         pw = {(2, 1): truth_pairwise(truths, 2, 1)}
-        parent = LeaderPoseEstimate(truth_pairwise(truths, 1, 0).p0_hat,
-                                    truth_pairwise(truths, 1, 0).R0_hat)
-        lpe = leader_initial_estimate(2, g, pw, {1: parent}, 0)
-        rpe = pw[(2, 1)]
-        expected = rpe.p0_hat + rpe.R0_hat.apply(parent.q0_hat)
-        assert np.allclose(lpe.q0_hat, expected, atol=1e-12)
+        parent = truth_pairwise(truths, 1, 0)
+        lead, _ = compose(g, pw, lead=[[0.0, 0.0, 0.0, 1.0, 0.0], list(parent), [math.nan] * 5],
+                          fresh=[0, 0, -1])
+        x, y, z, c, s = pw[(2, 1)]
+        expected = np.array([x, y, z]) + Rotation3Z(c, s).apply(np.array(parent[:3]))
+        assert np.allclose(lead[2][:3], expected, atol=1e-12)
 
     def test_missing_neighbor_raises(self):
+        # A robot missing its pairwise estimate gets no leader estimate:
+        # `compose_layers` keeps its previous (here none), where
+        # `leader_initial_estimate` raises MissingNeighborEstimate.
         g = assign_layers([(1, 0)], 2)
-        with pytest.raises(MissingNeighborEstimate):
-            leader_initial_estimate(1, g, {}, {}, 0)
+        lead, fresh = compose(g, {})
+        assert fresh[1] == -1 and all(math.isnan(v) for v in lead[1])
 
     def test_missing_parent_estimate_raises(self, rng):
         truths = random_world_poses(rng, 3)
         g = assign_layers([(2, 1), (1, 0)], 3)
         pw = {(2, 1): truth_pairwise(truths, 2, 1)}
-        with pytest.raises(MissingNeighborEstimate):
-            leader_initial_estimate(2, g, pw, {}, 0)
+        lead, fresh = compose(g, pw)
+        assert fresh[2] == -1 and all(math.isnan(v) for v in lead[2])
 
     def test_composition_exact_over_random_dags(self, rng):
         # On ground-truth pairwise inputs the composed leader pose equals
@@ -99,24 +98,20 @@ class TestLeaderInitialEstimate:
             g = assign_layers(edges, n)
             truths = random_world_poses(rng, n)
             pw = {(i, j): truth_pairwise(truths, i, j) for (i, j) in g.ordered_pairs()}
-            lpe = {}
-            for layer in range(1, g.max_layer + 1):
-                for i in g.nodes_in_layer(layer):
-                    lpe[i] = leader_initial_estimate(i, g, pw, lpe, 0)
+            lead, _ = compose(g, pw)
             for i in range(1, n):
                 direct = truth_pairwise(truths, i, 0)
-                assert np.linalg.norm(lpe[i].q0_hat - direct.p0_hat) < 1e-9
-                assert math.hypot(lpe[i].Q0_hat.c - direct.R0_hat.c,
-                                  lpe[i].Q0_hat.s - direct.R0_hat.s) < 1e-9
+                assert np.linalg.norm(np.subtract(lead[i][:3], direct[:3])) < 1e-9
+                assert math.hypot(lead[i][3] - direct[3], lead[i][4] - direct[4]) < 1e-9
 
     def test_rotation_always_orthonormal(self, rng):
         # Even on garbage inputs the averaged rotation is re-projected.
         g = assign_layers([(2, 1), (1, 0)], 3)
-        pw = {(2, 1): RelativePoseEstimate(np.array([1.0, 0, 0]),
-                                           Rotation3Z.from_angle(0.3))}
-        parent = LeaderPoseEstimate(np.array([5.0, -2.0, 0.1]), Rotation3Z.from_angle(-2.0))
-        lpe = leader_initial_estimate(2, g, pw, {1: parent}, 0)
-        assert lpe.Q0_hat.c ** 2 + lpe.Q0_hat.s ** 2 == pytest.approx(1.0, abs=1e-12)
+        pw = {(2, 1): (1.0, 0.0, 0.0, math.cos(0.3), math.sin(0.3))}
+        parent = [5.0, -2.0, 0.1, math.cos(-2.0), math.sin(-2.0)]
+        lead, _ = compose(g, pw, lead=[[0.0, 0.0, 0.0, 1.0, 0.0], parent, [math.nan] * 5],
+                          fresh=[0, 0, -1])
+        assert lead[2][3] ** 2 + lead[2][4] ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLayeredErrorPropagation:
@@ -152,20 +147,30 @@ class TestLayeredErrorPropagation:
             assert checked > 1000
 
 
+def realtime(lead_row, own_pos, own_yaw: float, leader_pos, leader_yaw: float):
+    """`leader_realtime_rows` of one robot, as (q_hat, c_hat, s_hat)."""
+    (x, y, z, c, s), = leader_realtime_rows([lead_row], [(*own_pos, own_yaw)],
+                                             (*leader_pos, leader_yaw))
+    return np.array([x, y, z]), c, s
+
+
+def lead_row(q0, yaw: float) -> list[float]:
+    return [*q0, math.cos(yaw), math.sin(yaw)]
+
+
 class TestLeaderRealtime:
     def test_at_start_returns_initials(self):
-        lpe = LeaderPoseEstimate(np.array([1.0, 2.0, 0.5]), Rotation3Z.from_angle(0.7))
-        q, c, s = leader_realtime_estimate(lpe, np.zeros(3), Angle(0.0),
-                                           np.zeros(3), Angle(0.0))
+        row = lead_row([1.0, 2.0, 0.5], 0.7)
+        q, c, s = realtime(row, np.zeros(3), 0.0, np.zeros(3), 0.0)
         assert np.allclose(q, [1, 2, 0.5], atol=0)
         # theta^{Sigma_0}_{Sigma_i}(t0) = -theta0 for the O_i -> O_0 angle.
         assert c == pytest.approx(math.cos(0.7), abs=1e-12)
         assert s == pytest.approx(-math.sin(0.7), abs=1e-12)
 
     def test_constant_when_nobody_moves(self):
-        lpe = LeaderPoseEstimate(np.array([1.0, 2.0, 0.0]), Rotation3Z.from_angle(-0.4))
-        first = leader_realtime_estimate(lpe, np.zeros(3), Angle(0.0), np.zeros(3), Angle(0.0))
-        again = leader_realtime_estimate(lpe, np.zeros(3), Angle(0.0), np.zeros(3), Angle(0.0))
+        row = lead_row([1.0, 2.0, 0.0], -0.4)
+        first = realtime(row, np.zeros(3), 0.0, np.zeros(3), 0.0)
+        again = realtime(row, np.zeros(3), 0.0, np.zeros(3), 0.0)
         assert np.allclose(first[0], again[0], atol=0)
         assert first[1:] == again[1:]
 
@@ -174,9 +179,8 @@ class TestLeaderRealtime:
             theta0 = rng.uniform(-3, 3)          # yaw of O_0 in O_i
             phi_i = rng.uniform(-6, 6)
             phi_0 = rng.uniform(-6, 6)
-            lpe = LeaderPoseEstimate(np.zeros(3), Rotation3Z.from_angle(theta0))
-            _, c, s = leader_realtime_estimate(lpe, np.zeros(3), Angle(phi_i),
-                                               np.zeros(3), Angle(phi_0))
+            _, c, s = realtime(lead_row(np.zeros(3), theta0), np.zeros(3), phi_i,
+                               np.zeros(3), phi_0)
             want = phi_i - phi_0 - theta0        # yaw of Sigma_i in Sigma_0
             assert c == pytest.approx(math.cos(want), abs=1e-12)
             assert s == pytest.approx(math.sin(want), abs=1e-12)

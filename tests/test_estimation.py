@@ -3,17 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from conftest import benchmark_pair, filled_record, synthetic_record
+from conftest import benchmark_pair, filled_record, offer, synthetic_record
 from uwbio.cooploc import leader_realtime_rows
-from uwbio.estimation import (ThetaEstimate, cl_update, learning_rate, reconstruct_pose,
-                              reconstruct_poses)
-from uwbio.geometry import DegenerateRotation
-from uwbio.regression import DataRecord, RegressorSample
+from uwbio.estimation import cl_update_all, learning_rate, reconstruct_poses
+from uwbio.geometry import Rotation3Z
+from uwbio.regression import DataRecord, RecordBank, RegressorSample
 
 
-def est_from(record, theta=None, variant="stated"):
-    theta = np.zeros(7) if theta is None else np.asarray(theta, dtype=float)
-    return ThetaEstimate(theta, record, variant)
+def theta_of(theta=None) -> np.ndarray:
+    """A one-pair (1, 7) estimate array, zero unless given."""
+    return np.zeros((1, 7)) if theta is None else np.array([theta], dtype=float)
+
+
+def cl_step(theta: np.ndarray, rec: DataRecord, current: RegressorSample,
+            variant: str = "stated") -> bool:
+    """`cl_update_all` of the one pair of `rec` on `current`, in place on
+    theta (1, 7); returns whether the estimate moved."""
+    moved, = cl_update_all(theta, rec.bank, [rec.row], current.phi[None],
+                           np.array([current.y]), variant)
+    return moved
+
+
+def pose_of(theta) -> tuple[float, ...] | None:
+    """`reconstruct_poses` of one estimate: (x, y, z, c, s), or None."""
+    pose, = reconstruct_poses(np.array([theta], dtype=float))
+    return pose
 
 
 class TestLearningRate:
@@ -28,47 +42,51 @@ class TestLearningRate:
             learning_rate(0.0, 0.0, 1.0, "bogus")
 
     def test_rank_deficient_is_zero(self):
-        rec = DataRecord()
-        rec.add(RegressorSample(np.eye(7)[0], 0.0, 0))
+        rec = filled_record([RegressorSample(np.eye(7)[0], 0.0, 0)])
         assert learning_rate(rec.lambda_min, rec.lambda_max) == 0.0
 
 
 class TestClUpdate:
     def test_requires_nonempty_record(self):
-        with pytest.raises(ValueError):
-            cl_update(est_from(DataRecord()), RegressorSample(np.eye(7)[0], 0.0, 0))
+        # An empty record has no learning rate: the estimate stays put
+        # (`cl_update` raises ValueError instead).
+        rec = DataRecord(RecordBank(1), 0)
+        theta = theta_of(np.arange(7.0))
+        before = theta.copy()
+        assert not cl_step(theta, rec, RegressorSample(np.eye(7)[0], 0.0, 0))
+        assert theta.tobytes() == before.tobytes()
 
     def test_zero_lambda_min_is_noop(self, rng):
-        rec = DataRecord()
         phi = np.eye(7)[2]
-        rec.add(RegressorSample(phi, 1.0, 0))
-        est = est_from(rec, rng.normal(size=7))
-        out = cl_update(est, RegressorSample(phi, 1.0, 1))
-        assert out is est
+        rec = filled_record([RegressorSample(phi, 1.0, 0)])
+        theta = theta_of(rng.normal(size=7))
+        before = theta.copy()
+        assert not cl_step(theta, rec, RegressorSample(phi, 1.0, 1))
+        assert theta.tobytes() == before.tobytes()
 
     def test_fixed_point_is_exact_noop(self, rng):
         # Zero innovation on every stored sample and on the current one
         # makes the step exactly zero, not just small.
-        rec, theta = synthetic_record(rng, n=25)
-        est = est_from(rec, theta)
+        rec, truth = synthetic_record(rng, n=25)
+        theta = theta_of(truth)
         current = rec.history[-1]
-        assert est.theta_hat @ current.phi - current.y == pytest.approx(0.0, abs=1e-14)
-        out = cl_update(est, current)
-        assert np.allclose(out.theta_hat, theta, atol=1e-13)
+        assert theta[0] @ current.phi - current.y == pytest.approx(0.0, abs=1e-14)
+        cl_step(theta, rec, current)
+        assert np.allclose(theta[0], truth, atol=1e-13)
 
     def test_converges_to_batch_least_squares(self, rng):
         # Independent oracle: solve the normal equations of the recorded
         # history directly; the iterated update must land on it.
         samples, theta_true, _ = benchmark_pair(ticks=1200)
         rec = filled_record(samples)
-        est = est_from(rec)
+        theta = theta_of()
         current = samples[-1]
         for _ in range(5000):
-            est = cl_update(est, current)
+            cl_step(theta, rec, current)
         phis, ys = rec.phis, rec.ys
         batch = np.linalg.solve(phis.T @ phis + np.outer(current.phi, current.phi),
                                 phis.T @ ys + current.phi * current.y)
-        assert np.linalg.norm(est.theta_hat - batch) < 1e-6
+        assert np.linalg.norm(theta[0] - batch) < 1e-6
         # Noise-free, so the least-squares solution is the truth itself.
         assert np.linalg.norm(batch - theta_true) < 1e-9
 
@@ -77,16 +95,16 @@ class TestClUpdate:
         # contraction |err'| <= rho |err| and the Lyapunov decrement bound.
         samples, theta_true, _ = benchmark_pair(ticks=1200)
         rec = filled_record(samples)
-        est = est_from(rec, variant="proof")
+        theta = theta_of()
         truth = theta_true
         lam_min, lam_max = rec.lambda_min, rec.lambda_max
         rho = math.sqrt(1.0 - lam_min ** 2 / (1.0 + lam_max) ** 2)
         current = samples[-1]
         for _ in range(300):
-            err = np.linalg.norm(est.theta_hat - truth)
+            err = np.linalg.norm(theta[0] - truth)
             v = err ** 2
-            est = cl_update(est, current)
-            err_next = np.linalg.norm(est.theta_hat - truth)
+            cl_step(theta, rec, current, "proof")
+            err_next = np.linalg.norm(theta[0] - truth)
             assert err_next <= rho * err + 1e-9
             dv = err_next ** 2 - v
             assert dv <= -(lam_min ** 2) / (1.0 + lam_max) ** 2 * v + 1e-9
@@ -94,45 +112,42 @@ class TestClUpdate:
     def test_monotone_error_decrease_noise_free(self):
         samples, theta_true, _ = benchmark_pair(ticks=1200)
         rec = filled_record(samples)
-        est = est_from(rec)
+        theta = theta_of()
         truth = theta_true
-        prev = np.linalg.norm(est.theta_hat - truth)
+        prev = np.linalg.norm(theta[0] - truth)
         for s in samples[-200:]:
-            est = cl_update(est, s)
-            err = np.linalg.norm(est.theta_hat - truth)
+            cl_step(theta, rec, s)
+            err = np.linalg.norm(theta[0] - truth)
             assert err <= prev + 1e-12
             prev = err
 
 
 class TestReconstructPose:
     def test_identity_pair(self):
-        rec = DataRecord()
-        est = est_from(rec, [0, 0, 0, 0, 0, 1.0, 0.0])
-        pose = reconstruct_pose(est)
-        assert pose.R0_hat.c == 1.0 and pose.R0_hat.s == 0.0
+        pose = pose_of([0, 0, 0, 0, 0, 1.0, 0.0])
+        assert pose[3] == 1.0 and pose[4] == 0.0
 
     def test_already_unit_pair(self):
-        est = est_from(DataRecord(), [1, 2, 3, 0, 0, 0.6, 0.8])
-        pose = reconstruct_pose(est)
-        assert pose.R0_hat.c == pytest.approx(0.6, abs=1e-12)
-        assert pose.R0_hat.s == pytest.approx(0.8, abs=1e-12)
-        assert np.allclose(pose.p0_hat, [1, 2, 3], atol=0)
+        pose = pose_of([1, 2, 3, 0, 0, 0.6, 0.8])
+        assert pose[3] == pytest.approx(0.6, abs=1e-12)
+        assert pose[4] == pytest.approx(0.8, abs=1e-12)
+        assert np.allclose(pose[:3], [1, 2, 3], atol=0)
 
     def test_degenerate_raises(self):
-        est = est_from(DataRecord(), np.zeros(7))
-        with pytest.raises(DegenerateRotation):
-            reconstruct_pose(est)
+        # An uninformative trig pair gives no pose: None, where
+        # `reconstruct_pose` raises DegenerateRotation.
+        assert pose_of(np.zeros(7)) is None
 
     def test_converged_scenario_recovers_pose(self):
         samples, theta_true, _ = benchmark_pair(ticks=1600)
         rec = filled_record(samples)
-        est = est_from(rec)
+        theta = theta_of()
         for s in samples[-1000:]:
-            est = cl_update(est, s)
-        pose = reconstruct_pose(est)
-        assert np.linalg.norm(pose.p0_hat - theta_true[:3]) < 1e-4
+            cl_step(theta, rec, s)
+        pose = pose_of(theta[0])
+        assert np.linalg.norm(np.array(pose[:3]) - theta_true[:3]) < 1e-4
         true_yaw = math.atan2(theta_true[6], theta_true[5])
-        assert abs(pose.R0_hat.yaw() - true_yaw) < 1e-4
+        assert abs(Rotation3Z(*pose[3:]).yaw() - true_yaw) < 1e-4
 
 
 class TestRealtimeRelativePose:

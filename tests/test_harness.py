@@ -531,6 +531,17 @@ class TestCli:
         assert "'dt'" in err
         assert not out.exists()
 
+    def test_run_config_with_a_repeated_key_is_an_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        two_robot_benchmark(duration_s=1.0).save(cfg_path)
+        text = cfg_path.read_text()
+        assert text.count('"dt": 0.05,') == 1
+        cfg_path.write_text(text.replace('"dt": 0.05,', '"dt": 0.05, "dt": 0.1,'))
+        out = tmp_path / "out"
+        err = self.usage_error(["run", "--config", str(cfg_path), "--out", str(out)], capsys)
+        assert "'dt' appears twice" in err
+        assert not out.exists()
+
     def test_run_negative_seed_is_an_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         two_robot_benchmark(duration_s=1.0).save(cfg_path)

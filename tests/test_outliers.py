@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import circle_cmd, distance
-from uwbio.outliers import JudgeBank, JudgeQueue, ScreenResult
-from uwbio.sensing import MeasurementTriplet
-from uwbio.world import RobotTruth, step
-
-
-def triplet(d, zi, zj, t_k=0):
-    return MeasurementTriplet(float(d), np.asarray(zi, dtype=float),
-                              np.asarray(zj, dtype=float), t_k)
+from conftest import Verdict, benchmark_pair, distance
+from uwbio.outliers import JudgeBank
 
 
 def ring_row(d, zi, zj, t_k=0) -> np.ndarray:
@@ -17,11 +10,11 @@ def ring_row(d, zi, zj, t_k=0) -> np.ndarray:
     return np.array([d, *zi, *zj, t_k], dtype=float)
 
 
-def screen(bank: JudgeBank, d, zi, zj, t_k=0) -> ScreenResult:
+def screen(bank: JudgeBank, d, zi, zj, t_k=0) -> Verdict:
     """Screen one candidate against a bank of one pair."""
     z = np.array([[*zi, *zj]], dtype=float)
     out, votes, size = bank.screen_all(np.array([float(d)]), z, t_k)
-    return ScreenResult(out[0], votes[0], size[0])
+    return Verdict(out[0], votes[0], size[0])
 
 
 class TestScreen:
@@ -64,55 +57,47 @@ class TestScreen:
                        "first range, so an outlier accepted first outvotes every "
                        "clean range after it")
     def test_first_range_outlier_does_not_lock_out_clean_ranges(self):
-        q = JudgeQueue(capacity=20, threshold=0.5)
-        q.screen(triplet(50.0, [0, 0, 0], [0, 0, 0], 0))     # injected outlier
+        bank = JudgeBank(1, capacity=20, threshold=0.5)
+        screen(bank, 50.0, [0, 0, 0], [0, 0, 0], 0)     # injected outlier
         # Clean ranges while both robots creep a few millimetres per tick.
-        verdicts = [q.screen(triplet(5.0 + 0.001 * k, [0.001 * k, 0, 0],
-                                     [0, 0.001 * k, 0], k)).is_outlier
+        verdicts = [screen(bank, 5.0 + 0.001 * k, [0.001 * k, 0, 0],
+                           [0, 0.001 * k, 0], k).is_outlier
                     for k in range(1, 200)]
         assert not all(verdicts)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            JudgeQueue(capacity=0)
+            JudgeBank(1, capacity=0)
         with pytest.raises(ValueError):
-            JudgeQueue(threshold=1.0)
+            JudgeBank(1, threshold=1.0)
 
     def test_noise_free_soundness(self):
         # On exact data the triangle inequality can never fire: screening a
         # whole clean scenario produces zero outlier verdicts.
-        ti = RobotTruth.spawn(1, 1.5, 1.0, 0.0, 2.0)
-        tj = RobotTruth.spawn(0, 0.0, 0.0, 0.0, 0.0)
-        ci, cj = circle_cmd(0.5, 0.3, 0.4), circle_cmd(0.3, 0.1, -0.5)
-        q = JudgeQueue()
-        dt = 0.05
-        for k in range(500):
-            res = q.screen(triplet(distance(ti, tj),
-                                   ti.odom_pose.position(), tj.odom_pose.position(), k))
+        bank = JudgeBank(1)
+        for k, (ti, tj) in enumerate(benchmark_pair(ticks=499)[2]):
+            res = screen(bank, distance(ti.as_row(), tj.as_row()),
+                         ti.odom_pose.position(), tj.odom_pose.position(), k)
             assert not res.is_outlier
-            ti, tj = step(ti, ci(k * dt), dt), step(tj, cj(k * dt), dt)
 
     def test_false_positive_rate_under_noise(self):
         # Gaussian sensor noise alone (sigma 0.05) must almost never trip the
         # triangle test: observed false-positive rate below 1%.
         rng = np.random.default_rng(99)
-        ti = RobotTruth.spawn(1, 1.5, 1.0, 0.0, 2.0)
-        tj = RobotTruth.spawn(0, 0.0, 0.0, 0.0, 0.0)
-        ci, cj = circle_cmd(0.5, 0.3, 0.4), circle_cmd(0.3, 0.1, -0.5)
-        q = JudgeQueue()
-        dt, flagged, total = 0.05, 0, 0
+        bank = JudgeBank(1)
+        flagged, total = 0, 0
         zi = np.zeros(3)
         zj = np.zeros(3)
-        prev_i, prev_j = ti, tj
-        for k in range(10_000):
-            d = distance(ti, tj) + rng.normal(0, 0.05)
+        truths = benchmark_pair(ticks=9_999)[2]
+        prev_i, prev_j = truths[0]
+        for k, (ti, tj) in enumerate(truths):
+            d = distance(ti.as_row(), tj.as_row()) + rng.normal(0, 0.05)
             zi = zi + (ti.odom_pose.position() - prev_i.odom_pose.position()) \
                 + rng.normal(0, 0.05, 3)
             zj = zj + (tj.odom_pose.position() - prev_j.odom_pose.position()) \
                 + rng.normal(0, 0.05, 3)
-            res = q.screen(triplet(max(d, 0.0), zi, zj, k))
+            res = screen(bank, max(d, 0.0), zi, zj, k)
             flagged += res.is_outlier
             total += 1
             prev_i, prev_j = ti, tj
-            ti, tj = step(ti, ci(k * dt), dt), step(tj, cj(k * dt), dt)
         assert flagged / total < 0.01

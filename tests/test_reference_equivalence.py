@@ -7,8 +7,8 @@ samples in preallocated buffers, shifts rows on an eviction and takes one
 retention decision for all full records; `cl_update_all` steps all pairs
 that got a sample at once.  None of them changes the arithmetic, so they
 must reproduce the plain one-pair loop versions below bit for bit on any
-input, for one pair through the front ends (`JudgeQueue`, `DataRecord`)
-and for several pairs at different fill states side by side: the same
+input, for one pair (`JudgeBank(1, ...)`, a one-row `RecordBank`) and for
+several pairs at different fill states side by side: the same
 verdicts and queue contents, the same stacked samples, S, eigenvalues and
 estimates.  The reference classes are copies of the implementations the
 array versions replaced, without their argument checks and docstrings.
@@ -27,28 +27,47 @@ one-robot and one-pair truth code they replaced.
 import math
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import circle_cmd, distance, random_dag
-from uwbio import control, harness, regression, world
-from uwbio.config import RandomInit, Saturation
-from uwbio.control import TrackingError, tracking_error_rows
+from conftest import Verdict, circle_cmd, distance, random_dag
+from test_golden import GOLDEN, csv_digests
+from uwbio import control, cooploc, estimation, harness, outliers, regression, sensing, world
+from uwbio.config import RandomInit, RobotConfig, Saturation
+from uwbio.control import ControlGains, tracking_error_rows
 from uwbio.cooploc import assign_layers, compose_layers, composition_plan, leader_realtime_rows
-from uwbio.estimation import cl_update, cl_update_all, learning_rate, reconstruct_poses
-from uwbio.geometry import NORM_TOL, Angle, DegenerateRotation, Rotation3Z, row_norms
+from uwbio.estimation import cl_update_all, learning_rate, reconstruct_poses
+from uwbio.geometry import NORM_TOL, Angle, DegenerateRotation, Rotation3Z, cross2, row_norms
 from uwbio.harness import run
-from uwbio.outliers import JudgeBank, JudgeQueue, ScreenResult
-from uwbio.regression import (MIN_SWAP_GAIN, THETA_DIM, VOLUME_EPS, DataRecord, MotionProfile,
-                              RankDiagnosis, RecordBank, RegressorSample, build_sample,
+from uwbio.outliers import JudgeBank
+from uwbio.regression import (MIN_SWAP_GAIN, PSI_EPS, THETA_DIM, VOLUME_EPS, DataRecord,
+                              MotionProfile, RankDiagnosis, RecordBank, RegressorSample,
                               observability_probe, true_thetas)
 from uwbio.scenarios import chain_swarm, four_robot_formation
-from uwbio.sensing import MeasurementTriplet, NoiseModel, RangeStream, odom_step
-from uwbio.world import OMEGA_EPS, Pose4, RobotTruth, VelocityCommand, advance, frame_offset, \
-    step
+from uwbio.sensing import NoiseModel, RangeStream, odom_step
+from uwbio.world import OMEGA_EPS, Pose4, RobotTruth, VelocityCommand, advance, frame_offset
+
+
+@dataclass(frozen=True)
+class Triplet:
+    """One synchronized sample: range plus both cumulative odometries."""
+
+    d: float
+    z_i: np.ndarray
+    z_j: np.ndarray
+    t_k: int
+
+
+class Err(NamedTuple):
+    """Body-frame position error plus the (1 - cos, sin) yaw error pair."""
+
+    e_p: np.ndarray
+    e_c: float
+    e_s: float
 
 
 class ReferenceJudgeQueue:
@@ -57,9 +76,9 @@ class ReferenceJudgeQueue:
     def __init__(self, capacity: int = 20, threshold: float = 0.5):
         self.capacity = capacity
         self.threshold = threshold
-        self.entries: deque[MeasurementTriplet] = deque(maxlen=capacity)
+        self.entries: deque[Triplet] = deque(maxlen=capacity)
 
-    def screen(self, candidate: MeasurementTriplet) -> ScreenResult:
+    def screen(self, candidate: Triplet) -> Verdict:
         votes = 0
         for entry in self.entries:
             slack = (np.linalg.norm(candidate.z_i - entry.z_i)
@@ -70,7 +89,7 @@ class ReferenceJudgeQueue:
         is_outlier = size > 0 and votes / size > self.threshold
         if not is_outlier:
             self.entries.append(candidate)   # deque evicts the oldest at capacity
-        return ScreenResult(is_outlier, votes, size)
+        return Verdict(is_outlier, votes, size)
 
 
 class ReferenceDataRecord:
@@ -151,7 +170,7 @@ def bits(a) -> bytes:
     return np.asarray(a, dtype=float).tobytes()
 
 
-def triplet_stream(seed: int, n: int, coarse: bool) -> list[MeasurementTriplet]:
+def triplet_stream(seed: int, n: int, coarse: bool) -> list[Triplet]:
     """Random triplets; `coarse` draws every value from {0, 1}, so that
     exact ties between range difference and odometry slack are common."""
     rng = np.random.default_rng(seed)
@@ -159,23 +178,20 @@ def triplet_stream(seed: int, n: int, coarse: bool) -> list[MeasurementTriplet]:
     def draw(size):
         return rng.integers(0, 2, size) * 1.0 if coarse else rng.normal(0.0, 2.0, size)
 
-    return [MeasurementTriplet(float(abs(draw(None))), draw(3), draw(3), k)
-            for k in range(n)]
+    return [Triplet(float(abs(draw(None))), draw(3), draw(3), k) for k in range(n)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(capacity=st.integers(1, 6), threshold=st.floats(0.05, 0.95),
        n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1), coarse=st.booleans())
 def test_judge_queue_matches_reference(capacity, threshold, n, seed, coarse):
-    q = JudgeQueue(capacity, threshold)
     bank = JudgeBank(1, capacity, threshold)
     ref = ReferenceJudgeQueue(capacity, threshold)
     for cand in triplet_stream(seed, n, coarse):
         want = ref.screen(cand)
-        assert q.screen(cand) == want
         out, votes, size = bank.screen_all(np.array([cand.d]),
                                            np.concatenate((cand.z_i, cand.z_j))[None], cand.t_k)
-        assert ScreenResult(out[0], votes[0], size[0]) == want
+        assert Verdict(out[0], votes[0], size[0]) == want
         assert bank.size[0] == len(ref.entries)
     assert queued(bank, 0) == [(e.d, bits(e.z_i), bits(e.z_j), e.t_k) for e in ref.entries]
 
@@ -196,9 +212,10 @@ def sample_stream(seed: int, n: int, planar: bool) -> list[RegressorSample]:
 @given(hist_cap=st.integers(7, 12), n=st.integers(0, 50),
        seed=st.integers(0, 2**32 - 1), planar=st.booleans())
 def test_data_record_matches_reference(hist_cap, n, seed, planar):
-    rec, ref = DataRecord(planar, hist_cap), ReferenceDataRecord(planar, hist_cap)
+    bank, ref = RecordBank(1, planar, hist_cap), ReferenceDataRecord(planar, hist_cap)
+    rec = DataRecord(bank, 0)
     for s in sample_stream(seed, n, planar):
-        assert rec.add(s) == ref.add(s)
+        assert bank.add_all([0], s.phi[None], np.array([s.y]), s.t_k) == [ref.add(s)]
         assert bits(rec.phis) == bits(ref.phis)
         assert bits(rec.ys) == bits(ref.ys)
         assert bits(rec.S) == bits(ref.S)
@@ -210,9 +227,10 @@ def test_data_record_matches_reference(hist_cap, n, seed, planar):
 def test_data_record_streams_evict():
     # The generated streams really reach the eviction path, in both modes.
     for planar in (False, True):
-        rec = DataRecord(planar, hist_cap=7)
-        kept = [rec.add(s) for s in sample_stream(1, 50, planar)]
-        assert len(rec) == 7
+        bank = RecordBank(1, planar, hist_cap=7)
+        kept = [bank.add_all([0], s.phi[None], np.array([s.y]), s.t_k)[0]
+                for s in sample_stream(1, 50, planar)]
+        assert bank.n == [7]
         assert sum(kept[7:]) > 0
 
 
@@ -286,7 +304,7 @@ def check_pairs_against_reference(seed: int, n_pairs: int, planar: bool, hist_ca
         got = judges.screen_all(np.array([c.d for c in cands]),
                                 np.array([np.concatenate((c.z_i, c.z_j)) for c in cands]), k)
         want = [ref_judges[p].screen(c) for p, c in enumerate(cands)]
-        assert [ScreenResult(*r) for r in zip(*got)] == want
+        assert [Verdict(*r) for r in zip(*got)] == want
 
         rows = sorted(int(p) for p in
                       rng.choice(n_pairs, int(rng.integers(1, n_pairs + 1)), replace=False))
@@ -300,7 +318,7 @@ def check_pairs_against_reference(seed: int, n_pairs: int, planar: bool, hist_ca
         for p, s in zip(rows, samples):
             ref_theta[p] = reference_cl_update(ref_theta[p], refs[p], s, variant)
         for p in range(n_pairs):
-            rec = DataRecord(bank=bank, row=p)
+            rec = DataRecord(bank, p)
             assert bits(rec.phis) == bits(refs[p].phis)
             assert bits(rec.ys) == bits(refs[p].ys)
             assert bits(rec.S) == bits(refs[p].S)
@@ -330,8 +348,9 @@ def test_stacked_pairs_reach_every_fill_state():
 
 def test_cl_update_on_a_run_record_matches_reference():
     """A run's final estimators are views of one row of its stacked state;
-    the one-pair front end steps that pair alone, bit for bit as the loop
-    reference, and leaves the run's estimate untouched."""
+    `cl_update_all` steps that pair alone, on an estimate array of the
+    bank's pair axis, bit for bit as the loop reference, and leaves the
+    run's estimate untouched."""
     res = run(chain_swarm(3, seed=1, noise=NoiseModel(0.05, 0.002, 0.001), duration_s=20.0))
     assert len(res.final_estimators) > 1
     for pair, est in res.final_estimators.items():
@@ -341,9 +360,11 @@ def test_cl_update_on_a_run_record_matches_reference():
         ref.lambda_min, ref.lambda_max = rec.lambda_min, rec.lambda_max
         before = est.theta_hat.copy()
         s = res.last_sample[pair]
-        out = cl_update(est, s)
-        assert out is not est
-        assert bits(out.theta_hat) == bits(reference_cl_update(before, ref, s, est.rate_variant))
+        theta = np.zeros((len(rec.bank.n), THETA_DIM))
+        theta[rec.row] = before
+        assert cl_update_all(theta, rec.bank, [rec.row], s.phi[None], np.array([s.y]),
+                             est.rate_variant) == [True]
+        assert bits(theta[rec.row]) == bits(reference_cl_update(before, ref, s, est.rate_variant))
         assert bits(est.theta_hat) == bits(before)
 
 
@@ -363,7 +384,7 @@ def test_zero_padded_cl_fails_the_reference():
 
 
 def reference_tracking_error_truth(robot: RobotTruth, leader: RobotTruth,
-                                   offset: np.ndarray) -> TrackingError:
+                                   offset: np.ndarray) -> Err:
     """One robot's ground-truth formation error through Rotation3Z.from_angle
     and math.cos/math.sin."""
     psi_00 = leader.world_pose.yaw.radians - leader.odom_pose.yaw.radians
@@ -372,7 +393,7 @@ def reference_tracking_error_truth(robot: RobotTruth, leader: RobotTruth,
         robot.world_pose.position() - leader.world_pose.position())
     e_p = Rotation3Z.from_angle(psi_i - psi_00).apply_inverse(p_i0 - np.asarray(offset, dtype=float))
     theta = psi_i - leader.world_pose.yaw.radians
-    return TrackingError(e_p, 1.0 - math.cos(theta), math.sin(theta))
+    return Err(e_p, 1.0 - math.cos(theta), math.sin(theta))
 
 
 @pytest.mark.parametrize("config", [
@@ -788,7 +809,7 @@ def reference_commands(cfg, k, truths, errors, stage2_active, events):
             if cfg.truth_feedback:
                 e = reference_tracking_error_truth(truths[i], truths[0], spec.offset(i))
             else:
-                e = errors[i - 1] or TrackingError(np.zeros(3), 0.0, 0.0)
+                e = errors[i - 1] or Err(np.zeros(3), 0.0, 0.0)
             cmd = VelocityCommand(
                 lead_cmd.v_h - gains.k1 * e.e_p[0] + gains.k2 * lead_cmd.w * e.e_p[1],
                 lead_cmd.v_z - gains.k4 * e.e_p[2], lead_cmd.w - gains.k3 * e.e_s)
@@ -825,7 +846,7 @@ def test_commands_match_reference(seed, n, k, saturated, pe_baseline, truth_feed
     state.truth = [[*rng.normal(0, 5, 4).tolist(), *rng.normal(0, 5, 4).tolist()]
                    for _ in range(n)]
     errors = [None if rng.uniform() < 0.3 else
-              TrackingError(rng.normal(0, 1, 3), float(rng.normal()), float(rng.normal()))
+              Err(rng.normal(0, 1, 3), float(rng.normal()), float(rng.normal()))
               for _ in range(n - 1)]
     state.errors = [harness._COLD_START if e is None else (*e.e_p.tolist(), e.e_c, e.e_s)
                     for e in errors]
@@ -851,12 +872,23 @@ def forbidden(*targets):
         yield
 
 
-# What the tick's passes replaced, under every name the program could reach
-# them by.
-FRONT_ENDS = ((control, "tracking_error_truth"), (harness, "tracking_error_truth"),
-              (world, "step"), (harness, "step"), (regression, "build_sample"),
-              (harness, "build_sample"), (RangeStream, "sample"),
-              (RobotTruth, "spawn"), (RobotTruth, "from_row"))
+# The one-pair and one-robot front ends of the tick's passes, under every
+# name the program could reach them by (their module and, for the functions,
+# `harness`'s tracer imports), the constructors of the one-entity types only
+# they build, and the RobotTruth constructors the passes replaced.
+FRONT_ENDS = (
+    *((module, name) for name, module in (
+        ("build_sample", regression), ("excitation_ratio", regression),
+        ("cl_update", estimation), ("reconstruct_pose", estimation),
+        ("leader_initial_estimate", cooploc), ("leader_realtime_estimate", cooploc),
+        ("tracking_error_estimated", control), ("tracking_error_truth", control),
+        ("stage1_command", control), ("stage2_command", control), ("step", world))
+      for module in (module, harness)),
+    (outliers.JudgeQueue, "screen"), (regression.DataRecord, "add"),
+    (sensing.RangeStream, "sample"), (sensing.OdomStream, "update"),
+    (outliers.ScreenResult, "__init__"), (sensing.MeasurementTriplet, "__init__"),
+    (estimation.RelativePoseEstimate, "__init__"), (control.TrackingError, "__init__"),
+    (RobotTruth, "spawn"), (RobotTruth, "from_row"))
 
 
 @pytest.mark.parametrize("planar", [False, True], ids=["3d", "planar"])
@@ -883,19 +915,59 @@ def test_truth_feedback_tick_builds_no_one_robot_objects(planar, cruise):
                                                                        False, []))
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_runs_call_no_front_end(name, tmp_path):
+    """Each golden config's initial state, observation and every tick run
+    with every front end forbidden; the result and the logs, made outside
+    the fence, still hash to the golden digests."""
+    cfg = GOLDEN[name][0]()
+    with forbidden(*FRONT_ENDS, (VelocityCommand, "__init__")):
+        state = harness._initial_state(cfg, cfg.seed)
+        harness._observe(state, 0)
+        for k in range(cfg.n_ticks):
+            harness.tick(state, k)
+    res = harness._result(state, cfg.seed)
+    harness._score_truth(res)
+    res.metrics = harness._compute_metrics(res)
+    harness.write_run(res, tmp_path)
+    assert csv_digests(tmp_path) == GOLDEN[name][1]
+
+
+def reference_build_sample(d_k: float, d_k1: float, odom_i, odom_j,
+                           t_k: int = 0) -> RegressorSample | None:
+    """One pair's sample from consecutive-tick data, as the one-pair loop
+    built it: (cumulative position at t_k, displacement over [t_k, t_k+1])
+    per robot; None for a degenerate interval."""
+    p_i, u_i = (np.asarray(v, dtype=float) for v in odom_i)
+    p_j, u_j = (np.asarray(v, dtype=float) for v in odom_j)
+
+    a = float(u_i[:2] @ p_j[:2] + p_i[:2] @ u_j[:2] + u_i[:2] @ u_j[:2])
+    b = cross2(p_j[:2], u_i[:2]) + cross2(u_j[:2], p_i[:2]) + cross2(u_j[:2], u_i[:2])
+
+    psi = np.array([u_i[0], u_i[1], u_i[2] - u_j[2], -u_j[0], -u_j[1], -a, -b])
+    ybar = (0.5 * (d_k1 ** 2 - d_k ** 2 - u_i @ u_i - u_j @ u_j)
+            - u_i @ p_i - u_j @ p_j
+            + u_i[2] * p_j[2] + p_i[2] * u_j[2] + u_i[2] * u_j[2])
+
+    norm = float(np.linalg.norm(psi))
+    if norm < PSI_EPS:
+        return None
+    return RegressorSample(psi / norm, float(ybar / norm), t_k)
+
+
 def reference_observability_probe(profile: MotionProfile, ticks: int = 100,
                                   dt: float = 0.05, zero_tol: float = 1e-12) -> RankDiagnosis:
-    """The probe as a per-tick loop: one-robot `step`s, one `build_sample`
-    per interval from the robots' world distance, S summed one outer
-    product at a time."""
+    """The probe as a per-tick loop: one-robot `reference_step`s, one
+    `reference_build_sample` per interval from the robots' world distance,
+    S summed one outer product at a time."""
     ti, tj = profile.truth_i, profile.truth_j
     S = np.zeros((THETA_DIM, THETA_DIM))
     for k in range(ticks):
         t = k * dt
-        ni = step(ti, profile.command_i(t), dt)
-        nj = step(tj, profile.command_j(t), dt)
-        sample = build_sample(
-            distance(ti, tj), distance(ni, nj),
+        ni = reference_step(ti, profile.command_i(t), dt)
+        nj = reference_step(tj, profile.command_j(t), dt)
+        sample = reference_build_sample(
+            distance(ti.as_row(), tj.as_row()), distance(ni.as_row(), nj.as_row()),
             (ti.odom_pose.position(), ni.odom_pose.position() - ti.odom_pose.position()),
             (tj.odom_pose.position(), nj.odom_pose.position() - tj.odom_pose.position()),
             t_k=k)
@@ -971,3 +1043,207 @@ def test_drawn_profiles_match_reference_probe(start_i, start_j, cmd_i, cmd_j, sa
     profile = MotionProfile(RobotTruth.spawn(1, *start_i), RobotTruth.spawn(0, *start_j),
                             drawn_command(*cmd_i), drawn_command(*(cmd_i if same else cmd_j)))
     check_probe_against_reference(profile, ticks=ticks, dt=dt)
+
+
+# -- front ends ------------------------------------------------------------------
+#
+# The one-pair and one-robot front ends stay only for benchmarks/tracing.py,
+# until ROADMAP item 1; every other test drives the stacked passes.  This
+# table keeps each front end checked, bit for bit, against the pass it wraps
+# on one row, until both go.
+
+seeds = st.integers(0, 2**32 - 1)
+small = st.floats(-20, 20, allow_nan=False)
+vec3 = st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(small, small, small)).map(np.array)
+
+
+def record_of(data, planar: bool) -> RecordBank:
+    """A one-row bank offered a drawn stream of samples, empty or evicting."""
+    bank = RecordBank(1, planar, data.draw(st.integers(7, 10)))
+    for s in sample_stream(data.draw(seeds), data.draw(st.integers(0, 25)), planar):
+        bank.add_all([0], s.phi[None], np.array([s.y]), s.t_k)
+    return bank
+
+
+class TestFrontEndsMatchTheirPasses:
+    """One entry per front end: draw its inputs, run it and its pass on one
+    row, and check that they agree bit for bit, including where the front
+    end raises or returns its input for what the pass reports as missing."""
+
+    def judge_queue_screen(self, data):
+        capacity, threshold = data.draw(st.integers(1, 6)), data.draw(st.floats(0.05, 0.95))
+        q, bank = outliers.JudgeQueue(capacity, threshold), JudgeBank(1, capacity, threshold)
+        for t in triplet_stream(data.draw(seeds), data.draw(st.integers(0, 30)),
+                                data.draw(st.booleans())):
+            got = q.screen(sensing.MeasurementTriplet(t.d, t.z_i, t.z_j, t.t_k))
+            want = bank.screen_all(np.array([t.d]), np.concatenate((t.z_i, t.z_j))[None], t.t_k)
+            assert (got.is_outlier, got.votes, got.queue_size) == tuple(w[0] for w in want)
+        assert queued(q._bank, 0) == queued(bank, 0)
+
+    def data_record_add(self, data):
+        planar, cap = data.draw(st.booleans()), data.draw(st.integers(7, 10))
+        rec, bank = DataRecord(RecordBank(1, planar, cap), 0), RecordBank(1, planar, cap)
+        for s in sample_stream(data.draw(seeds), data.draw(st.integers(0, 30)), planar):
+            assert [rec.add(s)] == bank.add_all([0], s.phi[None], np.array([s.y]), s.t_k)
+        for name in ("phis", "ys", "t_ks", "S", "lambda_min", "lambda_max"):
+            assert bits(getattr(rec.bank, name)) == bits(getattr(bank, name))
+        assert rec.bank.n == bank.n
+
+    def build_sample(self, data):
+        d_k, d_k1 = data.draw(st.floats(0, 20)), data.draw(st.floats(0, 20))
+        (p_i, u_i, p_j, u_j), t_k = data.draw(st.tuples(vec3, vec3, vec3, vec3)), 7
+        got = regression.build_sample(d_k, d_k1, (p_i, u_i), (p_j, u_j), t_k)
+        phi, y, valid = regression.build_samples(np.array([[d_k ** 2, *p_i, *p_j]]),
+                                                 np.array([[d_k1 ** 2 - d_k ** 2, *u_i, *u_j]]))
+        assert (got is not None) == valid[0]
+        if got is not None:
+            assert (bits(got.phi), got.y, got.t_k) == (bits(phi[0]), y[0], t_k)
+
+    def cl_update(self, data):
+        bank = record_of(data, planar=False)
+        theta = np.array([data.draw(st.tuples(*[small] * THETA_DIM))])
+        s = sample_stream(data.draw(seeds), 1, False)[0]
+        variant = data.draw(st.sampled_from(["stated", "proof"]))
+        est = estimation.ThetaEstimate(theta[0].copy(), DataRecord(bank, 0), variant)
+        moved = cl_update_all(theta, bank, [0], s.phi[None], np.array([s.y]), variant)
+        if bank.n == [0]:
+            with pytest.raises(ValueError):
+                estimation.cl_update(est, s)
+            assert moved == [False]
+            return
+        out = estimation.cl_update(est, s)
+        assert (out is est) == (not moved[0])
+        assert bits(out.theta_hat) == bits(theta[0])
+
+    def excitation_ratio(self, data):
+        bank = record_of(data, data.draw(st.booleans()))
+        ratio, = regression.excitation_ratios(bank)
+        if bank.n == [0]:
+            with pytest.raises(regression.EmptyRecord):
+                regression.excitation_ratio(DataRecord(bank, 0))
+            assert ratio == 0.0
+        else:
+            assert regression.excitation_ratio(DataRecord(bank, 0)) == ratio
+
+    def range_stream_sample(self, data):
+        noise = NoiseModel(sigma_range=data.draw(st.floats(0, 1)),
+                           outlier_prob=data.draw(st.floats(0, 1)))
+        seed, i, j = data.draw(seeds), data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        one, stacked = RangeStream(noise, seed, i, j), RangeStream(noise, seed, i, j)
+        for a, b in data.draw(st.lists(st.tuples(truth_row(), truth_row()), max_size=5)):
+            d, = row_norms(np.array([a[:3]]) - np.array([b[:3]])).tolist()
+            assert one.sample(RobotTruth.from_row(i, a), RobotTruth.from_row(j, b)) == \
+                stacked.draw(d)
+
+    def step(self, data):
+        row, dt = data.draw(truth_row()), data.draw(st.floats(-0.05, 0.2))
+        cmd = (data.draw(st.floats(-2, 2)), data.draw(st.floats(-1, 1)), data.draw(yaw_rate))
+        if dt <= 0.0:
+            with pytest.raises(ValueError):
+                world.step(RobotTruth.from_row(3, row), VelocityCommand(*cmd), dt)
+            with pytest.raises(ValueError):
+                advance([row], [cmd], dt)
+            return
+        got = world.step(RobotTruth.from_row(3, row), VelocityCommand(*cmd), dt)
+        assert got.id == 3 and bits(got.as_row()) == bits(advance([row], [cmd], dt)[0])
+
+    def odom_stream_update(self, data):
+        noise = NoiseModel(sigma_odom_pos=data.draw(sigma), sigma_odom_yaw=data.draw(sigma))
+        seed, robot, planar = data.draw(seeds), data.draw(st.integers(0, 5)), \
+            data.draw(st.booleans())
+        stream = sensing.OdomStream(noise, seed, robot, planar)
+        rngs = [sensing.robot_rng(seed, robot)]
+        cum = [[0.0] * 4]
+        for prev, nxt in data.draw(st.lists(st.tuples(truth_row(), truth_row()), max_size=4)):
+            stream.update(RobotTruth.from_row(robot, prev), RobotTruth.from_row(robot, nxt))
+            cum = odom_step(cum, [prev], [nxt], noise, rngs, planar)
+            assert bits([*stream.cum_pos, stream.cum_yaw]) == bits(cum[0])
+
+    def reconstruct_pose(self, data):
+        theta = np.array(data.draw(st.tuples(*[small] * THETA_DIM)))
+        theta[5:] *= data.draw(st.sampled_from([1.0, 1e-10]))
+        pose, = reconstruct_poses(theta[None])
+        est = estimation.ThetaEstimate(theta, None)
+        if pose is None:
+            with pytest.raises(DegenerateRotation):
+                estimation.reconstruct_pose(est)
+            return
+        got = estimation.reconstruct_pose(est)
+        assert bits([*got.p0_hat, got.R0_hat.c, got.R0_hat.s]) == bits(pose)
+
+    def leader_initial_estimate(self, data):
+        rng = np.random.default_rng(data.draw(seeds))
+        graph = assign_layers(*random_dag(rng)[::-1])
+        n, pairs = graph.n_robots, graph.ordered_pairs()
+        lead = [[0.0, 0.0, 0.0, 1.0, 0.0]] + [[math.nan] * 5 for _ in range(n - 1)]
+        fresh = [0] + [-1] * (n - 1)
+        estimates: dict = {}
+        for k in range(data.draw(st.integers(1, 4))):
+            theta = rng.normal(size=(len(pairs), THETA_DIM))
+            theta[rng.uniform(size=len(pairs)) < 0.3, 5:] *= 1e-10
+            poses = reconstruct_poses(theta)
+            compose_layers(composition_plan(graph), poses, lead, fresh, k)
+            pairwise = {p: estimation.RelativePoseEstimate(np.array(pose[:3]),
+                                                           Rotation3Z(*pose[3:]))
+                        for p, pose in zip(pairs, poses) if pose is not None}
+            for layer in range(1, graph.max_layer + 1):
+                for i in graph.nodes_in_layer(layer):
+                    try:
+                        estimates[i] = cooploc.leader_initial_estimate(i, graph, pairwise,
+                                                                       estimates, k)
+                    except cooploc.MissingNeighborEstimate:
+                        pass
+            for i in range(1, n):
+                e = estimates.get(i)
+                assert fresh[i] == (-1 if e is None else e.fresh)
+                if e is not None:
+                    assert bits(lead[i]) == bits([*e.q0_hat, e.Q0_hat.c, e.Q0_hat.s])
+
+    def leader_realtime_estimate(self, data):
+        row = data.draw(st.tuples(small, small, small, st.floats(-1, 1), st.floats(-1, 1)))
+        own, leader = data.draw(st.tuples(truth_row(), truth_row()))
+        want, = leader_realtime_rows([row], [own[4:]], leader[4:])
+        q, c, s = cooploc.leader_realtime_estimate(
+            cooploc.LeaderPoseEstimate(np.array(row[:3]), Rotation3Z(*row[3:])),
+            np.array(own[4:7]), Angle(own[7]), np.array(leader[4:7]), Angle(leader[7]))
+        assert bits([*q, c, s]) == bits(want)
+
+    def tracking_error_estimated(self, data):
+        rt, lead = (data.draw(st.tuples(small, small, small, st.floats(-1, 1), st.floats(-1, 1)))
+                    for _ in range(2))
+        odom, offset = data.draw(truth_row())[4:], data.draw(vec3)
+        want, = tracking_error_rows([rt], [lead], [odom], [offset.tolist()])
+        got = control.tracking_error_estimated(np.array(rt[:3]), Rotation3Z(*lead[3:]), rt[3],
+                                               rt[4], Angle(odom[3]), offset)
+        assert bits([*got.e_p, got.e_c, got.e_s]) == bits(want)
+
+    def tracking_error_truth(self, data):
+        robot, leader, offset = data.draw(truth_row()), data.draw(truth_row()), data.draw(vec3)
+        want, = control.tracking_error_truth_rows([robot], leader, offset)
+        got = control.tracking_error_truth(RobotTruth.from_row(1, robot),
+                                           RobotTruth.from_row(0, leader), offset)
+        assert bits([*got.e_p, got.e_c, got.e_s]) == bits(want)
+
+    def stage1_command(self, data):
+        robot = RobotConfig(1, r=data.draw(small), c_v=data.draw(small), c_w=data.draw(small))
+        t = data.draw(st.floats(0, 500))
+        got = control.stage1_command(robot, t)
+        assert bits([got.v_h, got.v_z, got.w]) == bits(control.stage1_rows([robot], t)[0])
+
+    def stage2_command(self, data):
+        lead = data.draw(st.tuples(small, small, small))
+        e = data.draw(st.tuples(small, small, small, small, small))
+        gains = ControlGains(*data.draw(st.tuples(*[st.floats(0.01, 5)] * 4)))
+        got = control.stage2_command(VelocityCommand(*lead),
+                                     control.TrackingError(np.array(e[:3]), e[3], e[4]), gains)
+        assert bits([got.v_h, got.v_z, got.w]) == bits(control.stage2_rows(lead, [e], gains)[0])
+
+    @pytest.mark.parametrize("front_end", [
+        "judge_queue_screen", "data_record_add", "build_sample", "cl_update",
+        "excitation_ratio", "range_stream_sample", "step", "odom_stream_update",
+        "reconstruct_pose", "leader_initial_estimate", "leader_realtime_estimate",
+        "tracking_error_estimated", "tracking_error_truth", "stage1_command", "stage2_command"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_front_end_matches_its_pass(self, front_end, data):
+        getattr(self, front_end)(data)

@@ -3,19 +3,39 @@ import math
 import numpy as np
 import pytest
 
-from conftest import benchmark_pair, circle_cmd, filled_record
+from conftest import benchmark_pair, circle_cmd, filled_record, offer, stepped
 from uwbio.harness import run
-from uwbio.regression import (DataRecord, EmptyRecord, MotionProfile, RegressorSample,
-                              build_sample, excitation_ratio, observability_probe, true_thetas)
+from uwbio.regression import (DataRecord, MotionProfile, RecordBank, RegressorSample,
+                              build_samples, excitation_ratios, observability_probe,
+                              true_thetas)
 from uwbio.scenarios import chain_swarm
 from uwbio.sensing import NoiseModel
 from uwbio.world import RobotTruth, VelocityCommand
 
 
+def sample(d_k, d_k1, odom_i, odom_j):
+    """`build_samples` on one pair: (phi, y, valid) from the ranges at t_k
+    and t_k+1 and each robot's (cumulative position at t_k, displacement
+    over [t_k, t_k+1])."""
+    prev = np.array([[d_k ** 2, *odom_i[0], *odom_j[0]]], dtype=float)
+    step = np.array([[d_k1 ** 2 - d_k ** 2, *odom_i[1], *odom_j[1]]], dtype=float)
+    phi, y, valid = build_samples(prev, step)
+    return phi[0], float(y[0]), bool(valid[0])
+
+
+def one_record(planar: bool = False, hist_cap: int = 64) -> DataRecord:
+    """An empty record: the view of a one-row bank."""
+    return DataRecord(RecordBank(1, planar, hist_cap), 0)
+
+
+def ratio(rec: DataRecord) -> float:
+    return excitation_ratios(rec.bank)[rec.row]
+
+
 class TestBuildSample:
     def test_degenerate_interval_rejected(self):
         z = np.zeros(3)
-        assert build_sample(1.0, 1.0, (z, z), (z, z)) is None
+        assert not sample(1.0, 1.0, (z, z), (z, z))[2]
 
     def test_hand_built_case(self):
         # Robot i at the origin heading 0 steps 0.1 m along x; the neighbor
@@ -23,19 +43,19 @@ class TestBuildSample:
         # hand-computable: Psi = [0.1, 0, 0, 0, 0, 0, 0], ybar = -0.1.
         p_i, u_i = np.zeros(3), np.array([0.1, 0.0, 0.0])
         p_j, u_j = np.zeros(3), np.zeros(3)
-        s = build_sample(1.0, 0.9, (p_i, u_i), (p_j, u_j), t_k=0)
-        assert s is not None
-        assert np.allclose(s.phi, [1, 0, 0, 0, 0, 0, 0], atol=1e-15)
-        assert s.y == pytest.approx(-1.0, abs=1e-15)
+        phi, y, valid = sample(1.0, 0.9, (p_i, u_i), (p_j, u_j))
+        assert valid
+        assert np.allclose(phi, [1, 0, 0, 0, 0, 0, 0], atol=1e-15)
+        assert y == pytest.approx(-1.0, abs=1e-15)
         # theta for this geometry: p0 = (-1, 0, 0), theta0 = pi/2.
         theta = np.array([-1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0])
-        assert s.phi @ theta == pytest.approx(s.y, abs=1e-12)
+        assert phi @ theta == pytest.approx(y, abs=1e-12)
 
     def test_unit_norm_phi(self):
-        s = build_sample(2.0, 2.05,
-                         (np.array([0.3, 0.1, 0.0]), np.array([0.02, 0.01, 0.005])),
-                         (np.array([-0.2, 0.4, 0.1]), np.array([-0.01, 0.02, 0.0])))
-        assert np.linalg.norm(s.phi) == pytest.approx(1.0, abs=1e-12)
+        phi, _, _ = sample(2.0, 2.05,
+                           (np.array([0.3, 0.1, 0.0]), np.array([0.02, 0.01, 0.005])),
+                           (np.array([-0.2, 0.4, 0.1]), np.array([-0.01, 0.02, 0.0])))
+        assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-12)
 
     def test_noise_free_consistency_on_scenario(self):
         # The central oracle: on exact data every accepted sample satisfies
@@ -61,49 +81,48 @@ class TestThetaTrue:
             assert np.allclose(th[3:5], rot_t @ th[:2], atol=1e-12)
 
     def test_requires_initial_state(self):
-        from uwbio.world import step
         a = RobotTruth.spawn(0, 0, 0, 0, 0)
-        moved = step(a, VelocityCommand(1, 0, 0), 1.0)
+        moved = stepped(a, (1, 0, 0), 1.0)
         with pytest.raises(ValueError):
             true_thetas([moved.as_row(), a.as_row()], [(0, 1)])
 
     def test_requires_initial_state_of_the_neighbor(self):
-        from uwbio.world import step
         a = RobotTruth.spawn(0, 0, 0, 0, 0)
-        turned = step(a, VelocityCommand(0, 0, 1), 1.0)
+        turned = stepped(a, (0, 0, 1), 1.0)
         with pytest.raises(ValueError):
             true_thetas([a.as_row(), turned.as_row()], [(0, 1)])
 
 
 class TestDataRecord:
     def test_single_sample(self):
-        rec = DataRecord()
+        rec = one_record()
         phi = np.zeros(7)
         phi[3] = 1.0
-        rec.add(RegressorSample(phi, 0.5, 0))
+        offer(rec.bank, RegressorSample(phi, 0.5, 0))
         assert rec.lambda_max == pytest.approx(1.0, abs=1e-12)
         assert rec.lambda_min == pytest.approx(0.0, abs=1e-12)
         assert np.linalg.matrix_rank(rec.S) == 1
 
     def test_orthonormal_basis_full_rank(self):
-        rec = DataRecord()
+        rec = one_record()
         for k in range(7):
             phi = np.zeros(7)
             phi[k] = 1.0
-            rec.add(RegressorSample(phi, 0.0, k))
-        assert excitation_ratio(rec) == pytest.approx(1.0, abs=1e-12)
+            offer(rec.bank, RegressorSample(phi, 0.0, k))
+        assert ratio(rec) == pytest.approx(1.0, abs=1e-12)
         assert rec.lambda_min > 0
 
     def test_excitation_ratio_rank_deficient(self):
-        rec = DataRecord()
+        rec = one_record()
         phi = np.ones(7) / math.sqrt(7)
         for k in range(3):
-            rec.add(RegressorSample(phi, 0.0, k))
-        assert excitation_ratio(rec) == 0.0
+            offer(rec.bank, RegressorSample(phi, 0.0, k))
+        assert ratio(rec) == 0.0
 
     def test_excitation_ratio_empty_raises(self):
-        with pytest.raises(EmptyRecord):
-            excitation_ratio(DataRecord())
+        # An empty record has no ratio: `excitation_ratios` reads 0, which
+        # the stage check never passes (`excitation_ratio` raises EmptyRecord).
+        assert excitation_ratios(RecordBank(1)) == [0.0]
 
     def test_reconstruction_invariant_after_churn(self):
         # Force heavy eviction with a small cap; the incrementally maintained
@@ -127,18 +146,15 @@ class TestDataRecord:
         # Sustained counter-rotating excitation drives the retained record's
         # eigenvalue ratio past the stage threshold within 900 ticks.
         samples, _, _ = benchmark_pair(ticks=900)
-        rec = DataRecord()
-        for s in samples:
-            rec.add(s)
-        assert excitation_ratio(rec) >= 0.1
+        assert ratio(filled_record(samples)) >= 0.1
 
     def test_planar_record_uses_active_block(self):
-        rec = DataRecord(planar=True)
+        rec = one_record(planar=True)
         for k in range(6):
             phi = np.zeros(7)
             phi[k if k < 2 else k + 1] = 1.0
-            rec.add(RegressorSample(phi, 0.0, k))
-        assert excitation_ratio(rec) == pytest.approx(1.0, abs=1e-12)
+            offer(rec.bank, RegressorSample(phi, 0.0, k))
+        assert ratio(rec) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHistoryView:
@@ -155,7 +171,7 @@ class TestHistoryView:
         view.pop()
         assert rec.history is view and len(rec.history) == len(rec) - 1
         assert bits(rec.history[0].phi) == bits(rec.phis[0] * 2.0)
-        assert sum(rec.add(s) for s in samples[20:60]) > 0   # evictions included
+        assert sum(offer(rec.bank, s) for s in samples[20:60]) > 0   # evictions included
         fresh = rec.history
         assert fresh is not view and len(fresh) == len(rec) == 8
         assert [(bits(s.phi), s.y) for s in fresh] == \
@@ -164,11 +180,11 @@ class TestHistoryView:
         assert [s.t_k for s in fresh] == kept == sorted(kept)
 
     def test_rejected_sample_keeps_the_list(self):
-        rec = DataRecord(hist_cap=7)
+        rec = one_record(hist_cap=7)
         for k in range(7):
-            rec.add(RegressorSample(np.eye(7)[k], 0.0, k))
+            offer(rec.bank, RegressorSample(np.eye(7)[k], 0.0, k))
         view = rec.history
-        assert not rec.add(RegressorSample(np.eye(7)[0], 0.0, 7))
+        assert not offer(rec.bank, RegressorSample(np.eye(7)[0], 0.0, 7))
         assert rec.history is view
 
     def test_run_history_matches_rows(self):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import distance
+from conftest import distance, stepped
 from uwbio.geometry import Angle, Rotation3Z
-from uwbio.world import Pose4, RobotTruth, VelocityCommand, frame_offset, frame_yaw, step
+from uwbio.world import Pose4, RobotTruth, advance, frame_offset, frame_yaw
 
 yaws = st.floats(-3.0, 3.0, allow_nan=False)
 coords = st.floats(-10.0, 10.0, allow_nan=False)
@@ -15,13 +15,13 @@ coords = st.floats(-10.0, 10.0, allow_nan=False)
 class TestStep:
     def test_zero_command_is_identity(self):
         r = RobotTruth.spawn(0, 1.0, 2.0, 3.0, 0.5)
-        out = step(r, VelocityCommand(0.0, 0.0, 0.0), 0.05)
+        out = stepped(r, (0.0, 0.0, 0.0), 0.05)
         assert out.world_pose == r.world_pose
         assert out.odom_pose == r.odom_pose
 
     def test_straight_line(self):
         r = RobotTruth.spawn(0, 0, 0, 0, 0)
-        out = step(r, VelocityCommand(1.0, 0.0, 0.0), 1.0)
+        out = stepped(r, (1.0, 0.0, 0.0), 1.0)
         assert out.world_pose.x == pytest.approx(1.0)
         assert out.world_pose.y == 0.0
 
@@ -33,22 +33,23 @@ class TestStep:
         n = 1000
         r = RobotTruth.spawn(0, 0, 0, 0, 0)
         for _ in range(n):
-            r = step(r, VelocityCommand(r_c * w, 0.0, w), period / n)
+            r = stepped(r, (r_c * w, 0.0, w), period / n)
         assert np.linalg.norm(r.world_pose.position()) < 1e-9
         assert r.world_pose.yaw.radians == pytest.approx(2 * math.pi, abs=1e-9)
 
     def test_dt_must_be_positive(self):
         with pytest.raises(ValueError):
-            step(RobotTruth.spawn(0, 0, 0, 0, 0), VelocityCommand(0.0, 0.0, 0.0), 0.0)
+            advance([RobotTruth.spawn(0, 0, 0, 0, 0).as_row()], [(0.0, 0.0, 0.0)], 0.0)
 
     def test_odometry_ignores_world_pose(self):
         # Identical commands from different world starts give bitwise equal
         # odometry traces.
-        cmds = [VelocityCommand(0.3, 0.1, 0.4), VelocityCommand(0.2, -0.1, -0.6)] * 40
-        a = RobotTruth.spawn(0, 0, 0, 0, 0)
-        b = RobotTruth.spawn(0, 17.0, -4.0, 2.0, 2.4)
+        cmds = [(0.3, 0.1, 0.4), (0.2, -0.1, -0.6)] * 40
+        rows = [RobotTruth.spawn(0, 0, 0, 0, 0).as_row(),
+                RobotTruth.spawn(0, 17.0, -4.0, 2.0, 2.4).as_row()]
         for c in cmds:
-            a, b = step(a, c, 0.05), step(b, c, 0.05)
+            rows = advance(rows, [c, c], 0.05)
+            a, b = (RobotTruth.from_row(0, row) for row in rows)
             assert a.odom_pose == b.odom_pose
 
 
@@ -100,26 +101,27 @@ class TestFrameConsistency:
     def test_odometry_bookkeeping_matches_world_distance(self):
         # Master consistency check: |p_ij| propagated through odometry-frame
         # bookkeeping equals the world-frame distance at every tick.
-        a = RobotTruth.spawn(0, 0.5, -0.4, 0.0, 0.9)
-        b = RobotTruth.spawn(1, 2.0, 1.0, 0.5, -1.7)
-        p0 = frame_offset(a.as_row(), b.as_row(), a.as_row())
-        R = Rotation3Z.from_angle(frame_yaw(b.as_row()) - frame_yaw(a.as_row()))
+        rows = [RobotTruth.spawn(0, 0.5, -0.4, 0.0, 0.9).as_row(),
+                RobotTruth.spawn(1, 2.0, 1.0, 0.5, -1.7).as_row()]
+        p0 = frame_offset(rows[0], rows[1], rows[0])
+        R = Rotation3Z.from_angle(frame_yaw(rows[1]) - frame_yaw(rows[0]))
         dt = 0.05
         for k in range(400):
             t = k * dt
-            ca = VelocityCommand(0.15, 0.05 * math.sin(0.3 * t), -0.5)
-            cb = VelocityCommand(0.2, -0.04 * math.sin(0.2 * t), 0.4)
-            a, b = step(a, ca, dt), step(b, cb, dt)
-            p_ij = p0 + a.odom_pose.position() - R.apply(b.odom_pose.position())
+            ca = (0.15, 0.05 * math.sin(0.3 * t), -0.5)
+            cb = (0.2, -0.04 * math.sin(0.2 * t), 0.4)
+            a, b = rows = advance(rows, [ca, cb], dt)
+            p_ij = p0 + np.array(a[4:7]) - R.apply(np.array(b[4:7]))
             assert abs(np.linalg.norm(p_ij) - distance(a, b)) < 1e-9
 
     def test_relative_yaw_composition(self):
         a = RobotTruth.spawn(0, 0, 0, 0, 0.9)
         b = RobotTruth.spawn(1, 2, 1, 0, -1.7)
         theta0 = Rotation3Z.from_angle(frame_yaw(b.as_row()) - frame_yaw(a.as_row())).yaw()
+        rows = [a.as_row(), b.as_row()]
         for _ in range(200):
-            a = step(a, VelocityCommand(0.1, 0, 0.3), 0.05)
-            b = step(b, VelocityCommand(0.2, 0, -0.2), 0.05)
+            rows = advance(rows, [(0.1, 0, 0.3), (0.2, 0, -0.2)], 0.05)
+        a, b = (RobotTruth.from_row(r, row) for r, row in enumerate(rows))
         theta = relative_yaw(a, b)
         composed = theta0 + b.odom_pose.yaw.radians - a.odom_pose.yaw.radians
         assert theta == pytest.approx(composed, abs=1e-12)

@@ -22,8 +22,8 @@ from .regression import (DataRecord, MotionProfile, RankDiagnosis, RecordBank, R
 from .estimation import ThetaEstimate, cl_update_all, reconstruct_poses
 from .cooploc import (LeaderPoseEstimate, TopologyGraph, UnreachableNode, assign_layers,
                       compose_layers, leader_realtime_rows)
-from .control import (ControlGains, ExcitationTimeout, FormationSpec, StageTracker,
-                      stage1_rows, stage2_rows, tracking_error_rows, tracking_error_truth_rows)
+from .control import (ControlGains, ExcitationTimeout, StageTracker, stage1_rows, stage2_rows,
+                      tracking_error_rows, tracking_error_truth_rows)
 from .outliers import JudgeBank
 from .metrics import DetectionStats, convergence_time, detection_stats, smoothness
 from .config import (ConfigError, PEBaselineConfig, RandomInit, RobotConfig,

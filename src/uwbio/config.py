@@ -1,8 +1,9 @@
 """Scenario configuration: a versioned JSON schema with strict validation.
 
 Unknown keys are errors so a typo in a sweep file fails loudly instead of
-silently running defaults.  The canonical serialized form (sorted keys) is
-hashed into every run manifest.
+silently running defaults.  A config built in Python goes through the same
+table on construction, so it holds what its saved file loads to.  The
+canonical serialized form (sorted keys) is hashed into every run manifest.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
-from .control import ControlGains, FormationSpec
+from .control import ControlGains
 from .cooploc import assign_layers
 from .estimation import RATE_VARIANTS
 from .outliers import JudgeBank
@@ -138,13 +137,20 @@ class ScenarioConfig:
     sample_dump: bool = False
 
     def __post_init__(self):
+        # A config built in Python holds what its saved file loads to, and
+        # raises what loading that file raises: its own tree goes back
+        # through the one table, before any check reads a value.
+        tree = self.to_dict()
+        del tree["schema_version"]
+        for name, value in _load_fields(dict(tree)).items():
+            object.__setattr__(self, name, value)
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ConfigError(f"duration_s must be positive and finite, got {self.duration_s!r}")
         whole_ticks("duration_s", self.duration_s, self.dt)
         check_seed(self.seed)
-        bad = _non_finite(self.to_dict())
+        bad = _non_finite(tree)
         if bad:
             raise ConfigError(f"{bad[0]} must be finite")
         ids = [r.id for r in self.robots]
@@ -167,14 +173,13 @@ class ScenarioConfig:
         for rid in self.formation:
             if rid not in ids:
                 raise ConfigError(f"formation offset for unknown robot {rid}")
+        if any(self.formation.get(0, ())):
+            raise ConfigError(f"formation offset for robot 0, the leader, must be zero, "
+                              f"got {self.formation[0]!r}")
         try:
             assign_layers(self.edges, len(self.robots))
         except ValueError as exc:   # an unreachable robot or a malformed edge
             raise ConfigError(f"edges: {exc}") from exc
-        try:
-            self.formation_spec()
-        except ValueError as exc:   # a non-finite or short offset, or a leader offset
-            raise ConfigError(str(exc)) from exc
         try:
             JudgeBank(0, self.judge_capacity, self.judge_threshold)
         except ValueError as exc:   # a capacity below 1 or a threshold outside (0, 1)
@@ -193,10 +198,6 @@ class ScenarioConfig:
         if self.stage1_timeout_s is None:
             return None
         return whole_ticks("stage1_timeout_s", self.stage1_timeout_s, self.dt)
-
-    def formation_spec(self) -> FormationSpec:
-        return FormationSpec({rid: np.asarray(off, dtype=float)
-                              for rid, off in self.formation.items()})
 
     # -- serialization ----------------------------------------------------
 
@@ -242,14 +243,17 @@ def _non_finite(node, key: str = "") -> list[str]:
 
 class _Scalar:
     """A bool, int, str or real value, never coerced: an integral float
-    counts as an int and an int as a real, nothing else.  A real is dumped
-    as a float, so configs that compare equal hash equal."""
+    counts as an int and an int as a real, nothing else.  A real field dumps
+    an int or a float as a float, so configs that compare equal hash equal,
+    and any other value as it is, for `load` to reject."""
 
     def __init__(self, kind: type):
         self.kind = kind
 
     def dump(self, value):
-        return float(value) if self.kind is float else value
+        if self.kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        return value
 
     def load(self, raw, key: str):
         if self.kind is float:
@@ -350,8 +354,8 @@ class _Formation:
 
 
 # Every ScenarioConfig field: its dotted JSON path and its kind, in the
-# order `to_dict` writes them.  `to_dict` and `config_from_dict` both walk
-# this table; a key left out of the JSON takes the field's default.
+# order `to_dict` writes them.  `to_dict` and `_load_fields` both walk this
+# table; a key left out of the JSON takes the field's default.
 _FIELDS = {
     "name": ("name", _STR),
     "dt": ("dt", _REAL),
@@ -383,18 +387,10 @@ _FIELDS = {
 }
 
 
-def config_from_dict(raw: dict) -> ScenarioConfig:
-    d = _object(raw, "config")
-    version = d.pop("schema_version", None)
-    if type(version) is not int or version not in (1, SCHEMA_VERSION):
-        raise ConfigError(f"unsupported schema_version {version!r}")
-    if version == 1:
-        # Version 2 dropped broadcast_horizon: leader odometry is read on the
-        # tick it is sent, so only a horizon of 0 meant what version 2 does.
-        horizon = _INT.load(d.pop("broadcast_horizon", 0), "broadcast_horizon")
-        if horizon != 0:
-            raise ConfigError(f"broadcast_horizon {horizon} is not supported: a version 1 "
-                              f"config loads only with broadcast_horizon 0 or absent")
+def _load_fields(d: dict) -> dict:
+    """Every ScenarioConfig field the `to_dict` tree `d` (without its
+    schema_version) holds, loaded through `_FIELDS`; pops the keys of `d`,
+    and raises on a required key left out or on an unknown key."""
     parents = {path.rpartition(".")[0] for path, _ in _FIELDS.values()} - {""}
     nested = {parent: _object(d.pop(parent, {}), parent) for parent in sorted(parents)}
     required = {f.name for f in fields(ScenarioConfig)
@@ -410,7 +406,22 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     for parent, node in nested.items():
         _reject_unknown(node, parent)
     _reject_unknown(d, "config")
-    return ScenarioConfig(**values)
+    return values
+
+
+def config_from_dict(raw: dict) -> ScenarioConfig:
+    d = _object(raw, "config")
+    version = d.pop("schema_version", None)
+    if type(version) is not int or version not in (1, SCHEMA_VERSION):
+        raise ConfigError(f"unsupported schema_version {version!r}")
+    if version == 1:
+        # Version 2 dropped broadcast_horizon: leader odometry is read on the
+        # tick it is sent, so only a horizon of 0 meant what version 2 does.
+        horizon = _INT.load(d.pop("broadcast_horizon", 0), "broadcast_horizon")
+        if horizon != 0:
+            raise ConfigError(f"broadcast_horizon {horizon} is not supported: a version 1 "
+                              f"config loads only with broadcast_horizon 0 or absent")
+    return ScenarioConfig(**_load_fields(d))
 
 
 def _unique_keys(pairs: list) -> dict:

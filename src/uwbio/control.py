@@ -46,24 +46,6 @@ class ControlGains:
 
 
 @dataclass(frozen=True)
-class FormationSpec:
-    """Desired offset of each robot in the leader odometry frame."""
-
-    offsets: Mapping[int, np.ndarray]
-
-    def __post_init__(self):
-        for rid, off in self.offsets.items():
-            off = np.asarray(off, dtype=float)
-            if off.shape != (3,) or not np.all(np.isfinite(off)):
-                raise ValueError(f"offset for robot {rid} must be a finite 3-vector")
-        if 0 in self.offsets and np.linalg.norm(self.offsets[0]) > 0:
-            raise ValueError("leader offset must be zero")
-
-    def offset(self, robot: int) -> np.ndarray:
-        return np.asarray(self.offsets.get(robot, np.zeros(3)), dtype=float)
-
-
-@dataclass(frozen=True)
 class TrackingError:
     """Body-frame position error plus the (1 - cos, sin) yaw error pair."""
 

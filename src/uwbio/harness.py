@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ScenarioConfig, check_seed
+from .config import _INT, _REAL, ConfigError, ScenarioConfig, check_seed
 from .control import (StageTracker, stage1_rows, stage2_rows, tracking_error_rows,
                       tracking_error_truth_rows)
 from .cooploc import (LeaderPoseEstimate, TopologyGraph, assign_layers, compose_layers,
@@ -285,11 +285,16 @@ def _robot_major(rows: int, n_robots: int, width: int | None, fill) -> np.ndarra
     return np.full(shape, fill).swapaxes(0, 1)
 
 
+def _offsets(config: ScenarioConfig) -> list[list[float]]:
+    """Every robot's desired offset in the leader odometry frame; a robot
+    the formation leaves out, the leader among them, holds zero."""
+    return [list(config.formation.get(r, (0.0, 0.0, 0.0))) for r in range(config.n_robots)]
+
+
 def _initial_state(config: ScenarioConfig, seed: int) -> SimState:
     graph = assign_layers(config.edges, config.n_robots)
     pairs = graph.ordered_pairs()
     n_pairs, n_robots, rows = len(pairs), config.n_robots, config.n_ticks + 1
-    spec = config.formation_spec()
     lead = config.robots[0]
     cruise = (lead.r * lead.c_w, 0.0, lead.c_w)
     if config.leader_cruise is not None:
@@ -315,7 +320,7 @@ def _initial_state(config: ScenarioConfig, seed: int) -> SimState:
         pair_ij=np.array(pairs, dtype=np.intp).reshape(n_pairs, 2),
         out_pairs=[[pairs.index((r, j)) for j in graph.out_edges[r]] for r in range(n_robots)],
         plan=composition_plan(graph),
-        offsets=[spec.offset(r).tolist() for r in range(n_robots)],
+        offsets=_offsets(config),
         cruise=cruise,
         stage=StageTracker(range(n_robots), config.excitation_threshold,
                            config.stage1_timeout_ticks),
@@ -377,7 +382,7 @@ def _commands(state: SimState, k: int) -> list[tuple[float, float, float]]:
         lead = (lead[0], 0.0, lead[2])
     # Followers feed forward the command the leader actually applies.
     lead = _saturate(state, k, 0, lead)
-    if not cfg.pe_baseline and not stage2:
+    if not stage2:
         follow = stage1_rows(cfg.robots[1:], t)
     else:
         errors = state.errors
@@ -532,7 +537,7 @@ def _score_truth(res: RunResult) -> None:
     tick-0 row (`frame_offset`; q0_true is its tick-0 value); the true
     relative yaw as the world yaw difference; and track_truth through
     `tracking_error_truth_rows`, which truth feedback applies per tick."""
-    spec = res.config.formation_spec()
+    offsets = _offsets(res.config)
     truth = res.truth
     lead = truth[:, 0]
     for (pair, log), theta in zip(res.theta_log.items(),
@@ -547,12 +552,11 @@ def _score_truth(res: RunResult) -> None:
         res.q_rt_err[i] = row_norms(rt[:, :3] - q_true)
         res.trig_rt_err[i] = np.array([math.hypot(c - cy, s - sy) for c, s, cy, sy in
                                        zip(rt[:, 3], rt[:, 4], np.cos(yaw), np.sin(yaw))])
-        res.track_truth[i] = tracking_error_truth_rows(truth[:, i], lead, spec.offset(i))
+        res.track_truth[i] = tracking_error_truth_rows(truth[:, i], lead, offsets[i])
 
 
 def _compute_metrics(res: RunResult) -> RunMetrics:
-    m = RunMetrics(dt=res.dt, duration_s=res.dt * res.n_ticks,
-                   transition_tick=res.transition_tick)
+    m = RunMetrics()
     for p, err in res.theta_err.items():
         m.final_theta_err[p] = tail_mean(err)
         mag = float(np.linalg.norm(res.theta_true[p]))
@@ -700,17 +704,17 @@ class SweepResult:
 
 
 def _apply_axis(base: ScenarioConfig, axis: str, value, seed: int) -> ScenarioConfig:
+    # The config loader's kinds: a bool or a string fails its cell, as does
+    # a swarm size that is not a whole number.
     if axis == "noise":
-        return replace(base, noise=replace(base.noise, sigma_range=float(value),
-                                           sigma_odom_pos=float(value)))
+        sigma = _REAL.load(value, axis)
+        return replace(base, noise=replace(base.noise, sigma_range=sigma, sigma_odom_pos=sigma))
     if axis == "outlier_prob":
-        return replace(base, noise=replace(base.noise, outlier_prob=float(value)))
+        return replace(base, noise=replace(base.noise, outlier_prob=_REAL.load(value, axis)))
     if axis == "swarm_size":
         from .scenarios import chain_swarm
-        if isinstance(value, bool) or not float(value).is_integer():
-            raise ConfigError(f"swarm_size must be a whole number of robots, got {value!r}")
         # The chain supplies the layout; every other setting stays the base's.
-        layout = chain_swarm(int(value), seed=seed)
+        layout = chain_swarm(_INT.load(value, axis), seed=seed)
         return replace(base, **{f: getattr(layout, f) for f in _LAYOUT_FIELDS})
     raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
 

@@ -82,9 +82,6 @@ def detection_stats(events) -> DetectionStats:
 class RunMetrics:
     """Summary numbers distilled from one run's logs."""
 
-    dt: float
-    duration_s: float
-    transition_tick: int | None = None
     # Final estimation error per ordered pair: mean |theta_err| over the
     # last tenth of the run (noise-robust reading of "final").
     final_theta_err: dict = field(default_factory=dict)

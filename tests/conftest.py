@@ -5,6 +5,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+# uwbio before numpy: the package pins OpenBLAS to one thread only ahead of
+# numpy's first import, and pytest loads this file before any test module.
+import uwbio  # noqa: F401
+
 import numpy as np
 import pytest
 

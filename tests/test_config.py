@@ -1,11 +1,13 @@
 import json
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
+from test_golden import GOLDEN
 from uwbio.config import (_FIELDS, ConfigError, RandomInit, Saturation, ScenarioConfig,
                           config_from_dict, load_config)
-from uwbio.harness import run
+from uwbio.harness import _offsets, run
 from uwbio.scenarios import chain_swarm, four_robot_formation, two_robot_benchmark
 from uwbio.sensing import NoiseModel
 
@@ -19,11 +21,34 @@ def set_key(d: dict, path: tuple, value) -> dict:
     return d
 
 
+def loaded(path: tuple, value) -> ScenarioConfig:
+    """two_robot_benchmark with `value` at `path` of its dict, loaded."""
+    return config_from_dict(set_key(two_robot_benchmark().to_dict(), path, value))
+
+
+# The ScenarioConfig field at each top-level or flag path of the dict.
+FIELD_AT = {path: name for name, (path, _) in _FIELDS.items()}
+
+
+def replaced(path: tuple, value) -> ScenarioConfig:
+    """two_robot_benchmark with `value` set by `replace` on the field at
+    the top-level or flag `path` of its dict."""
+    return replace(two_robot_benchmark(), **{FIELD_AT[".".join(path)]: value})
+
+
+def builders(path: tuple) -> list:
+    """Each way to build a config with a value at `path` of its dict:
+    loading the dict, and `replace` where the path names a field."""
+    return [loaded, replaced] if ".".join(path) in FIELD_AT else [loaded]
+
+
 class TestRoundTrip:
+    # Every canned scenario and every golden config, through its JSON text.
     @pytest.mark.parametrize("cfg", [two_robot_benchmark(), four_robot_formation(),
-                                     chain_swarm(5, seed=3)])
+                                     chain_swarm(5, seed=3),
+                                     *(GOLDEN[name][0]() for name in sorted(GOLDEN))])
     def test_dict_round_trip(self, cfg):
-        clone = config_from_dict(cfg.to_dict())
+        clone = config_from_dict(json.loads(cfg.canonical_json()))
         assert clone == cfg
         assert clone.config_hash() == cfg.config_hash()
 
@@ -147,19 +172,17 @@ class TestValidation:
 
 
 class TestStrictValues:
-    """Values of the wrong kind are rejected at load time, never coerced."""
+    """Values of the wrong kind are rejected, never coerced, whether the
+    config is loaded or built in Python."""
 
     @pytest.mark.parametrize("path", [("mode_2d",), ("sample_dump",),
-                                      ("flags", "outlier_screening")])
+                                      ("flags", "outlier_screening"),
+                                      ("flags", "truth_feedback")])
     @pytest.mark.parametrize("value", ["false", "no", 0])
     def test_non_bool_flag_rejected(self, path, value):
-        d = two_robot_benchmark().to_dict()
-        parent = d
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        with pytest.raises(ConfigError, match=path[-1]):
-            config_from_dict(d)
+        for build in builders(path):
+            with pytest.raises(ConfigError, match=f"{path[-1]} must be bool"):
+                build(path, value)
 
     @pytest.mark.parametrize("path, value", [(("hist_cap",), 64.9),
                                              (("physics_substeps",), 1.7),
@@ -167,19 +190,23 @@ class TestStrictValues:
                                              (("seed",), "3"),
                                              (("hist_cap",), True)])
     def test_non_integral_int_rejected(self, path, value):
-        d = two_robot_benchmark().to_dict()
-        parent = d
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        with pytest.raises(ConfigError, match="must be int"):
-            config_from_dict(d)
+        for build in builders(path):
+            with pytest.raises(ConfigError, match="must be int"):
+                build(path, value)
 
     def test_integral_float_loads_as_int(self):
         d = two_robot_benchmark().to_dict()
         d["hist_cap"] = 32.0
         cfg = config_from_dict(d)
         assert cfg.hist_cap == 32 and isinstance(cfg.hist_cap, int)
+
+    def test_integral_float_int_field_keeps_the_hash(self):
+        # Configs that compare equal hash equal, int fields included.
+        cfg = two_robot_benchmark()
+        clone = replace(cfg, hist_cap=float(cfg.hist_cap))
+        assert type(clone.hist_cap) is int
+        assert clone == cfg
+        assert clone.config_hash() == cfg.config_hash()
 
     @pytest.mark.parametrize("timeout", [-5.0, 0.0])
     def test_nonpositive_stage1_timeout_rejected(self, timeout):
@@ -193,19 +220,21 @@ class TestStrictValues:
                                              (("gains", "k1"), "1"),
                                              (("judge", "threshold"), "0.5")])
     def test_non_number_float_rejected(self, path, value):
-        d = two_robot_benchmark().to_dict()
-        parent = d
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        with pytest.raises(ConfigError, match=f"{path[-1]} must be a number"):
-            config_from_dict(d)
+        for build in builders(path):
+            with pytest.raises(ConfigError, match=f"{path[-1]} must be a number"):
+                build(path, value)
+
+    def test_non_number_robot_field_rejected(self):
+        cfg = two_robot_benchmark()
+        with pytest.raises(ConfigError, match=r"robots\.1\.x must be a number"):
+            loaded(("robots", 1, "x"), "1.5")
+        with pytest.raises(ConfigError, match=r"robots\.1\.x must be a number"):
+            replace(cfg, robots=(cfg.robots[0], replace(cfg.robots[1], x="1.5")))
 
     def test_non_str_name_rejected(self):
-        d = two_robot_benchmark().to_dict()
-        d["name"] = 7
-        with pytest.raises(ConfigError, match="name must be str"):
-            config_from_dict(d)
+        for build in builders(("name",)):
+            with pytest.raises(ConfigError, match="name must be str"):
+                build(("name",), 7)
 
     @pytest.mark.parametrize("key", ["dt", "duration_s"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -241,10 +270,13 @@ class TestStrictValues:
             load_config(path)
 
     def test_short_formation_offset_rejected(self):
-        d = four_robot_formation().to_dict()
+        cfg = four_robot_formation()
+        d = cfg.to_dict()
         d["formation"]["2"] = [0.0, 1.0]
         with pytest.raises(ConfigError, match="offset for robot '2'"):
             config_from_dict(d)
+        with pytest.raises(ConfigError, match="offset for robot '2'"):
+            replace(cfg, formation={**cfg.formation, 2: (0.0, 1.0)})
 
     @pytest.mark.parametrize("judge", [{"capacity": 0, "threshold": 0.5},
                                        {"capacity": 20, "threshold": 1.0}])
@@ -308,6 +340,24 @@ class TestStrictValues:
         d = two_robot_benchmark().to_dict()
         d["duration_s"], d["dt"] = duration_s, dt
         assert config_from_dict(d).n_ticks == ticks
+
+
+class TestFormation:
+    """Offsets are three finite reals per robot; the leader's is zero, and a
+    robot the formation leaves out holds zero."""
+
+    def test_leader_offset_must_be_zero(self):
+        with pytest.raises(ConfigError, match="robot 0, the leader, must be zero"):
+            replace(two_robot_benchmark(), formation={0: np.array([1.0, 0, 0])})
+
+    def test_offsets_must_be_finite(self):
+        with pytest.raises(ConfigError, match=r"formation\.1\.0 must be finite"):
+            replace(two_robot_benchmark(), formation={1: np.array([np.inf, 0, 0])})
+
+    def test_missing_robot_defaults_to_zero(self):
+        cfg = replace(chain_swarm(3), formation={1: np.array([0.5, -0.5, 0.0])})
+        assert cfg.formation == {1: (0.5, -0.5, 0.0)}
+        assert _offsets(cfg) == [[0.0, 0.0, 0.0], [0.5, -0.5, 0.0], [0.0, 0.0, 0.0]]
 
 
 class TestSchemaV1:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from uwbio.config import RobotConfig
-from uwbio.control import (ControlGains, ExcitationTimeout, FormationSpec, StageTracker,
-                           stage1_rows, stage2_rows, tracking_error_rows,
-                           tracking_error_truth_rows)
+from uwbio.control import (ControlGains, ExcitationTimeout, StageTracker, stage1_rows,
+                           stage2_rows, tracking_error_rows, tracking_error_truth_rows)
 from uwbio.geometry import Rotation3Z
 from uwbio.world import RobotTruth, VelocityCommand
 
@@ -38,20 +37,6 @@ class TestGains:
             ControlGains(0.0, 1.0, 0.5, 0.1)
         with pytest.raises(ValueError):
             ControlGains(1.0, 1.0, 0.5, -0.1)
-
-
-class TestFormationSpec:
-    def test_leader_offset_must_be_zero(self):
-        with pytest.raises(ValueError):
-            FormationSpec({0: np.array([1.0, 0, 0])})
-
-    def test_offsets_must_be_finite(self):
-        with pytest.raises(ValueError):
-            FormationSpec({1: np.array([np.inf, 0, 0])})
-
-    def test_missing_robot_defaults_to_zero(self):
-        spec = FormationSpec({1: np.array([0.5, -0.5, 0.0])})
-        assert np.allclose(spec.offset(2), 0.0, atol=0)
 
 
 class TestTrackingErrorTruth:

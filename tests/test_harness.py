@@ -369,6 +369,14 @@ class TestSweep:
         assert not result.rows
         assert [(v, "4.5" in err) for v, _, err in result.failures] == [(4.5, True)]
 
+    @pytest.mark.parametrize("axis, value", [("noise", True), ("outlier_prob", "0.1"),
+                                             ("swarm_size", "3"), ("swarm_size", True)])
+    def test_bool_or_string_axis_value_is_a_failure(self, axis, value):
+        # The loader's kinds: neither is coerced to the number it spells.
+        result = sweep(two_robot_benchmark(duration_s=1.0), axis, [value], seeds=1)
+        assert not result.rows
+        assert [(v, f"{axis} must be" in err) for v, _, err in result.failures] == [(value, True)]
+
     def test_failures_recorded_not_raised(self):
         base = replace(two_robot_benchmark(duration_s=20.0), stage1_timeout_s=2.0)
         result = sweep(base, "noise", [0.0], seeds=1)

@@ -405,12 +405,12 @@ def test_track_truth_equals_tracking_error_truth(config):
     row must equal the one-robot truth error on that tick's logged true
     poses."""
     res = run(config)
-    spec = config.formation_spec()
     for i, track in res.track_truth.items():
         want = []
         for row in res.truth:
             e = reference_tracking_error_truth(RobotTruth.from_row(i, row[i]),
-                                               RobotTruth.from_row(0, row[0]), spec.offset(i))
+                                               RobotTruth.from_row(0, row[0]),
+                                               np.array(config.formation[i]))
             want.append([e.e_p[0], e.e_p[1], e.e_p[2], e.e_c, e.e_s])
         assert track.tobytes() == np.array(want).tobytes()
 
@@ -801,13 +801,13 @@ def reference_commands(cfg, k, truths, errors, stage2_active, events):
         lead_cmd = VelocityCommand(lead_cmd.v_h, 0.0, lead_cmd.w)
     lead_cmd = saturate(0, lead_cmd)
     out = [lead_cmd]
-    spec = cfg.formation_spec()
     for i in range(1, cfg.n_robots):
         if not cfg.pe_baseline and not stage2:
             cmd = stage1(cfg.robots[i])
         else:
             if cfg.truth_feedback:
-                e = reference_tracking_error_truth(truths[i], truths[0], spec.offset(i))
+                e = reference_tracking_error_truth(truths[i], truths[0],
+                                                   np.array(cfg.formation.get(i, (0.0,) * 3)))
             else:
                 e = errors[i - 1] or Err(np.zeros(3), 0.0, 0.0)
             cmd = VelocityCommand(

@@ -1,15 +1,18 @@
 """Importing uwbio pins OpenBLAS to one thread unless the caller chose a
-count; each case runs in a fresh interpreter, since the pin only acts
-before numpy is first imported."""
+count.  The import cases run in a fresh interpreter, since the pin only
+acts before numpy is first imported; one more checks that the pin is in
+force in the test process itself."""
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -51,3 +54,14 @@ def test_caller_thread_count_is_kept(var):
     got = fresh_import("uwbio", **{var: "2"})
     assert got["env"] == {k: "2" if k == var else None for k in THREAD_VARS}
     assert got["threads"] == fresh_import("numpy", **{var: "2"})["threads"]
+
+
+def test_pin_in_force_in_the_test_process():
+    # conftest imports uwbio before numpy, so the tests run pinned too.
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so"))
+    if not libs:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    lib = ctypes.CDLL(str(libs[0]))
+    if not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("the bundled OpenBLAS does not export its thread count")
+    assert lib.scipy_openblas_get_num_threads64_() == 1

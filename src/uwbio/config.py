@@ -1,9 +1,14 @@
 """Scenario configuration: a versioned JSON schema with strict validation.
 
 Unknown keys are errors so a typo in a sweep file fails loudly instead of
-silently running defaults.  A config built in Python goes through the same
-table on construction, so it holds what its saved file loads to.  The
-canonical serialized form (sorted keys) is hashed into every run manifest.
+silently running defaults.  One table, `_FIELDS`, gives every value its JSON
+key and its kind, and the kind carries every rule on that one value: its
+type, finiteness, bounds or membership.  Only the loader enforces them; the
+records a config holds are plain data.  A config built in Python goes
+through the same table on construction, so it holds what its saved file
+loads to and raises the same error, naming the same key; its own
+`__post_init__` keeps only the rules that span fields.  The canonical
+serialized form (sorted keys) is hashed into every run manifest.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from pathlib import Path
 from .control import ControlGains
 from .cooploc import assign_layers
 from .estimation import RATE_VARIANTS
-from .outliers import JudgeBank
 from .regression import HIST_CAP
 from .sensing import NoiseModel
 from .world import VelocityCommand
@@ -41,16 +45,6 @@ def whole_ticks(name: str, seconds: float, dt: float) -> int:
     return round(ticks)
 
 
-def check_seed(seed) -> int:
-    """A seed under the loader's rule for ints (an integral float loads as
-    its int, nothing else is coerced), >= 0 because numpy's SeedSequence
-    takes only non-negative ints.  Returns the seed as an int."""
-    seed = _INT.load(seed, "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed!r}")
-    return seed
-
-
 @dataclass(frozen=True)
 class RobotConfig:
     """Initial world pose plus stage-one excitation parameters."""
@@ -72,12 +66,6 @@ class PEBaselineConfig:
     amplitude: float = 0.2
     frequency: float = 1.0
 
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise ConfigError("pe excitation amplitude must be >= 0")
-        if self.frequency <= 0:
-            raise ConfigError("pe excitation frequency must be > 0")
-
 
 @dataclass(frozen=True)
 class RandomInit:
@@ -89,10 +77,6 @@ class RandomInit:
     radius: float = 4.0
     min_sep: float = 1.0
 
-    def __post_init__(self):
-        if self.radius <= 0 or self.min_sep < 0:
-            raise ConfigError("random_init requires radius > 0 and min_sep >= 0")
-
 
 @dataclass(frozen=True)
 class Saturation:
@@ -101,10 +85,6 @@ class Saturation:
     v_h_max: float
     v_z_max: float
     w_max: float
-
-    def __post_init__(self):
-        if min(self.v_h_max, self.v_z_max, self.w_max) <= 0:
-            raise ConfigError("saturation bounds must be positive")
 
 
 @dataclass(frozen=True)
@@ -139,37 +119,20 @@ class ScenarioConfig:
     def __post_init__(self):
         # A config built in Python holds what its saved file loads to, and
         # raises what loading that file raises: its own tree goes back
-        # through the one table, before any check reads a value.
+        # through the one table, which checks every single value.  Only the
+        # rules that span fields are left here.
         tree = self.to_dict()
         del tree["schema_version"]
-        for name, value in _load_fields(dict(tree)).items():
+        for name, value in _load_fields(tree).items():
             object.__setattr__(self, name, value)
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ConfigError(f"duration_s must be positive and finite, got {self.duration_s!r}")
         whole_ticks("duration_s", self.duration_s, self.dt)
-        check_seed(self.seed)
-        bad = _non_finite(tree)
-        if bad:
-            raise ConfigError(f"{bad[0]} must be finite")
+        if self.stage1_timeout_s is not None:
+            whole_ticks("stage1_timeout_s", self.stage1_timeout_s, self.dt)
         ids = [r.id for r in self.robots]
         if ids != list(range(len(self.robots))) or not ids:
             raise ConfigError("robot ids must be contiguous 0..N with the leader first")
         if len(ids) < 2:
             raise ConfigError("robots must hold a leader and at least one follower to pair")
-        if not 0 < self.excitation_threshold < 1:
-            raise ConfigError("excitation_threshold must be in (0, 1)")
-        if self.hist_cap < 7:
-            raise ConfigError("hist_cap must be at least the parameter dimension")
-        if self.rate_variant not in RATE_VARIANTS:
-            raise ConfigError(f"unknown rate_variant {self.rate_variant!r}")
-        if self.physics_substeps < 1:
-            raise ConfigError("physics_substeps must be >= 1")
-        if self.stage1_timeout_s is not None:
-            if self.stage1_timeout_s <= 0:
-                raise ConfigError("stage1_timeout_s must be positive when given")
-            whole_ticks("stage1_timeout_s", self.stage1_timeout_s, self.dt)
         for rid in self.formation:
             if rid not in ids:
                 raise ConfigError(f"formation offset for unknown robot {rid}")
@@ -180,10 +143,6 @@ class ScenarioConfig:
             assign_layers(self.edges, len(self.robots))
         except ValueError as exc:   # an unreachable robot or a malformed edge
             raise ConfigError(f"edges: {exc}") from exc
-        try:
-            JudgeBank(0, self.judge_capacity, self.judge_threshold)
-        except ValueError as exc:   # a capacity below 1 or a threshold outside (0, 1)
-            raise ConfigError(f"judge {exc}") from exc
 
     @property
     def n_robots(self) -> int:
@@ -231,24 +190,22 @@ def _reject_unknown(d: dict, context: str) -> None:
         raise ConfigError(f"unknown {context} keys: {sorted(d)}")
 
 
-def _non_finite(node, key: str = "") -> list[str]:
-    """Dotted keys of the non-finite reals in a `to_dict` tree."""
-    if isinstance(node, float):
-        return [] if math.isfinite(node) else [key]
-    subs = node.items() if isinstance(node, dict) else \
-        enumerate(node) if isinstance(node, list) else ()
-    return [bad for sub, value in subs
-            for bad in _non_finite(value, f"{key}.{sub}" if key else sub)]
-
-
 class _Scalar:
     """A bool, int, str or real value, never coerced: an integral float
     counts as an int and an int as a real, nothing else.  A real field dumps
     an int or a float as a float, so configs that compare equal hash equal,
-    and any other value as it is, for `load` to reject."""
+    and any other value as it is, for `load` to reject.  Each rule `where`
+    adds is checked in turn once the kind holds; `_REAL`'s first rule is
+    finiteness, so every kind made from it rejects nan and inf."""
 
-    def __init__(self, kind: type):
+    def __init__(self, kind: type, rules: tuple = ()):
         self.kind = kind
+        self.rules = rules
+
+    def where(self, rule, text: str) -> _Scalar:
+        """This kind, whose values must also pass `rule`; a value that fails
+        it raises `<key> must be <text>, got <value>`."""
+        return _Scalar(self.kind, self.rules + ((rule, text),))
 
     def dump(self, value):
         if self.kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -259,15 +216,26 @@ class _Scalar:
         if self.kind is float:
             if isinstance(raw, bool) or not isinstance(raw, (int, float)):
                 raise ConfigError(f"{key} must be a number, got {raw!r}")
-            return float(raw)
-        if self.kind is int and isinstance(raw, float) and raw.is_integer():
+            raw = float(raw)
+        elif self.kind is int and isinstance(raw, float) and raw.is_integer():
             raw = int(raw)
         if type(raw) is not self.kind:
             raise ConfigError(f"{key} must be {self.kind.__name__}, got {raw!r}")
+        for rule, text in self.rules:
+            if not rule(raw):
+                raise ConfigError(f"{key} must be {text}, got {raw!r}")
         return raw
 
 
-_BOOL, _INT, _STR, _REAL = (_Scalar(kind) for kind in (bool, int, str, float))
+_BOOL, _INT, _STR = (_Scalar(kind) for kind in (bool, int, str))
+_REAL = _Scalar(float).where(math.isfinite, "finite")
+_POSITIVE = _REAL.where(lambda v: v > 0, "> 0")
+_NONNEG = _REAL.where(lambda v: v >= 0, ">= 0")
+_OPEN_UNIT = _REAL.where(lambda v: 0 < v < 1, "in (0, 1)")
+_COUNT = _INT.where(lambda v: v >= 1, ">= 1")
+_SEED = _INT.where(lambda v: v >= 0, ">= 0")     # numpy's SeedSequence needs it
+# dt and duration_s, under one rule that also rejects nan and inf.
+_TIME = _Scalar(float).where(lambda v: 0 < v < math.inf, "positive and finite")
 
 
 class _Optional:
@@ -303,17 +271,16 @@ class _List:
 
 class _Record:
     """A frozen dataclass as a JSON object with one key per field, of the
-    scalar kind its annotation names; a key left out takes the field's
-    default, or the one given here.  Errors the dataclass raises name the
-    key."""
+    kind given here or else the scalar kind its annotation names; a key
+    left out takes the field's default, or the one in `defaults`."""
 
-    def __init__(self, cls: type, **defaults):
+    def __init__(self, cls: type, defaults: dict | None = None, **kinds):
         self.cls = cls
         scalars = {"bool": _BOOL, "int": _INT, "str": _STR, "float": _REAL}
-        self.kinds = {f.name: scalars[f.type] for f in fields(cls)}
+        self.kinds = {f.name: kinds.get(f.name, scalars[f.type]) for f in fields(cls)}
+        self.defaults = defaults or {}
         self.required = [f.name for f in fields(cls)
-                         if f.default is MISSING and f.name not in defaults]
-        self.defaults = defaults
+                         if f.default is MISSING and f.name not in self.defaults]
 
     def dump(self, value) -> dict:
         return {name: kind.dump(getattr(value, name)) for name, kind in self.kinds.items()}
@@ -326,19 +293,19 @@ class _Record:
         values = {**self.defaults, **{name: kind.load(d.pop(name), f"{key}.{name}")
                                       for name, kind in self.kinds.items() if name in d}}
         _reject_unknown(d, key)
-        try:
-            return self.cls(**values)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
+        return self.cls(**values)
 
 
 class _Formation:
-    """Robot id -> offset; the JSON keys are robot ids as `str(id)` writes them."""
+    """Robot id -> offset; the JSON keys are robot ids as `str(id)` writes
+    them.  Any key but an int dumps as its repr, which no robot id reads as,
+    so a formation built in Python with the key "1" fails as a file would."""
 
     _OFFSET = _List(_REAL, 3)
 
     def dump(self, value) -> dict:
-        return {str(rid): self._OFFSET.dump(off) for rid, off in value.items()}
+        return {str(rid) if type(rid) is int else repr(rid): self._OFFSET.dump(off)
+                for rid, off in value.items()}
 
     def load(self, raw, key: str) -> dict:
         formation = {}
@@ -349,40 +316,49 @@ class _Formation:
                     raise ValueError
             except ValueError:
                 raise ConfigError(f"formation key {rid!r} is not a robot id") from None
-            formation[robot] = self._OFFSET.load(offset, f"formation offset for robot {rid!r}")
+            formation[robot] = self._OFFSET.load(offset, f"{key}.{rid}")
         return formation
 
 
 # Every ScenarioConfig field: its dotted JSON path and its kind, in the
 # order `to_dict` writes them.  `to_dict` and `_load_fields` both walk this
-# table; a key left out of the JSON takes the field's default.
+# table; a key left out of the JSON takes the field's default.  The kinds
+# hold every rule on a single value.
 _FIELDS = {
     "name": ("name", _STR),
-    "dt": ("dt", _REAL),
-    "duration_s": ("duration_s", _REAL),
+    "dt": ("dt", _TIME),
+    "duration_s": ("duration_s", _TIME),
     "mode_2d": ("mode_2d", _BOOL),
-    "seed": ("seed", _INT),
+    "seed": ("seed", _SEED),
     "robots": ("robots", _List(_Record(RobotConfig))),
     "edges": ("edges", _List(_List(_INT, 2))),
-    "gains": ("gains", _Record(ControlGains)),
+    # k4 = 0 is legitimate for planar runs (no altitude channel to close).
+    "gains": ("gains", _Record(ControlGains, k1=_POSITIVE, k2=_POSITIVE, k3=_POSITIVE,
+                               k4=_NONNEG)),
     "formation": ("formation", _Formation()),
-    "noise": ("noise", _Record(NoiseModel)),
-    "excitation_threshold": ("excitation_threshold", _REAL),
-    "hist_cap": ("hist_cap", _INT),
-    "stage1_timeout_s": ("stage1_timeout_s", _Optional(_REAL)),
+    "noise": ("noise", _Record(NoiseModel, sigma_range=_NONNEG, sigma_odom_pos=_NONNEG,
+                               sigma_odom_yaw=_NONNEG, sigma_outlier=_NONNEG,
+                               outlier_prob=_REAL.where(lambda v: 0 <= v <= 1, "in [0, 1]"))),
+    "excitation_threshold": ("excitation_threshold", _OPEN_UNIT),
+    "hist_cap": ("hist_cap", _INT.where(lambda v: v >= 7, ">= 7, the parameter dimension")),
+    "stage1_timeout_s": ("stage1_timeout_s", _Optional(_POSITIVE)),
     # v_z may be left out; VelocityCommand itself has no default for it.
-    "leader_cruise": ("leader_cruise", _Optional(_Record(VelocityCommand, v_z=0.0))),
+    "leader_cruise": ("leader_cruise", _Optional(_Record(VelocityCommand, {"v_z": 0.0}))),
     "outlier_screening": ("flags.outlier_screening", _BOOL),
     "truth_feedback": ("flags.truth_feedback", _BOOL),
     "pe_baseline": ("flags.pe_baseline", _BOOL),
     "leader_odom_broadcast": ("flags.leader_odom_broadcast", _BOOL),
-    "rate_variant": ("rate_variant", _STR),
-    "pe_excitation": ("pe_excitation", _Record(PEBaselineConfig)),
-    "judge_capacity": ("judge.capacity", _INT),
-    "judge_threshold": ("judge.threshold", _REAL),
-    "physics_substeps": ("physics_substeps", _INT),
-    "random_init": ("random_init", _Optional(_Record(RandomInit))),
-    "saturation": ("saturation", _Optional(_Record(Saturation))),
+    "rate_variant": ("rate_variant", _STR.where(RATE_VARIANTS.__contains__,
+                                                f"one of {RATE_VARIANTS}")),
+    "pe_excitation": ("pe_excitation", _Record(PEBaselineConfig, amplitude=_NONNEG,
+                                               frequency=_POSITIVE)),
+    "judge_capacity": ("judge.capacity", _COUNT),
+    "judge_threshold": ("judge.threshold", _OPEN_UNIT),
+    "physics_substeps": ("physics_substeps", _COUNT),
+    "random_init": ("random_init", _Optional(_Record(RandomInit, radius=_POSITIVE,
+                                                     min_sep=_NONNEG))),
+    "saturation": ("saturation", _Optional(_Record(Saturation, v_h_max=_POSITIVE,
+                                                   v_z_max=_POSITIVE, w_max=_POSITIVE))),
     "sample_dump": ("sample_dump", _BOOL),
 }
 

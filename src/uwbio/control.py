@@ -39,11 +39,6 @@ class ControlGains:
     k3: float
     k4: float
 
-    def __post_init__(self):
-        # k4 = 0 is legitimate for planar runs (no altitude channel to close).
-        if self.k1 <= 0 or self.k2 <= 0 or self.k3 <= 0 or self.k4 < 0:
-            raise ValueError("gains must satisfy k1, k2, k3 > 0 and k4 >= 0")
-
 
 @dataclass(frozen=True)
 class TrackingError:

@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import _INT, _REAL, ConfigError, ScenarioConfig, check_seed
+from .config import _INT, _REAL, _SEED, ConfigError, ScenarioConfig
 from .control import (StageTracker, stage1_rows, stage2_rows, tracking_error_rows,
                       tracking_error_truth_rows)
 from .cooploc import (LeaderPoseEstimate, TopologyGraph, assign_layers, compose_layers,
@@ -340,7 +340,7 @@ def _initial_state(config: ScenarioConfig, seed: int) -> SimState:
 
 def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
     """Execute one deterministic run and return all logs plus metrics."""
-    seed = check_seed(config.seed if seed is None else seed)
+    seed = _SEED.load(config.seed if seed is None else seed, "seed")
     state = _initial_state(config, seed)
     _observe(state, 0)
     for k in range(config.n_ticks):
@@ -675,7 +675,7 @@ def write_run(res: RunResult, outdir: str | Path) -> Path:
 def run_to_dir(config: ScenarioConfig, outdir: str | Path, seed: int | None = None) -> RunResult:
     """Run and write the logs to `outdir`, checking the seed and making and
     clearing `outdir` first: a bad seed or path fails before the run."""
-    seed = check_seed(config.seed if seed is None else seed)
+    seed = _SEED.load(config.seed if seed is None else seed, "seed")
     _clear_outputs(outdir)
     res = run(config, seed)
     write_run(res, outdir)

@@ -43,10 +43,6 @@ class JudgeBank:
     """
 
     def __init__(self, pairs: int, capacity: int = 20, threshold: float = 0.5):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if not 0.0 < threshold < 1.0:
-            raise ValueError("threshold must be in (0, 1)")
         self.capacity = capacity
         self.threshold = threshold
         self.ring = np.full((pairs, capacity, 8), np.nan)

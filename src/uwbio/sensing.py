@@ -28,13 +28,6 @@ class NoiseModel:
     outlier_prob: float = 0.0
     sigma_outlier: float = 3.0
 
-    def __post_init__(self):
-        for name in ("sigma_range", "sigma_odom_pos", "sigma_odom_yaw", "sigma_outlier"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not 0.0 <= self.outlier_prob <= 1.0:
-            raise ValueError("outlier_prob must be in [0, 1]")
-
 
 @dataclass(frozen=True)
 class MeasurementTriplet:

@@ -1,15 +1,19 @@
 import json
-from dataclasses import fields, replace
+import math
+import re
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from test_golden import GOLDEN
-from uwbio.config import (_FIELDS, ConfigError, RandomInit, Saturation, ScenarioConfig,
-                          config_from_dict, load_config)
+from uwbio.config import (_FIELDS, ConfigError, PEBaselineConfig, RandomInit, RobotConfig,
+                          Saturation, ScenarioConfig, config_from_dict, load_config)
+from uwbio.control import ControlGains
 from uwbio.harness import _offsets, run
 from uwbio.scenarios import chain_swarm, four_robot_formation, two_robot_benchmark
 from uwbio.sensing import NoiseModel
+from uwbio.world import VelocityCommand
 
 
 def set_key(d: dict, path: tuple, value) -> dict:
@@ -32,14 +36,21 @@ FIELD_AT = {path: name for name, (path, _) in _FIELDS.items()}
 
 def replaced(path: tuple, value) -> ScenarioConfig:
     """two_robot_benchmark with `value` set by `replace` on the field at
-    the top-level or flag `path` of its dict."""
-    return replace(two_robot_benchmark(), **{FIELD_AT[".".join(path)]: value})
+    the top-level or flag `path` of its dict, or on the field of the record
+    (noise, gains, ...) that the path names."""
+    cfg = two_robot_benchmark()
+    if ".".join(path) in FIELD_AT:
+        return replace(cfg, **{FIELD_AT[".".join(path)]: value})
+    record, key = path
+    return replace(cfg, **{record: replace(getattr(cfg, record), **{key: value})})
 
 
 def builders(path: tuple) -> list:
     """Each way to build a config with a value at `path` of its dict:
-    loading the dict, and `replace` where the path names a field."""
-    return [loaded, replaced] if ".".join(path) in FIELD_AT else [loaded]
+    loading the dict, and `replace` where the path names a field or a field
+    of a record the config holds."""
+    nested = len(path) == 2 and is_dataclass(getattr(two_robot_benchmark(), path[0], None))
+    return [loaded, replaced] if ".".join(path) in FIELD_AT or nested else [loaded]
 
 
 class TestRoundTrip:
@@ -73,8 +84,13 @@ class TestRoundTrip:
         cfg = replace(two_robot_benchmark(),
                       saturation=Saturation(v_h_max=0.5, v_z_max=0.2, w_max=1.0))
         assert config_from_dict(cfg.to_dict()) == cfg
-        with pytest.raises(ConfigError):
-            Saturation(v_h_max=0.0, v_z_max=0.2, w_max=1.0)
+        d = cfg.to_dict()
+        d["saturation"]["v_h_max"] = 0.0
+        for build in (lambda: replace(cfg, saturation=Saturation(v_h_max=0.0, v_z_max=0.2,
+                                                                 w_max=1.0)),
+                      lambda: config_from_dict(d)):
+            with pytest.raises(ConfigError, match=r"saturation\.v_h_max must be > 0"):
+                build()
 
 
 class TestValidation:
@@ -135,7 +151,7 @@ class TestValidation:
     def test_bad_gain(self):
         d = two_robot_benchmark().to_dict()
         d["gains"]["k1"] = 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"gains\.k1 must be > 0"):
             config_from_dict(d)
 
     def test_formation_for_unknown_robot(self):
@@ -218,8 +234,11 @@ class TestStrictValues:
     @pytest.mark.parametrize("path, value", [(("dt",), "0.05"),
                                              (("noise", "sigma_range"), True),
                                              (("gains", "k1"), "1"),
-                                             (("judge", "threshold"), "0.5")])
+                                             (("judge", "threshold"), "0.5"),
+                                             (("noise", "sigma_range"), "0.1"),
+                                             (("pe_excitation", "amplitude"), "0.1")])
     def test_non_number_float_rejected(self, path, value):
+        # A value of a record also goes through `replace` on that record.
         for build in builders(path):
             with pytest.raises(ConfigError, match=f"{path[-1]} must be a number"):
                 build(path, value)
@@ -273,17 +292,24 @@ class TestStrictValues:
         cfg = four_robot_formation()
         d = cfg.to_dict()
         d["formation"]["2"] = [0.0, 1.0]
-        with pytest.raises(ConfigError, match="offset for robot '2'"):
+        with pytest.raises(ConfigError, match=r"formation\.2 must be a list of 3"):
             config_from_dict(d)
-        with pytest.raises(ConfigError, match="offset for robot '2'"):
+        with pytest.raises(ConfigError, match=r"formation\.2 must be a list of 3"):
             replace(cfg, formation={**cfg.formation, 2: (0.0, 1.0)})
+
+    @pytest.mark.parametrize("key", ["1", 1.0, True, np.int64(1)],
+                             ids=["str", "float", "bool", "numpy_int"])
+    def test_non_int_formation_key_rejected(self, key):
+        # A file holds only string keys; in Python only an int is a robot id.
+        with pytest.raises(ConfigError, match=re.escape(f"formation key {repr(key)!r}")):
+            replace(two_robot_benchmark(), formation={key: (0.5, -0.5, 0.0)})
 
     @pytest.mark.parametrize("judge", [{"capacity": 0, "threshold": 0.5},
                                        {"capacity": 20, "threshold": 1.0}])
     def test_bad_judge_rejected_at_load(self, judge):
         d = two_robot_benchmark().to_dict()
         d["judge"] = judge
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"judge\.(capacity|threshold) must be"):
             config_from_dict(d)
 
     @pytest.mark.parametrize("path, value", [
@@ -304,8 +330,8 @@ class TestStrictValues:
             config_from_dict(set_key(d, path, value))
 
     @pytest.mark.parametrize("path, value, key", [
-        (("judge", "capacity"), 0, "judge capacity"),
-        (("judge", "threshold"), 1.5, "judge threshold"),
+        (("judge", "capacity"), 0, "judge.capacity"),
+        (("judge", "threshold"), 1.5, "judge.threshold"),
         (("edges",), [[1, 0, 2]], "edges.0"),
         (("edges",), [[1]], "edges.0"),
         (("seed",), -1, "seed"),
@@ -315,9 +341,9 @@ class TestStrictValues:
         (("stage1_timeout_s",), 0.07, "stage1_timeout_s"),   # 1.4 ticks
     ])
     def test_bad_value_rejected_naming_its_key(self, path, value, key):
-        d = two_robot_benchmark().to_dict()
-        with pytest.raises(ConfigError, match=key):
-            config_from_dict(set_key(d, path, value))
+        for build in builders(path):
+            with pytest.raises(ConfigError, match=key):
+                build(path, value)
 
     def test_negative_run_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -340,6 +366,76 @@ class TestStrictValues:
         d = two_robot_benchmark().to_dict()
         d["duration_s"], d["dt"] = duration_s, dt
         assert config_from_dict(d).n_ticks == ticks
+
+
+class TestOneRuleSite:
+    """Every rule on a single value lives in the loader's table: a file and
+    a config built in Python raise one ConfigError naming the dotted key,
+    and a bounded value holds its bound to the last float."""
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("noise", "sigma_range"), -0.1, {"noise": NoiseModel(sigma_range=-0.1)}),
+        (("noise", "sigma_range"), "0.1", {"noise": NoiseModel(sigma_range="0.1")}),
+        (("gains", "k1"), 0, {"gains": ControlGains(0, 1.0, 0.5, 0.1)}),
+        (("saturation",), {"v_h_max": 0, "v_z_max": 1.0, "w_max": 1.0},
+         {"saturation": Saturation(0, 1.0, 1.0)}),
+        (("judge", "capacity"), 0, {"judge_capacity": 0}),
+        (("formation", "1", 0), math.inf, {"formation": {1: (math.inf, -0.5, 0.0)}}),
+        (("hist_cap",), 6, {"hist_cap": 6}),
+    ], ids=["sigma_range", "sigma_range_str", "k1", "v_h_max", "judge_capacity",
+            "formation", "hist_cap"])
+    def test_same_error_on_both_paths(self, path, value, field):
+        with pytest.raises(ConfigError) as from_file:
+            loaded(path, value)
+        with pytest.raises(ConfigError) as from_python:
+            replace(two_robot_benchmark(), **field)
+        assert str(from_python.value) == str(from_file.value)
+
+    # (path, bound, step): `step` points out of the allowed range, one unit
+    # for an int and one float for a real.  A closed bound loads and the
+    # value one step out fails; an open bound fails itself.
+    CLOSED = [(("gains", "k4"), 0.0, -1), (("pe_excitation", "amplitude"), 0.0, -1),
+              (("random_init", "min_sep"), 0.0, -1),
+              (("noise", "outlier_prob"), 0.0, -1), (("noise", "outlier_prob"), 1.0, +1),
+              (("noise", "sigma_range"), 0.0, -1), (("noise", "sigma_odom_pos"), 0.0, -1),
+              (("noise", "sigma_odom_yaw"), 0.0, -1), (("noise", "sigma_outlier"), 0.0, -1),
+              (("hist_cap",), 7, -1), (("judge", "capacity"), 1, -1), (("seed",), 0, -1),
+              (("physics_substeps",), 1, -1)]
+    OPEN = [("dt",), ("duration_s",), ("excitation_threshold",), ("judge", "threshold"),
+            ("pe_excitation", "frequency"), ("saturation", "v_h_max"),
+            ("saturation", "v_z_max"), ("saturation", "w_max"), ("random_init", "radius"),
+            ("gains", "k1"), ("gains", "k2"), ("gains", "k3"), ("stage1_timeout_s",)]
+
+    @staticmethod
+    def with_records(path: tuple, value) -> ScenarioConfig:
+        d = two_robot_benchmark().to_dict()
+        d["saturation"] = {"v_h_max": 1.0, "v_z_max": 1.0, "w_max": 1.0}
+        d["random_init"] = {"radius": 3.0, "min_sep": 1.0}
+        return config_from_dict(set_key(d, path, value))
+
+    @pytest.mark.parametrize("path, bound, step", CLOSED,
+                             ids=[f"{'.'.join(p)}={b}" for p, b, _ in CLOSED])
+    def test_closed_bound_loads_and_the_next_value_fails(self, path, bound, step):
+        self.with_records(path, bound)
+        outside = (bound + step if isinstance(bound, int)
+                   else math.nextafter(bound, step * math.inf))
+        with pytest.raises(ConfigError, match=re.escape(f"{'.'.join(path)} must be")):
+            self.with_records(path, outside)
+
+    @pytest.mark.parametrize("path", OPEN, ids=[".".join(p) for p in OPEN])
+    def test_open_bound_fails(self, path):
+        bounds = [0.0, 1.0] if path[-1] in ("excitation_threshold", "threshold") else [0.0]
+        for bound in bounds:
+            with pytest.raises(ConfigError, match=re.escape(f"{'.'.join(path)} must be")):
+                self.with_records(path, bound)
+
+    @pytest.mark.parametrize("cls", [NoiseModel, ControlGains, PEBaselineConfig, RandomInit,
+                                     Saturation, RobotConfig, VelocityCommand],
+                             ids=lambda cls: cls.__name__)
+    def test_records_hold_no_rules(self, cls):
+        # A record that checks its own values would raise its own error,
+        # without the key, before the table sees them.
+        assert not hasattr(cls, "__post_init__")
 
 
 class TestFormation:

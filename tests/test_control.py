@@ -1,12 +1,14 @@
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from uwbio.config import RobotConfig
+from uwbio.config import ConfigError, RobotConfig, config_from_dict
 from uwbio.control import (ControlGains, ExcitationTimeout, StageTracker, stage1_rows,
                            stage2_rows, tracking_error_rows, tracking_error_truth_rows)
 from uwbio.geometry import Rotation3Z
+from uwbio.scenarios import two_robot_benchmark
 from uwbio.world import RobotTruth, VelocityCommand
 
 
@@ -29,14 +31,25 @@ def stage2(lead: VelocityCommand, e_p, e_c: float, e_s: float,
 
 
 class TestGains:
+    """ControlGains is plain data; the config that holds it checks the
+    gains, built in Python or loaded alike."""
+
+    @staticmethod
+    def builds(gains: ControlGains) -> list:
+        cfg = two_robot_benchmark()
+        d = {**cfg.to_dict(), "gains": asdict(gains)}
+        return [lambda: replace(cfg, gains=gains), lambda: config_from_dict(d)]
+
     def test_k4_zero_allowed_for_planar_runs(self):
-        ControlGains(1.0, 1.0, 0.5, 0.0)
+        for build in self.builds(ControlGains(1.0, 1.0, 0.5, 0.0)):
+            assert build().gains == ControlGains(1.0, 1.0, 0.5, 0.0)
 
     def test_nonpositive_primary_gain_rejected(self):
-        with pytest.raises(ValueError):
-            ControlGains(0.0, 1.0, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            ControlGains(1.0, 1.0, 0.5, -0.1)
+        for gains, rule in ((ControlGains(0.0, 1.0, 0.5, 0.1), "k1 must be > 0"),
+                            (ControlGains(1.0, 1.0, 0.5, -0.1), "k4 must be >= 0")):
+            for build in self.builds(gains):
+                with pytest.raises(ConfigError, match=rf"gains\.{rule}"):
+                    build()
 
 
 class TestTrackingErrorTruth:

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import Verdict, benchmark_pair, distance
+from uwbio.config import ConfigError, config_from_dict
 from uwbio.outliers import JudgeBank
+from uwbio.scenarios import two_robot_benchmark
 
 
 def ring_row(d, zi, zj, t_k=0) -> np.ndarray:
@@ -66,10 +70,16 @@ class TestScreen:
         assert not all(verdicts)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            JudgeBank(1, capacity=0)
-        with pytest.raises(ValueError):
-            JudgeBank(1, threshold=1.0)
+        # The config is the only source of a bank's parameters and checks
+        # them, built in Python or loaded alike.
+        cfg = two_robot_benchmark()
+        for name, value in (("capacity", 0), ("threshold", 1.0)):
+            d = cfg.to_dict()
+            d["judge"][name] = value
+            for build in (lambda: replace(cfg, **{f"judge_{name}": value}),
+                          lambda: config_from_dict(d)):
+                with pytest.raises(ConfigError, match=rf"judge\.{name} must be"):
+                    build()
 
     def test_noise_free_soundness(self):
         # On exact data the triangle inequality can never fire: screening a

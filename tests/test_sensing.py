@@ -1,16 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import distance, stepped
+from uwbio.config import ConfigError, config_from_dict
+from uwbio.scenarios import two_robot_benchmark
 from uwbio.sensing import MeasurementTriplet, NoiseModel, RangeStream, odom_step, robot_rng
 from uwbio.world import RobotTruth, advance
 
 
 def test_noise_model_validation():
-    with pytest.raises(ValueError):
-        NoiseModel(sigma_range=-0.1)
-    with pytest.raises(ValueError):
-        NoiseModel(outlier_prob=1.5)
+    # NoiseModel is plain data; the config that holds it checks its values,
+    # built in Python or loaded alike.
+    cfg = two_robot_benchmark()
+    for name, value in (("sigma_range", -0.1), ("outlier_prob", 1.5)):
+        d = cfg.to_dict()
+        d["noise"][name] = value
+        for build in (lambda: replace(cfg, noise=NoiseModel(**{name: value})),
+                      lambda: config_from_dict(d)):
+            with pytest.raises(ConfigError, match=rf"noise\.{name} must be"):
+                build()
 
 
 def test_triplet_rejects_negative_distance():

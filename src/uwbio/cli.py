@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, load_config
+from .config import _NONNEG, ConfigError, load_config
 from .harness import SWEEP_AXES, report, run_to_dir, sweep
 from . import scenarios
 
@@ -38,6 +38,14 @@ def _axis_values(text: str) -> list[float]:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _track_bound(text: str) -> float:
+    """`--max-track-pos`: a finite number >= 0, as `report` takes it."""
+    try:
+        return _NONNEG.load(float(text), "--max-track-pos")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="uwbio",
                                      description="relative localization and formation "
@@ -59,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_report = sub.add_parser("report", help="summarize a run or sweep directory")
     p_report.add_argument("outdir")
-    p_report.add_argument("--max-track-pos", type=float, default=None,
+    p_report.add_argument("--max-track-pos", type=_track_bound, default=None,
                           help="fail when the final tracking error exceeds this bound")
     p_report.add_argument("--allow-unconverged", action="store_true")
 

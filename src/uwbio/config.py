@@ -135,9 +135,9 @@ class ScenarioConfig:
             raise ConfigError("robots must hold a leader and at least one follower to pair")
         for rid in self.formation:
             if rid not in ids:
-                raise ConfigError(f"formation offset for unknown robot {rid}")
+                raise ConfigError(f"formation.{rid}: offset for unknown robot {rid}")
         if any(self.formation.get(0, ())):
-            raise ConfigError(f"formation offset for robot 0, the leader, must be zero, "
+            raise ConfigError(f"formation.0: offset for robot 0, the leader, must be zero, "
                               f"got {self.formation[0]!r}")
         try:
             assign_layers(self.edges, len(self.robots))

@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import _INT, _REAL, _SEED, ConfigError, ScenarioConfig
+from .config import _INT, _NONNEG, _REAL, _SEED, ConfigError, ScenarioConfig, _Optional
 from .control import (StageTracker, stage1_rows, stage2_rows, tracking_error_rows,
                       tracking_error_truth_rows)
 from .cooploc import (LeaderPoseEstimate, TopologyGraph, assign_layers, compose_layers,
@@ -240,21 +240,19 @@ class Logs:
 
 @dataclass
 class SimState:
-    """Everything `tick` reads and advances.  Per-pair estimator state lies
-    on a leading pair axis in `pairs` order.  Per-robot state is a table of
-    float rows, one per robot with the leader first, which each per-robot
-    layer reads and writes in one Python pass (at a few robots a pass over
-    rows costs less than numpy calls on stacked arrays)."""
+    """Everything `tick` reads and advances, each fact once.  Per-pair
+    estimator state lies on a leading pair axis in `pairs` order.  Per-robot
+    state is a table of float rows, one per robot with the leader first,
+    which each per-robot layer reads and writes in one Python pass (at a few
+    robots a pass over rows costs less than numpy calls on stacked arrays)."""
 
     config: ScenarioConfig
     graph: TopologyGraph
     pairs: tuple[tuple[int, int], ...]
-    pair_ij: np.ndarray                 # (pairs, 2) robot indices
-    out_pairs: list[list[int]]          # each robot's pairs, as the stage check reads them
-    plan: list                          # cooploc.composition_plan
+    plan: list                          # cooploc.composition_plan; the stage check reads it
     offsets: list[list[float]]          # desired formation offset per robot
     cruise: tuple[float, float, float]  # the leader's stage-two command
-    stage: StageTracker
+    stage: StageTracker                 # over the followers
     logs: Logs
     # Per pair.
     ranges: list[RangeStream]
@@ -317,12 +315,10 @@ def _initial_state(config: ScenarioConfig, seed: int) -> SimState:
         injected=np.zeros((rows, n_pairs), dtype=bool))
     return SimState(
         config=config, graph=graph, pairs=pairs,
-        pair_ij=np.array(pairs, dtype=np.intp).reshape(n_pairs, 2),
-        out_pairs=[[pairs.index((r, j)) for j in graph.out_edges[r]] for r in range(n_robots)],
         plan=composition_plan(graph),
         offsets=_offsets(config),
         cruise=cruise,
-        stage=StageTracker(range(n_robots), config.excitation_threshold,
+        stage=StageTracker(range(1, n_robots), config.excitation_threshold,
                            config.stage1_timeout_ticks),
         logs=logs,
         ranges=[RangeStream(config.noise, seed, i, j) for (i, j) in pairs],
@@ -421,23 +417,22 @@ def _saturate(state: SimState, k: int, r: int,
 def _observe(state: SimState, k: int) -> None:
     """Instant k: sense, run each estimator stage once over all pairs (the
     pairs are independent within a tick), compose the leader estimates,
-    check the stage, derive the real-time estimates and log it all."""
+    check the stage, derive the real-time estimates and log it all.  A
+    pair's range is drawn from its robots' `truth` rows, and its row `now`
+    holds [d^2, z_i, z_j]."""
     cfg, logs, pairs, bank, theta = state.config, state.logs, state.pairs, state.bank, state.theta
-    n_pairs = len(pairs)
-    logs.truth[k] = state.truth
-    ends = logs.truth[k].take(state.pair_ij, axis=0)
-    diff = ends[:, 0, :3] - ends[:, 1, :3]
+    n_pairs, truth, cum = len(pairs), state.truth, state.cum
+    logs.truth[k] = truth
+    # Each pair's true offset, subtracted in Python as numpy would.
+    diff = np.array([[a - b for a, b in zip(truth[i][:3], truth[j][:3])] for i, j in pairs])
     draws = [stream.draw(x) for stream, x in zip(state.ranges, row_norms(diff).tolist())]
     d = [x for x, _ in draws]
     logs.ranges[k] = d
     logs.injected[k] = [inj for _, inj in draws]
-    now = np.empty((n_pairs, 7))
     # Python's float power, as the one-pair build_sample squares ranges.
-    now[:, 0] = [x ** 2 for x in d]
-    cum = state.cum
-    now[:, 1:] = [cum[i][:3] + cum[j][:3] for i, j in pairs]
+    now = np.array([[x ** 2, *cum[i][:3], *cum[j][:3]] for x, (i, j) in zip(d, pairs)])
     if cfg.outlier_screening:
-        verdict, votes, qsize = state.judges.screen_all(logs.ranges[k], now[:, 1:], k)
+        verdict, votes, qsize = state.judges.screen_all(logs.ranges[k], now[:, 1:])
         logs.votes[k] = votes
         logs.queue_size[k] = qsize
         logs.verdict[k] = verdict
@@ -469,7 +464,7 @@ def _observe(state: SimState, k: int) -> None:
 
     if not state.stage.stage2_active:
         ratio = excitation_ratios(bank)
-        state.stage.update(k, {r: [ratio[n] for n in ns] for r, ns in enumerate(state.out_pairs)})
+        state.stage.update(k, {r: [ratio[n] for n, _ in inputs] for r, _, inputs in state.plan})
 
     logs.theta[k] = theta
     logs.lam_min[k] = bank.lambda_min
@@ -479,7 +474,7 @@ def _observe(state: SimState, k: int) -> None:
         raise RuntimeError(f"non-finite estimate for pair {bad} at tick {k}")
     logs.q0_hat[k] = [row[:3] for row in lead]
     logs.q0_fresh[k] = [f == k for f in fresh]
-    leader = cum[0] if cfg.leader_odom_broadcast else state.truth[0][4:]
+    leader = cum[0] if cfg.leader_odom_broadcast else truth[0][4:]
     rt = leader_realtime_rows(lead[1:], cum[1:], leader)
     track = tracking_error_rows(rt, lead[1:], cum[1:], state.offsets[1:])
     errors = track
@@ -794,7 +789,9 @@ def report(outdir: str | Path, max_track_pos: float | None = None,
     Returns a process exit code: 0 iff the configured thresholds hold
     (all estimators converged; final tracking under the bound if given)
     for the run, or for every cell of the sweep and no sweep run failed.
+    Raises ConfigError unless the bound is a finite number >= 0.
     """
+    max_track_pos = _Optional(_NONNEG).load(max_track_pos, "max_track_pos")
     outdir = Path(outdir)
     summary = outdir / "summary.csv"
     sweep_csv, failures = outdir / "sweep.csv", outdir / "failures.csv"

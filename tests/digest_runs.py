@@ -24,7 +24,15 @@ raises prints its exception in place of the digests.
 does the diff: it prints the digest lines as above and, on stderr, each
 operation whose digests differ from those in the file, with the columns
 that differ, and each operation present on one side only; it exits 1 if
-there is any such operation.  pytest does not collect this file.
+there is any such operation.
+
+    PYTHONPATH=src python3 tests/digest_runs.py --workload mc_outliers --against digests.txt
+
+digests only the named workload's operations (`--workload` repeats; all
+three by default) and compares only the file's lines of those workloads:
+the lines whose label starts with the same `/`-separated tag as the
+workload's own labels (`chain10`, `mc`, `formation`).  pytest does not
+collect this file; `tests/test_digest_runs.py` tests its comparison.
 """
 
 from __future__ import annotations
@@ -99,6 +107,13 @@ def parse(lines) -> dict[str, list[str]]:
     return out
 
 
+def select(digested: dict, labels) -> dict:
+    """The entries of `digested` whose label starts with the same workload
+    tag as one of `labels`: `mc` of `mc/p=0.1/on/seed=3`."""
+    tags = {label.partition("/")[0] for label in labels}
+    return {label: d for label, d in digested.items() if label.partition("/")[0] in tags}
+
+
 def differences(want: dict, got: dict) -> list[str]:
     """One line per operation whose digests differ, naming the columns
     (or `raised` where one side raised), and per operation present on one
@@ -120,18 +135,21 @@ def differences(want: dict, got: dict) -> list[str]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1, help="benchmark seed")
+    ap.add_argument("--workload", action="append", choices=workloads.WORKLOADS,
+                    help="digest only this workload's operations (repeatable; default all)")
     ap.add_argument("--against", type=Path, default=None,
                     help="digest file to compare with, as this script printed it")
     args = ap.parse_args(argv)
     want = parse(args.against.read_text().splitlines()) if args.against else None
     lines = []
-    for name in workloads.WORKLOADS:
+    for name in args.workload or workloads.WORKLOADS:
         for op in workloads.build(name, args.seed):
             lines.append(operation_line(op))
             print(lines[-1], flush=True)
     if want is None:
         return 0
     got = parse(lines)
+    want = select(want, got)
     diff = differences(want, got)
     for line in diff:
         print(line, file=sys.stderr)

@@ -157,7 +157,13 @@ class TestValidation:
     def test_formation_for_unknown_robot(self):
         d = two_robot_benchmark().to_dict()
         d["formation"]["9"] = [1.0, 0.0, 0.0]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^formation\.9: offset for unknown robot 9"):
+            config_from_dict(d)
+
+    def test_formation_for_the_leader_names_its_key(self):
+        d = two_robot_benchmark().to_dict()
+        d["formation"]["0"] = [1.0, 0.0, 0.0]
+        with pytest.raises(ConfigError, match=r"^formation\.0: .*the leader, must be zero"):
             config_from_dict(d)
 
     def test_invalid_json_file(self, tmp_path):

@@ -235,6 +235,12 @@ class TestDeterminismAndLogs:
         with pytest.raises(MissingLogs):
             report(tmp_path / "nothing")
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -0.5])
+    def test_report_rejects_a_bound_that_is_not_finite_and_nonnegative(self, tmp_path, bound):
+        run_to_dir(two_robot_benchmark(duration_s=5.0), tmp_path)
+        with pytest.raises(ConfigError, match="max_track_pos must be"):
+            report(tmp_path, max_track_pos=bound, require_convergence=False)
+
     def test_truth_log_holds_every_tick(self):
         """The truth log starts at the initial poses and ends at the final
         truths; q0_true and the leader pairs' theta_true agree at tick 0."""
@@ -567,6 +573,18 @@ class TestCli:
                                 "--values", "0.0", "--seeds", "0", "--out", str(out)], capsys)
         assert "seeds" in err
         assert not out.exists()
+
+    def test_report_bound_must_be_finite_and_nonnegative(self, tmp_path, capsys):
+        run_to_dir(two_robot_benchmark(duration_s=5.0), tmp_path)
+        assert cli_main(["report", str(tmp_path), "--max-track-pos", "0",
+                         "--allow-unconverged"]) == 1
+        for bound in ("nan", "inf", "-1"):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["report", str(tmp_path), f"--max-track-pos={bound}",
+                          "--allow-unconverged"])
+            assert exc.value.code == 2
+            assert "--max-track-pos: expected a finite number >= 0" in capsys.readouterr().err
 
     def test_report_without_logs_is_an_error(self, tmp_path, capsys):
         err = self.usage_error(["report", str(tmp_path)], capsys)

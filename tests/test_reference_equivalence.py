@@ -190,10 +190,10 @@ def test_judge_queue_matches_reference(capacity, threshold, n, seed, coarse):
     for cand in triplet_stream(seed, n, coarse):
         want = ref.screen(cand)
         out, votes, size = bank.screen_all(np.array([cand.d]),
-                                           np.concatenate((cand.z_i, cand.z_j))[None], cand.t_k)
+                                           np.concatenate((cand.z_i, cand.z_j))[None])
         assert Verdict(out[0], votes[0], size[0]) == want
         assert bank.size[0] == len(ref.entries)
-    assert queued(bank, 0) == [(e.d, bits(e.z_i), bits(e.z_j), e.t_k) for e in ref.entries]
+    assert queued(bank, 0) == [(e.d, bits(e.z_i), bits(e.z_j)) for e in ref.entries]
 
 
 def sample_stream(seed: int, n: int, planar: bool) -> list[RegressorSample]:
@@ -269,10 +269,10 @@ def padded_cl_update_all(theta, bank, rows, phi, y, variant="stated"):
 
 
 def queued(judges: JudgeBank, p: int) -> list:
-    """Pair p's queued triplets, oldest first, as (d, z_i, z_j, t_k) bits."""
+    """Pair p's queued triplets, oldest first, as (d, z_i, z_j) bits."""
     ring = np.roll(judges.ring[p, :judges.size[p]], -(judges.count[p] % judges.capacity),
                    axis=0)
-    return [(r[0], bits(r[1:4]), bits(r[4:7]), int(r[7])) for r in ring]
+    return [(r[0], bits(r[1:4]), bits(r[4:7])) for r in ring]
 
 
 def check_pairs_against_reference(seed: int, n_pairs: int, planar: bool, hist_cap: int,
@@ -302,7 +302,7 @@ def check_pairs_against_reference(seed: int, n_pairs: int, planar: bool, hist_ca
     for k in range(steps):
         cands = [triplets[p][k] for p in range(n_pairs)]
         got = judges.screen_all(np.array([c.d for c in cands]),
-                                np.array([np.concatenate((c.z_i, c.z_j)) for c in cands]), k)
+                                np.array([np.concatenate((c.z_i, c.z_j)) for c in cands]))
         want = [ref_judges[p].screen(c) for p, c in enumerate(cands)]
         assert [Verdict(*r) for r in zip(*got)] == want
 
@@ -325,7 +325,7 @@ def check_pairs_against_reference(seed: int, n_pairs: int, planar: bool, hist_ca
             assert (rec.lambda_min, rec.lambda_max) == (refs[p].lambda_min, refs[p].lambda_max)
             assert bits(theta[p]) == bits(ref_theta[p])
     for p in range(n_pairs):
-        assert queued(judges, p) == [(e.d, bits(e.z_i), bits(e.z_j), e.t_k)
+        assert queued(judges, p) == [(e.d, bits(e.z_i), bits(e.z_j))
                                      for e in ref_judges[p].entries]
     return prefilled, evictions
 
@@ -1076,7 +1076,7 @@ class TestFrontEndsMatchTheirPasses:
         for t in triplet_stream(data.draw(seeds), data.draw(st.integers(0, 30)),
                                 data.draw(st.booleans())):
             got = q.screen(sensing.MeasurementTriplet(t.d, t.z_i, t.z_j, t.t_k))
-            want = bank.screen_all(np.array([t.d]), np.concatenate((t.z_i, t.z_j))[None], t.t_k)
+            want = bank.screen_all(np.array([t.d]), np.concatenate((t.z_i, t.z_j))[None])
             assert (got.is_outlier, got.votes, got.queue_size) == tuple(w[0] for w in want)
         assert queued(q._bank, 0) == queued(bank, 0)
 

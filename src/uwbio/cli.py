@@ -8,6 +8,7 @@ variable; an explicit --out wins.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -22,20 +23,15 @@ SCENARIOS = {
 }
 
 
-def _outdir(args) -> str:
-    out = args.out or os.environ.get("UWBIO_OUT")
-    if not out:
-        raise SystemExit("no output directory: pass --out or set UWBIO_OUT")
-    return out
-
-
 def _axis_values(text: str) -> list[float]:
-    """`--values`: comma-separated numbers, no field empty."""
+    """`--values`: comma-separated finite numbers, no field empty."""
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
 
 
 def _track_bound(text: str) -> float:
@@ -76,6 +72,10 @@ def main(argv: list[str] | None = None) -> int:
     p_scn.add_argument("path", help="destination JSON file")
 
     args = parser.parse_args(argv)
+    if args.command in ("run", "sweep"):
+        args.out = args.out or os.environ.get("UWBIO_OUT")
+        if not args.out:
+            parser.error("no output directory: pass --out or set UWBIO_OUT")
     try:
         return _dispatch(args)
     except (ConfigError, OSError) as exc:
@@ -92,19 +92,19 @@ def _dispatch(args) -> int:
 
     if args.command == "run":
         config = load_config(args.config)
-        res = run_to_dir(config, _outdir(args), seed=args.seed)
+        res = run_to_dir(config, args.out, seed=args.seed)
         row = res.summary_row()
         print(f"run complete: {row['n_ticks']} ticks, "
               f"stage-2 from tick {row['transition_tick']}, "
               f"final estimation error {row['final_theta_err_mean']}")
-        print(f"logs in {_outdir(args)}")
+        print(f"logs in {args.out}")
         return 0
 
     if args.command == "sweep":
         config = load_config(args.config)
-        result = sweep(config, args.axis, args.values, args.seeds, _outdir(args))
+        result = sweep(config, args.axis, args.values, args.seeds, args.out)
         print(f"sweep over {args.axis} complete: {len(result.rows)} runs, "
-              f"{len(result.failures)} failures; logs in {_outdir(args)}")
+              f"{len(result.failures)} failures; logs in {args.out}")
         return 1 if result.failures else 0
 
     if args.command == "report":

@@ -7,8 +7,11 @@ type, finiteness, bounds or membership.  Only the loader enforces them; the
 records a config holds are plain data.  A config built in Python goes
 through the same table on construction, so it holds what its saved file
 loads to and raises the same error, naming the same key; its own
-`__post_init__` keeps only the rules that span fields.  The canonical
-serialized form (sorted keys) is hashed into every run manifest.
+`__post_init__` keeps only the rules that span fields.  One of those is a
+second table, `_INERT`: every value that another value leaves without
+effect must hold its default there, so that one accepted config means one
+behaviour.  The canonical serialized form (sorted keys) is hashed into
+every run manifest.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .regression import HIST_CAP
 from .sensing import NoiseModel
 from .world import VelocityCommand
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -80,10 +83,12 @@ class RandomInit:
 
 @dataclass(frozen=True)
 class Saturation:
-    """Symmetric command clamps; off by default to keep asymptotics clean."""
+    """Symmetric command clamps; off by default to keep asymptotics clean.
+    A planar run has no v_z to clamp: there v_z_max is None, and elsewhere
+    it is required."""
 
     v_h_max: float
-    v_z_max: float
+    v_z_max: float | None
     w_max: float
 
 
@@ -111,7 +116,6 @@ class ScenarioConfig:
     pe_excitation: PEBaselineConfig = PEBaselineConfig()
     judge_capacity: int = 20
     judge_threshold: float = 0.5
-    physics_substeps: int = 1      # physics micro-steps per measurement tick
     random_init: RandomInit | None = None
     saturation: Saturation | None = None
     sample_dump: bool = False
@@ -123,14 +127,16 @@ class ScenarioConfig:
         # rules that span fields are left here.
         tree = self.to_dict()
         del tree["schema_version"]
-        for name, value in _load_fields(tree).items():
+        for name, value in _load_fields(dict(tree)).items():
             object.__setattr__(self, name, value)
         whole_ticks("duration_s", self.duration_s, self.dt)
         if self.stage1_timeout_s is not None:
             whole_ticks("stage1_timeout_s", self.stage1_timeout_s, self.dt)
         ids = [r.id for r in self.robots]
-        if ids != list(range(len(self.robots))) or not ids:
-            raise ConfigError("robot ids must be contiguous 0..N with the leader first")
+        for n, rid in enumerate(ids):
+            if rid != n:
+                raise ConfigError(f"robots.{n}.id must be {n}: ids run 0..N with the leader "
+                                  f"first, got {rid}")
         if len(ids) < 2:
             raise ConfigError("robots must hold a leader and at least one follower to pair")
         for rid in self.formation:
@@ -143,6 +149,12 @@ class ScenarioConfig:
             assign_layers(self.edges, len(self.robots))
         except ValueError as exc:   # an unreachable robot or a malformed edge
             raise ConfigError(f"edges: {exc}") from exc
+        for key, when, value, default in _inert_values(tree):
+            raise ConfigError(f"{key} has no effect while {when}: it must be "
+                              f"{json.dumps(default)}, got {json.dumps(value)}")
+        if self.saturation is not None and self.saturation.v_z_max is None and not self.mode_2d:
+            raise ConfigError("saturation.v_z_max must be a number unless mode_2d is true, "
+                              "got null")
 
     @property
     def n_robots(self) -> int:
@@ -277,7 +289,8 @@ class _Record:
     def __init__(self, cls: type, defaults: dict | None = None, **kinds):
         self.cls = cls
         scalars = {"bool": _BOOL, "int": _INT, "str": _STR, "float": _REAL}
-        self.kinds = {f.name: kinds.get(f.name, scalars[f.type]) for f in fields(cls)}
+        self.kinds = {f.name: kinds[f.name] if f.name in kinds else scalars[f.type]
+                      for f in fields(cls)}
         self.defaults = defaults or {}
         self.required = [f.name for f in fields(cls)
                          if f.default is MISSING and f.name not in self.defaults]
@@ -332,7 +345,7 @@ _FIELDS = {
     "seed": ("seed", _SEED),
     "robots": ("robots", _List(_Record(RobotConfig))),
     "edges": ("edges", _List(_List(_INT, 2))),
-    # k4 = 0 is legitimate for planar runs (no altitude channel to close).
+    # k4 may be 0: planar runs have no altitude channel to close.
     "gains": ("gains", _Record(ControlGains, k1=_POSITIVE, k2=_POSITIVE, k3=_POSITIVE,
                                k4=_NONNEG)),
     "formation": ("formation", _Formation()),
@@ -354,19 +367,22 @@ _FIELDS = {
                                                frequency=_POSITIVE)),
     "judge_capacity": ("judge.capacity", _COUNT),
     "judge_threshold": ("judge.threshold", _OPEN_UNIT),
-    "physics_substeps": ("physics_substeps", _COUNT),
     "random_init": ("random_init", _Optional(_Record(RandomInit, radius=_POSITIVE,
                                                      min_sep=_NONNEG))),
-    "saturation": ("saturation", _Optional(_Record(Saturation, v_h_max=_POSITIVE,
-                                                   v_z_max=_POSITIVE, w_max=_POSITIVE))),
+    # v_z_max may be left out; it is null in planar runs.
+    "saturation": ("saturation", _Optional(_Record(Saturation, {"v_z_max": None},
+                                                   v_h_max=_POSITIVE,
+                                                   v_z_max=_Optional(_POSITIVE),
+                                                   w_max=_POSITIVE))),
     "sample_dump": ("sample_dump", _BOOL),
 }
 
 
 def _load_fields(d: dict) -> dict:
     """Every ScenarioConfig field the `to_dict` tree `d` (without its
-    schema_version) holds, loaded through `_FIELDS`; pops the keys of `d`,
-    and raises on a required key left out or on an unknown key."""
+    schema_version) holds, loaded through `_FIELDS`; pops the top-level keys
+    of `d`, leaves the objects below them as they are, and raises on a
+    required key left out or on an unknown key."""
     parents = {path.rpartition(".")[0] for path, _ in _FIELDS.values()} - {""}
     nested = {parent: _object(d.pop(parent, {}), parent) for parent in sorted(parents)}
     required = {f.name for f in fields(ScenarioConfig)
@@ -385,10 +401,81 @@ def _load_fields(d: dict) -> dict:
     return values
 
 
+# Every value that the rest of its config leaves without effect, one row per
+# condition: the condition in words and as a test on the `to_dict` tree, and
+# the dotted key of each value it leaves inert with the one value that value
+# may then hold, its default.  In a key, `<i>` stands for every robot's
+# index and `<f>` for every follower's.
+_INERT = (
+    ("flags.pe_baseline is false", lambda t: not t["flags"]["pe_baseline"], {
+        "pe_excitation.amplitude": PEBaselineConfig.amplitude,
+        "pe_excitation.frequency": PEBaselineConfig.frequency}),
+    # The PE baseline runs stage two from the first tick, so no stage-one
+    # program runs; the leader's circle is left only as the default cruise.
+    ("flags.pe_baseline is true", lambda t: t["flags"]["pe_baseline"], {
+        "robots.0.c_v": 0.0, **{f"robots.<f>.{key}": 0.0 for key in ("r", "c_v", "c_w")}}),
+    ("flags.pe_baseline is true and leader_cruise is set",
+     lambda t: t["flags"]["pe_baseline"] and t["leader_cruise"] is not None, {
+         "robots.0.r": 0.0, "robots.0.c_w": 0.0}),
+    ("flags.outlier_screening is false", lambda t: not t["flags"]["outlier_screening"], {
+        "judge.capacity": ScenarioConfig.judge_capacity,
+        "judge.threshold": ScenarioConfig.judge_threshold}),
+    ("noise.outlier_prob is 0", lambda t: t["noise"]["outlier_prob"] == 0, {
+        "noise.sigma_outlier": NoiseModel.sigma_outlier}),
+    # random_init draws every follower's pose.
+    ("random_init is set", lambda t: t["random_init"] is not None, {
+        f"robots.<f>.{key}": 0.0 for key in ("x", "y", "z", "yaw")}),
+    # A planar run commands no v_z: the harness zeroes it.
+    ("mode_2d is true", lambda t: t["mode_2d"], {
+        "robots.<i>.c_v": 0.0, "gains.k4": 0.0, "leader_cruise.v_z": 0.0,
+        "saturation.v_z_max": None}),
+)
+
+
+def _node(tree, key: str):
+    """The value at dotted `key` of a `to_dict` tree; None below a null."""
+    for part in key.split("."):
+        if tree is None:
+            return None
+        tree = tree[int(part)] if isinstance(tree, list) else tree[part]
+    return tree
+
+
+def _keys(pattern: str, n_robots: int) -> list[str]:
+    """The dotted keys an `_INERT` key stands for."""
+    for marker, first in (("<i>", 0), ("<f>", 1)):
+        if marker in pattern:
+            return [pattern.replace(marker, str(n)) for n in range(first, n_robots)]
+    return [pattern]
+
+
+def _inert_values(tree: dict):
+    """(key, condition, value, default) of each value of the `to_dict` tree
+    `tree` that the rest of it leaves inert and that is not its default."""
+    for when, inert, defaults in _INERT:
+        if not inert(tree):
+            continue
+        for pattern, default in defaults.items():
+            for key in _keys(pattern, len(tree["robots"])):
+                parent, _, leaf = key.rpartition(".")
+                node = _node(tree, parent)
+                if node is not None and node[leaf] != default:
+                    yield key, when, node[leaf], default
+
+
+def _reset_inert(tree: dict) -> dict:
+    """The `to_dict` tree `tree` with each value that the rest of it leaves
+    inert set to its default."""
+    for key, *_, default in list(_inert_values(tree)):
+        parent, _, leaf = key.rpartition(".")
+        _node(tree, parent)[leaf] = default
+    return tree
+
+
 def config_from_dict(raw: dict) -> ScenarioConfig:
     d = _object(raw, "config")
     version = d.pop("schema_version", None)
-    if type(version) is not int or version not in (1, SCHEMA_VERSION):
+    if type(version) is not int or version not in (1, 2, SCHEMA_VERSION):
         raise ConfigError(f"unsupported schema_version {version!r}")
     if version == 1:
         # Version 2 dropped broadcast_horizon: leader odometry is read on the
@@ -397,6 +484,14 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         if horizon != 0:
             raise ConfigError(f"broadcast_horizon {horizon} is not supported: a version 1 "
                               f"config loads only with broadcast_horizon 0 or absent")
+    if version < 3:
+        # Version 3 dropped physics_substeps: the arcs of a tick are exact,
+        # so more sub-steps only moved rounding, and 1 means what version 3
+        # does.
+        substeps = _INT.load(d.pop("physics_substeps", 1), "physics_substeps")
+        if substeps != 1:
+            raise ConfigError(f"physics_substeps {substeps} is not supported: a version "
+                              f"{version} config loads only with physics_substeps 1 or absent")
     return ScenarioConfig(**_load_fields(d))
 
 

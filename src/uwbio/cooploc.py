@@ -65,6 +65,8 @@ def assign_layers(edges: Iterable[tuple[int, int]], n_robots: int) -> TopologyGr
             raise ValueError(f"edge ({i}, {j}) out of range for {n_robots} robots")
         if i == j:
             raise ValueError(f"self edge on robot {i}")
+        if j in neighbor_sets[i]:
+            raise ValueError(f"edge ({i}, {j}) appears twice")
         neighbor_sets[i].add(j)
 
     # BFS over reversed edges: distance from the leader along who-hears-whom.

@@ -44,7 +44,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import _INT, _NONNEG, _REAL, _SEED, ConfigError, ScenarioConfig, _Optional
+from .config import (_INT, _NONNEG, _REAL, _SEED, ConfigError, ScenarioConfig, _Optional,
+                     _reset_inert, config_from_dict)
 from .control import (StageTracker, stage1_rows, stage2_rows, tracking_error_rows,
                       tracking_error_truth_rows)
 from .cooploc import (LeaderPoseEstimate, TopologyGraph, assign_layers, compose_layers,
@@ -354,10 +355,7 @@ def tick(state: SimState, k: int) -> None:
     cfg = state.config
     cmds = _commands(state, k)
     state.logs.commands[k] = cmds
-    after = state.truth
-    sub = cfg.physics_substeps
-    for _ in range(sub):
-        after = advance(after, cmds, cfg.dt / sub)
+    after = advance(state.truth, cmds, cfg.dt)
     for r, row in enumerate(after):
         if not (math.isfinite(row[0]) and math.isfinite(row[1]) and math.isfinite(row[2])):
             raise RuntimeError(f"non-finite state for robot {r} at tick {k + 1}")
@@ -406,7 +404,7 @@ def _saturate(state: SimState, k: int, r: int,
         return cmd
     v_h, v_z, w = cmd
     out = (min(max(v_h, -sat.v_h_max), sat.v_h_max),
-           min(max(v_z, -sat.v_z_max), sat.v_z_max),
+           v_z if sat.v_z_max is None else min(max(v_z, -sat.v_z_max), sat.v_z_max),
            min(max(w, -sat.w_max), sat.w_max))
     if out != cmd:
         state.logs.saturation_events.append((k, r, v_h, v_z, w))
@@ -681,7 +679,7 @@ def run_to_dir(config: ScenarioConfig, outdir: str | Path, seed: int | None = No
 
 SWEEP_AXES = ("noise", "outlier_prob", "swarm_size")
 
-# The fields the swarm_size axis takes from chain_swarm instead of the base.
+# The config keys the swarm_size axis takes from chain_swarm instead of the base.
 _LAYOUT_FIELDS = ("name", "robots", "edges", "formation", "gains", "seed")
 
 
@@ -709,8 +707,11 @@ def _apply_axis(base: ScenarioConfig, axis: str, value, seed: int) -> ScenarioCo
     if axis == "swarm_size":
         from .scenarios import chain_swarm
         # The chain supplies the layout; every other setting stays the base's.
-        layout = chain_swarm(_INT.load(value, axis), seed=seed)
-        return replace(base, **{f: getattr(layout, f) for f in _LAYOUT_FIELDS})
+        # A layout value that the base leaves inert (a follower's pose under
+        # random_init, c_v and k4 in a planar run) takes its default.
+        layout = chain_swarm(_INT.load(value, axis), seed=seed).to_dict()
+        tree = {**base.to_dict(), **{key: layout[key] for key in _LAYOUT_FIELDS}}
+        return config_from_dict(_reset_inert(tree))
     raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
 
 

@@ -28,9 +28,11 @@ def two_robot_benchmark(noise: NoiseModel = NoiseModel(), seed: int = 0,
     stream depends only on the two command programs).  Sub-meter radii with
     counter-rotation keep the recorded data well conditioned.
     """
+    # random_init draws the follower's pose, so the config holds none.
+    pose = (1.5, 1.0, 0.0, 2.0) if random_init is None else (0.0, 0.0, 0.0, 0.0)
     robots = (
         RobotConfig(0, 0.0, 0.0, 0.0, 0.0, r=0.3, c_v=0.1, c_w=-0.5),
-        RobotConfig(1, 1.5, 1.0, 0.0, 2.0, r=0.5, c_v=0.3, c_w=0.4),
+        RobotConfig(1, *pose, r=0.5, c_v=0.3, c_w=0.4),
     )
     return ScenarioConfig(
         name="two_robot_benchmark",

@@ -31,8 +31,14 @@ there is any such operation.
 digests only the named workload's operations (`--workload` repeats; all
 three by default) and compares only the file's lines of those workloads:
 the lines whose label starts with the same `/`-separated tag as the
-workload's own labels (`chain10`, `mc`, `formation`).  pytest does not
-collect this file; `tests/test_digest_runs.py` tests its comparison.
+workload's own labels (`chain10`, `mc`, `formation`).
+
+    PYTHONPATH=src python3 tests/digest_runs.py --against digests.txt --columns result,logs
+
+compares only the named columns (all four by default), so a change to the
+config schema can show in one command that every run and every log held.
+pytest does not collect this file; `tests/test_digest_runs.py` tests its
+comparison.
 """
 
 from __future__ import annotations
@@ -114,10 +120,10 @@ def select(digested: dict, labels) -> dict:
     return {label: d for label, d in digested.items() if label.partition("/")[0] in tags}
 
 
-def differences(want: dict, got: dict) -> list[str]:
-    """One line per operation whose digests differ, naming the columns
-    (or `raised` where one side raised), and per operation present on one
-    side only."""
+def differences(want: dict, got: dict, columns=COLUMNS) -> list[str]:
+    """One line per operation whose digests differ in any of `columns`,
+    naming them (or `raised` where one side raised), and per operation
+    present on one side only."""
     out = [f"{label}: missing" for label in want.keys() - got.keys()]
     out += [f"{label}: extra" for label in got.keys() - want.keys()]
     for label in want.keys() & got.keys():
@@ -125,11 +131,22 @@ def differences(want: dict, got: dict) -> list[str]:
         if a == b:
             continue
         if len(a) == len(b) == len(COLUMNS):
-            cols = [c for c, x, y in zip(COLUMNS, a, b) if x != y]
+            cols = [c for c, x, y in zip(COLUMNS, a, b) if x != y and c in columns]
         else:
             cols = ["raised"]
-        out.append(f"{label}: {', '.join(cols)} differ")
+        if cols:
+            out.append(f"{label}: {', '.join(cols)} differ")
     return sorted(out)
+
+
+def column_list(text: str) -> tuple[str, ...]:
+    """`--columns`: comma-separated names out of COLUMNS."""
+    columns = tuple(text.split(","))
+    unknown = [c for c in columns if c not in COLUMNS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown columns {unknown}; pick from {','.join(COLUMNS)}")
+    return columns
 
 
 def main(argv=None) -> int:
@@ -139,6 +156,8 @@ def main(argv=None) -> int:
                     help="digest only this workload's operations (repeatable; default all)")
     ap.add_argument("--against", type=Path, default=None,
                     help="digest file to compare with, as this script printed it")
+    ap.add_argument("--columns", type=column_list, default=COLUMNS,
+                    help=f"compare only these columns (default {','.join(COLUMNS)})")
     args = ap.parse_args(argv)
     want = parse(args.against.read_text().splitlines()) if args.against else None
     lines = []
@@ -150,7 +169,7 @@ def main(argv=None) -> int:
         return 0
     got = parse(lines)
     want = select(want, got)
-    diff = differences(want, got)
+    diff = differences(want, got, args.columns)
     for line in diff:
         print(line, file=sys.stderr)
     print(f"{len(diff)} of {len(want.keys() | got.keys())} operations differ from "

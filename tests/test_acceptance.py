@@ -229,7 +229,12 @@ def test_criterion_09_smoothness_comparison():
         cfg = two_robot_benchmark(duration_s=120.0,
                                   random_init=RandomInit(radius=3.0, min_sep=0.8))
         two = run(cfg, seed=700 + s)
-        pe = run(replace(cfg, pe_baseline=True), seed=700 + s)
+        # The PE baseline runs no stage-one program.
+        lead, follower = cfg.robots
+        pe = run(replace(cfg, pe_baseline=True,
+                         robots=(replace(lead, c_v=0.0),
+                                 replace(follower, r=0.0, c_v=0.0, c_w=0.0))),
+                 seed=700 + s)
         k0 = two.transition_tick
         assert k0 is not None
         s_two = smoothness(two.commands[1][k0:], two.commands[0][k0:], two.dt)

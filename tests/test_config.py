@@ -154,6 +154,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"gains\.k1 must be > 0"):
             config_from_dict(d)
 
+    def test_repeated_edge_rejected(self):
+        # The pair would run once, under another config_hash.
+        with pytest.raises(ConfigError, match=r"^edges: edge \(1, 0\) appears twice"):
+            replace(two_robot_benchmark(), edges=((1, 0), (1, 0)))
+        # An edge that layer assignment prunes is not repeated: the
+        # diamond's sideways (2, 1) stays.
+        replace(chain_swarm(4), edges=((1, 0), (2, 0), (2, 1), (3, 1), (3, 2)))
+
     def test_formation_for_unknown_robot(self):
         d = two_robot_benchmark().to_dict()
         d["formation"]["9"] = [1.0, 0.0, 0.0]
@@ -207,7 +215,7 @@ class TestStrictValues:
                 build(path, value)
 
     @pytest.mark.parametrize("path, value", [(("hist_cap",), 64.9),
-                                             (("physics_substeps",), 1.7),
+                                             (("seed",), 1.7),
                                              (("judge", "capacity"), 5.5),
                                              (("seed",), "3"),
                                              (("hist_cap",), True)])
@@ -405,8 +413,7 @@ class TestOneRuleSite:
               (("noise", "outlier_prob"), 0.0, -1), (("noise", "outlier_prob"), 1.0, +1),
               (("noise", "sigma_range"), 0.0, -1), (("noise", "sigma_odom_pos"), 0.0, -1),
               (("noise", "sigma_odom_yaw"), 0.0, -1), (("noise", "sigma_outlier"), 0.0, -1),
-              (("hist_cap",), 7, -1), (("judge", "capacity"), 1, -1), (("seed",), 0, -1),
-              (("physics_substeps",), 1, -1)]
+              (("hist_cap",), 7, -1), (("judge", "capacity"), 1, -1), (("seed",), 0, -1)]
     OPEN = [("dt",), ("duration_s",), ("excitation_threshold",), ("judge", "threshold"),
             ("pe_excitation", "frequency"), ("saturation", "v_h_max"),
             ("saturation", "v_z_max"), ("saturation", "w_max"), ("random_init", "radius"),
@@ -414,9 +421,15 @@ class TestOneRuleSite:
 
     @staticmethod
     def with_records(path: tuple, value) -> ScenarioConfig:
-        d = two_robot_benchmark().to_dict()
+        # Every record set, and every value it holds in effect: random_init
+        # draws the follower's pose, the PE baseline reads pe_excitation and
+        # runs no stage-one program, and outliers read sigma_outlier.
+        d = two_robot_benchmark(random_init=RandomInit(3.0, 1.0)).to_dict()
         d["saturation"] = {"v_h_max": 1.0, "v_z_max": 1.0, "w_max": 1.0}
-        d["random_init"] = {"radius": 3.0, "min_sep": 1.0}
+        d["flags"]["pe_baseline"] = True
+        for robot in d["robots"]:
+            robot.update(r=0.0, c_v=0.0, c_w=0.0)
+        d["noise"]["outlier_prob"] = 0.1
         return config_from_dict(set_key(d, path, value))
 
     @pytest.mark.parametrize("path, bound, step", CLOSED,
@@ -486,6 +499,33 @@ class TestSchemaV1:
     def test_horizon_unknown_in_version_2(self):
         d = {**two_robot_benchmark().to_dict(), "broadcast_horizon": 0}
         with pytest.raises(ConfigError, match="broadcast_horizon"):
+            config_from_dict(d)
+
+
+class TestSchemaV3:
+    """Version 3 dropped `physics_substeps`: a version 1 or 2 file loads as
+    its version 3 form when it holds one sub-step or none."""
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("substeps", [{}, {"physics_substeps": 1}], ids=["absent", "one"])
+    def test_one_or_absent_substeps_upgrade(self, version, substeps):
+        v3 = two_robot_benchmark().to_dict()
+        old = config_from_dict({**v3, "schema_version": version, **substeps})
+        assert old == config_from_dict(v3)
+        assert old.to_dict()["schema_version"] == 3
+        assert old.config_hash() == two_robot_benchmark().config_hash()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("substeps", [2, 0, 1.5])
+    def test_other_substeps_rejected(self, version, substeps):
+        d = {**two_robot_benchmark().to_dict(), "schema_version": version,
+             "physics_substeps": substeps}
+        with pytest.raises(ConfigError, match="physics_substeps"):
+            config_from_dict(d)
+
+    def test_substeps_unknown_in_version_3(self):
+        d = {**two_robot_benchmark().to_dict(), "physics_substeps": 1}
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['physics_substeps'\]"):
             config_from_dict(d)
 
 

@@ -1,7 +1,9 @@
 """The comparison half of `tests/digest_runs.py`: parsing digest lines,
 picking one workload's lines and naming what differs."""
 
-from digest_runs import differences, parse, select
+import pytest
+
+from digest_runs import differences, main, parse, select
 
 A, B, C, D = ("a" * 64, "b" * 64, "c" * 64, "d" * 64)
 
@@ -43,6 +45,26 @@ class TestDifferences:
         assert differences(want, got) == ["mc/a: raised differ", "mc/b: raised differ",
                                           "mc/c: raised differ"]
         assert differences({"mc/b": raised}, {"mc/b": list(raised)}) == []
+
+
+class TestColumns:
+    def test_compares_only_the_named_columns(self):
+        want = {"mc/a": [A, B, C, D], "mc/b": [A, B, C, D], "mc/c": [A, B, C, D]}
+        got = {"mc/a": [B, B, C, A], "mc/b": [A, B, D, D], "mc/c": ["raised ValueError('x')"]}
+        assert differences(want, got, ("result", "logs")) == ["mc/b: logs differ",
+                                                              "mc/c: raised differ"]
+        assert differences(want, got, ("config", "header")) == ["mc/a: config, header differ",
+                                                                "mc/c: raised differ"]
+        assert differences(want, got) == differences(want, got, ("config", "result", "logs",
+                                                                 "header"))
+        assert differences({"mc/a": [A, B, C, D]}, {}, ("logs",)) == ["mc/a: missing"]
+
+    @pytest.mark.parametrize("columns", ["logs,bogus", "", "result,,logs"])
+    def test_unknown_column_is_a_usage_error(self, columns, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--columns", columns])
+        assert exc.value.code == 2
+        assert "argument --columns: unknown columns" in capsys.readouterr().err
 
 
 class TestSelect:

@@ -14,10 +14,9 @@ ticks: the screened chain fills its judge queues (capacity 5) and records
 (hist_cap 16) within seconds, so queue wrap-around and record evictions
 happen early and often; the formation run covers the planar record and
 the stage-2 controller; the saturated pair covers command clamping (346
-clamped commands), physics sub-steps, the proof learning rate and truth
-feedback; the excited chain covers the PE baseline, the broadcast leader
-odometry and a random initial placement; the diamond gives robot 3 two
-pairs, (3, 1) and (3, 2), so its leader estimate averages two layer-2
+clamped commands), the proof learning rate and truth feedback; the
+excited chain covers the PE baseline, the broadcast leader odometry and a
+random initial placement; the diamond gives robot 3 two pairs, (3, 1) and (3, 2), so its leader estimate averages two layer-2
 compositions, prunes the sideways edge (2, 1), and fills its records
 (hist_cap 12) at four different ticks, so records of different lengths
 update side by side.
@@ -43,7 +42,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uwbio.config import RandomInit, Saturation
+from uwbio.config import RandomInit, RobotConfig, Saturation
 from uwbio.harness import run_to_dir
 from uwbio.regression import DataRecord
 from uwbio.scenarios import chain_swarm, four_robot_formation, two_robot_benchmark
@@ -64,12 +63,15 @@ def planar_formation():
 def saturated_pair():
     cfg = two_robot_benchmark(noise=NOISE, seed=5, duration_s=30.0)
     return replace(cfg, truth_feedback=True, saturation=Saturation(0.3, 0.2, 0.6),
-                   physics_substeps=2, rate_variant="proof")
+                   rate_variant="proof")
 
 
 def excited_chain():
     cfg = chain_swarm(3, seed=4, noise=NOISE, duration_s=20.0)
-    return replace(cfg, pe_baseline=True, leader_odom_broadcast=True,
+    # The PE baseline runs no stage-one program and random_init draws the
+    # followers' poses, so the config holds only the leader's pose and circle.
+    robots = (replace(cfg.robots[0], c_v=0.0), RobotConfig(1), RobotConfig(2))
+    return replace(cfg, robots=robots, pe_baseline=True, leader_odom_broadcast=True,
                    random_init=RandomInit(3.0, 0.8))
 
 
@@ -90,7 +92,7 @@ GOLDEN = {
         "samples.csv":
             "846d215129af403ff17a2c885c0202a960ee84d7aa20be0156c9691f65ae975c",
         "summary.csv":
-            "18de541aa11ebc77cc71c6ddee4587af604282c9710a5c892363ddee693b1e1b",
+            "ae96a7da960206da06bb312f06ec0d0b46fa98920deb1d4dadc1e176d8db2c65",
         "tracking.csv":
             "dfcba0bf6b2a27e64f31ba056478f22ade66246bdf9770c93d8b03643f4c3e3c",
     }),
@@ -102,23 +104,23 @@ GOLDEN = {
         "outliers.csv":
             "b6c7d1581670bb190885fdb1438af7bdf73e555d9d2621949fdfca2c78d12b4a",
         "summary.csv":
-            "59284e76cb0abbff666b1e2a626efd4fb1ec21b7513ab5be7464cc6e5d76775a",
+            "bcc4c195a83a0b2495265bd543cde593b509de031da12d8e7c52dd3857e1fc42",
         "tracking.csv":
             "956a9516bf194ff1edd989ad618474f8df6ca82efefb0d0ee2ee7280069e4f0b",
     }),
     "saturated_pair": (saturated_pair, {
         "commands.csv":
-            "88a3f815dc1f015eb267ba021d46b292c6952b5f70d8715ec72b349e1bb247aa",
+            "e7b16910ef3adb83a8e530de884e13b4602c9215f5e5a3b6ef52e3ef201a2972",
         "estimates.csv":
-            "524f63568417b3fbc17602a5f4f952421a11ad0d93179e0c1875686c35ce44c8",
+            "2dd0f2b8d0e628aa2900ab29d6c4fa25412f3f6f7d95806c513ec8e7a104791d",
         "outliers.csv":
-            "1783fd5a14695b822d12e4dc11c0b9e411cc07417a3c780a250d9326481407c8",
+            "9caf2d92cf1539e19524f5e50d9f65650ffdf6d87ee95905c7db3769eb64222f",
         "saturation.csv":
-            "2e39141711b496e14ee29ffef798658c65a72d2a93df8361ff2f0e74a03f8ef2",
+            "8ade68d6d63b14b6824613369e34047ecc212df76f59540247a77bf081475cf3",
         "summary.csv":
-            "e761b7ad3cec68ab6a2ea957a5f0d62e9d37b41ae2bd333ef191276435c0eef9",
+            "016584480d914fe2822c901dc04dc19958954277c3e3ca87b18a8803c9020e5c",
         "tracking.csv":
-            "375eec07c4a4ac955b317a0d6c1dbd754420d51eb9e773a765f443948bbf5ae8",
+            "2e4be50acbddafe0a4a2c1a88cb6659e103ae60d0cf1a9de1c4291b048cf2a90",
     }),
     "excited_chain": (excited_chain, {
         "commands.csv":
@@ -128,7 +130,7 @@ GOLDEN = {
         "outliers.csv":
             "4b706dd003f152668eca6782810845d1db9d29645e975da2b4d58ec937b26bfb",
         "summary.csv":
-            "9b0ad30ed88b69546b797d1da5ba0584af5d58e2cc1a0849ae7ad5f59013ec2e",
+            "cd162430fe957f84c954785a7f80b1729227fc850638f9392806717eb6f3179d",
         "tracking.csv":
             "0bc8bdfc94975b3785317d385954539b4e85c327a9da83e5ba20556ed9c203a5",
     }),
@@ -140,7 +142,7 @@ GOLDEN = {
         "outliers.csv":
             "d90395876b8e57cf4d9e2d8341a47516ce7b562590a06c3ab2e12712bdb06b50",
         "summary.csv":
-            "8b34b6e2ae311a27cebf1905379a8979ec2f5cdea08579843969baecaf942acd",
+            "821ce9576755eedd672da8507698f5bcf6ef43cc349da2e90a80a1456be49231",
         "tracking.csv":
             "80bc44e67df96061a88fa3df60848bd077401794f28935990fee191692de3a0f",
     }),
@@ -160,7 +162,7 @@ ARRAY_GOLDEN = {
     "planar_formation":
         "b58b20a6bae1c1bda9ae235a51394a0d94895c0f86ecaceb40a9052cf3b1a439",
     "saturated_pair":
-        "ce6771b8389a6e2bd5af5e0f3d64a3ca45e0fc80ee57aa148cb0b8794f3003c8",
+        "180f4bbf7a89055354fbec13106b7c47f858022b513c535bf048801520975f67",
     "excited_chain":
         "ba7b1883b97876a349ca70129dce479a9f49f4c4139b89df3dbfbf10cb52c386",
     "diamond":

@@ -105,7 +105,10 @@ class TestRun:
 
     def test_random_init_unplaceable_raises(self):
         # No point of the 1 m square around the leader lies 1 m away from it.
-        cfg = replace(chain_swarm(5), random_init=RandomInit(radius=0.5, min_sep=1.0))
+        cfg = chain_swarm(5)
+        robots = cfg.robots[:1] + tuple(replace(r, x=0.0, y=0.0, z=0.0, yaw=0.0)
+                                        for r in cfg.robots[1:])
+        cfg = replace(cfg, robots=robots, random_init=RandomInit(radius=0.5, min_sep=1.0))
         with pytest.raises(ConfigError, match=r"robot \d+ .*min_sep=1\.0.*radius=0\.5"):
             run(cfg)
 
@@ -125,7 +128,11 @@ class TestModes:
         assert res.metrics.final_tracking_pos[1] < 0.02
 
     def test_pe_baseline_mode(self):
-        cfg = replace(two_robot_benchmark(duration_s=60.0), pe_baseline=True)
+        cfg = two_robot_benchmark(duration_s=60.0)
+        # The PE baseline runs no stage-one program.
+        lead, follower = cfg.robots
+        cfg = replace(cfg, pe_baseline=True, robots=(replace(lead, c_v=0.0),
+                                                     replace(follower, r=0.0, c_v=0.0, c_w=0.0)))
         res = run(cfg)
         # Excitation rides on the commands for the whole run.
         dev = np.linalg.norm(res.commands[1] - res.commands[0], axis=1)
@@ -145,14 +152,6 @@ class TestModes:
         res = run(cfg)
         assert res.metrics.detection is None
         assert not res.verdict.any()
-
-    def test_substepping_matches_single_step(self):
-        # Exact arcs compose exactly, so sub-stepping only reshuffles rounding.
-        base = run(two_robot_benchmark(duration_s=10.0))
-        sub = run(replace(two_robot_benchmark(duration_s=10.0), physics_substeps=4))
-        for r in (0, 1):
-            assert np.allclose(base.final_truths[r].world_pose.position(),
-                               sub.final_truths[r].world_pose.position(), atol=1e-9)
 
     def test_saturation_clamps_and_logs(self, tmp_path):
         from uwbio.config import Saturation
@@ -361,13 +360,29 @@ class TestSweep:
 
     def test_swarm_size_axis_keeps_base_settings(self):
         base = replace(chain_swarm(3, seed=1, duration_s=20.0), outlier_screening=False,
-                       hist_cap=32, rate_variant="proof", judge_capacity=10)
+                       hist_cap=32, rate_variant="proof", judge_capacity=20)
         cfg = _apply_axis(base, "swarm_size", 5, seed=4)
         assert (cfg.n_robots, cfg.name, cfg.seed) == (5, "chain_5", 4)
         assert cfg.edges == chain_swarm(5, seed=4).edges
         assert (cfg.outlier_screening, cfg.hist_cap, cfg.rate_variant,
-                cfg.judge_capacity) == (False, 32, "proof", 10)
+                cfg.judge_capacity) == (False, 32, "proof", 20)
         assert (cfg.noise, cfg.duration_s, cfg.dt) == (base.noise, base.duration_s, base.dt)
+
+    def test_swarm_size_axis_zeroes_the_layout_values_a_base_leaves_inert(self):
+        # A planar base holds no c_v or k4, and a random_init base no
+        # follower pose; the chain's layout keeps the rest.
+        chain = chain_swarm(4, seed=2)
+        planar = _apply_axis(four_robot_formation(duration_s=1.0), "swarm_size", 4, seed=2)
+        assert planar.mode_2d and planar.gains == replace(chain.gains, k4=0.0)
+        assert planar.robots == tuple(replace(r, c_v=0.0) for r in chain.robots)
+        drawn = _apply_axis(two_robot_benchmark(duration_s=1.0, random_init=RandomInit()),
+                            "swarm_size", 4, seed=2)
+        assert drawn.robots == chain.robots[:1] + tuple(
+            replace(r, x=0.0, y=0.0, z=0.0, yaw=0.0) for r in chain.robots[1:])
+        for base in (four_robot_formation(duration_s=1.0),
+                     two_robot_benchmark(duration_s=1.0, random_init=RandomInit())):
+            result = sweep(base, "swarm_size", [3], seeds=2)
+            assert not result.failures and len(result.rows) == 2
 
     def test_fractional_swarm_size_is_a_failure(self):
         base = chain_swarm(3, seed=1, duration_s=20.0)
@@ -657,7 +672,7 @@ class TestCli:
         assert "robots" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("values", ["0.0,", "", "a,0.1"])
+    @pytest.mark.parametrize("values", ["0.0,", "", "a,0.1", "nan", "0.1,inf"])
     def test_sweep_cli_bad_values_is_a_usage_error(self, tmp_path, capsys, values):
         cfg_path = tmp_path / "cfg.json"
         two_robot_benchmark(duration_s=1.0).save(cfg_path)
@@ -676,9 +691,15 @@ class TestCli:
         capsys.readouterr()
         assert load_config(path).name == "four_robot_formation"
 
-    def test_missing_out_dir_errors(self, tmp_path, monkeypatch):
+    def test_missing_out_dir_errors(self, tmp_path, monkeypatch, capsys):
+        # A usage error, raised before the config loads: the file named
+        # here does not exist.
         monkeypatch.delenv("UWBIO_OUT", raising=False)
-        cfg_path = tmp_path / "cfg.json"
-        two_robot_benchmark(duration_s=5.0).save(cfg_path)
-        with pytest.raises(SystemExit):
-            cli_main(["run", "--config", str(cfg_path)])
+        cfg_path = str(tmp_path / "missing.json")
+        for argv in (["run", "--config", cfg_path],
+                     ["sweep", "--config", cfg_path, "--axis", "noise", "--values", "0.0"]):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv)
+            assert exc.value.code == 2
+            assert ("uwbio: error: no output directory: pass --out or set UWBIO_OUT"
+                    in capsys.readouterr().err)

@@ -788,7 +788,7 @@ def reference_commands(cfg, k, truths, errors, stage2_active, events):
         if sat is None:
             return cmd
         v_h = min(max(cmd.v_h, -sat.v_h_max), sat.v_h_max)
-        v_z = min(max(cmd.v_z, -sat.v_z_max), sat.v_z_max)
+        v_z = cmd.v_z if sat.v_z_max is None else min(max(cmd.v_z, -sat.v_z_max), sat.v_z_max)
         w = min(max(cmd.w, -sat.w_max), sat.w_max)
         if (v_h, v_z, w) != (cmd.v_h, cmd.v_z, cmd.w):
             events.append((k, r, cmd.v_h, cmd.v_z, cmd.w))
@@ -827,6 +827,24 @@ def reference_commands(cfg, k, truths, errors, stage2_active, events):
     return [(c.v_h, c.v_z, c.w) for c in out]
 
 
+def no_vertical_settings(cfg):
+    """`cfg` with every vertical setting a planar run must leave at zero:
+    each robot's c_v and the gain k4."""
+    return replace(cfg, robots=tuple(replace(r, c_v=0.0) for r in cfg.robots),
+                   gains=replace(cfg.gains, k4=0.0))
+
+
+def no_stage_one_settings(cfg, cruise):
+    """`cfg` with every stage-one setting the PE baseline must leave at
+    zero: each follower's r, c_v and c_w, the leader's c_v and, under a set
+    `cruise`, the leader's r and c_w."""
+    lead = replace(cfg.robots[0], c_v=0.0)
+    if cruise:
+        lead = replace(lead, r=0.0, c_w=0.0)
+    return replace(cfg, robots=(lead, *(replace(r, r=0.0, c_v=0.0, c_w=0.0)
+                                        for r in cfg.robots[1:])))
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), k=st.integers(0, 500),
        saturated=st.booleans(), pe_baseline=st.booleans(), truth_feedback=st.booleans(),
@@ -837,10 +855,16 @@ def test_commands_match_reference(seed, n, k, saturated, pe_baseline, truth_feed
     feedback, the planar z freeze, saturation on and off) against the
     per-robot loop."""
     rng = np.random.default_rng(seed)
-    cfg = replace(chain_swarm(n, seed=seed % 1000), mode_2d=planar, pe_baseline=pe_baseline,
+    cfg = chain_swarm(n, seed=seed % 1000)
+    if planar:
+        cfg = no_vertical_settings(cfg)
+    if pe_baseline:
+        cfg = no_stage_one_settings(cfg, cruise)
+    cfg = replace(cfg, mode_2d=planar, pe_baseline=pe_baseline,
                   truth_feedback=truth_feedback,
-                  saturation=Saturation(0.3, 0.05, 0.4) if saturated else None,
-                  leader_cruise=VelocityCommand(0.4, 0.1, -0.3) if cruise else None,
+                  saturation=Saturation(0.3, None if planar else 0.05, 0.4) if saturated else None,
+                  leader_cruise=(VelocityCommand(0.4, 0.0 if planar else 0.1, -0.3) if cruise
+                                 else None),
                   formation={i: tuple(rng.normal(0, 2, 3).tolist()) for i in range(1, n)})
     state = harness._initial_state(cfg, 0)
     state.truth = [[*rng.normal(0, 5, 4).tolist(), *rng.normal(0, 5, 4).tolist()]
@@ -899,9 +923,16 @@ def test_truth_feedback_tick_builds_no_one_robot_objects(planar, cruise):
     baseline), from a random start: the initial state, the observation and
     the ticks build no RobotTruth or VelocityCommand and call no one-robot
     or one-pair front end, and feed back the one-robot truth error."""
-    cfg = replace(chain_swarm(4, seed=3, duration_s=2.0), truth_feedback=True,
-                  pe_baseline=True, mode_2d=planar, leader_cruise=cruise,
-                  random_init=RandomInit(4.0, 1.0))
+    cfg = chain_swarm(4, seed=3, duration_s=2.0)
+    # random_init draws the followers' poses, so the config holds none.
+    cfg = replace(cfg, robots=cfg.robots[:1] + tuple(replace(r, x=0.0, y=0.0, z=0.0, yaw=0.0)
+                                                     for r in cfg.robots[1:]))
+    cfg = no_stage_one_settings(cfg, cruise)
+    if planar:
+        cfg = no_vertical_settings(cfg)
+        cruise = None if cruise is None else replace(cruise, v_z=0.0)
+    cfg = replace(cfg, truth_feedback=True, pe_baseline=True, mode_2d=planar,
+                  leader_cruise=cruise, random_init=RandomInit(4.0, 1.0))
     ticks = 30
     with forbidden(*FRONT_ENDS, (VelocityCommand, "__init__")):
         state = harness._initial_state(cfg, 5)
